@@ -29,7 +29,7 @@ import numpy as np
 
 from . import channel, exact_collision as ec, grid_oracle, moments, trajectories
 from .errors import ConfigError, QBM1DError
-from .packets import CollisionPair
+from .packets import CollisionPair, classical_collision_map
 from .thermal import ThermalGasSpec
 
 __all__ = ["ScenarioConfig", "run_scenario", "emit_csv", "main"]
@@ -214,12 +214,13 @@ def _require(cond, field, message):
 
 def _validate_params(kind, p):
     for key in ("mass", "alpha", "sigma", "hbar", "boltzmann_k", "temperature",
-                "number_density", "delta", "horizon", "dt", "grid_length",
-                "time", "gas_flight_window"):
-        if key in p and p[key] is not None and key not in ("dt", "time", "gas_flight_window"):
+                "number_density", "delta", "horizon", "grid_length"):
+        if key in p:
             _require(p[key] > 0, key, "must be > 0")
-    if "gas_flight_window" in p:
-        _require(p["gas_flight_window"] >= 0, "gas_flight_window", "must be >= 0")
+    # dt = 0 picks the step itself; time = 0 is a collision with no free flight
+    for key in ("dt", "time", "gas_flight_window"):
+        if key in p:
+            _require(p[key] >= 0, key, "must be >= 0")
     if "timing" in p:
         _require(p["timing"] in ("uniform", "midpoint"), "timing",
                  "must be 'uniform' or 'midpoint'")
@@ -243,14 +244,15 @@ def _validate_params(kind, p):
 def emit_csv(path, header, rows):
     """Write a CSV with a unit-bearing header and full double precision.
 
-    Floats are written with repr (shortest round-trip form), so identical
-    inputs give byte-identical files.
+    Floats, numpy float64 scalars included, are written as the repr of a
+    plain float (shortest round-trip form), so identical inputs give
+    byte-identical files that any CSV reader parses.
     """
     path = Path(path)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
+            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v)
                              for v in row) + "\n")
     return path
 
@@ -286,7 +288,7 @@ def _marginal_tables(pair, init, p, times):
     ps = np.linspace(p["p_lo"], p["p_hi"], p["n_p"])
     pos_rows, mom_rows, mean_rows = [], [], []
     for t in times:
-        dens_x = ec.position_marginal_profile_grid(pair, init, t, xs)
+        dens_x = ec.position_marginal(pair, init, t, xs)
         dens_p = ec.momentum_marginal_profile(pair, init, t, ps,
                                               n_grid=p["momentum_grid_n"])
         pos_rows.extend((float(t), float(x), float(d)) for x, d in zip(xs, dens_x))
@@ -416,8 +418,8 @@ def _run_channel_verify(cfg: ScenarioConfig):
     gas_state = (p["gas_x"], p["gas_p"])
     out = channel.apply_collision_channel(rho, pair, gas_state, p["time"])
     trace = out.trace()
-    _, _, x_out, p_out = (None, None, *_classical_out(pair, gas_state,
-                                                      p["state_x"], p["state_p"]))
+    *_, x_out, p_out = classical_collision_map(pair, *gas_state,
+                                               p["state_x"], p["state_p"])
     target_pkt = pair.brownian_packet(x_out, p_out)
     target = channel.grid_packet(grid, target_pkt)
     target = channel.free_evolve_vector(grid, target, pair.brownian_mass,
@@ -450,12 +452,6 @@ def _run_channel_verify(cfg: ScenarioConfig):
         "outputs": [f.name for f in files],
     }
     return summary, failures
-
-
-def _classical_out(pair, gas_state, x, p):
-    from .packets import classical_collision_map
-    xg, pg = gas_state
-    return classical_collision_map(pair, xg, pg, x, p)
 
 
 def _completeness_residual(pair, grid, span_x_frac=0.55, p_span=6.0):

