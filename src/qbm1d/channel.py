@@ -6,6 +6,11 @@ Kraus operators, approximate phase-space projections, and collision
 probability/rate operators.  Everything lives on a uniform position grid
 with periodic FFT displacements; states are l2-normalized grid vectors.
 
+Phase-space sums are array operations, not node loops: ``grid_packets``
+builds every coherent column of a mesh at once (effect operator,
+projection), and ``apply_collision_channel`` batches its pointer mesh one
+x_t row at a time, with one matrix product and three FFT passes per row.
+
 This module certifies algebraic structure on modest grids (N <= 512); the
 trajectory unraveling carries production dynamics.
 """
@@ -29,6 +34,7 @@ __all__ = [
     "PhaseSpaceMesh",
     "PhaseSpaceRegion",
     "grid_packet",
+    "grid_packets",
     "displace_vector",
     "displacement_operator",
     "free_evolve_vector",
@@ -106,22 +112,40 @@ class PhaseSpaceMesh:
     span_std: float = 4.5
 
 
-# largest packet mass that grid_packet lets fall off the grid
+# largest packet mass that grid_packets lets fall off the grid
 _PACKET_MASS_TOL = 1e-6
 
 
-def grid_packet(grid: SpatialGrid, packet: GaussianPacket) -> np.ndarray:
-    """l2-normalized grid vector of a Gaussian packet.
+def grid_packets(grid: SpatialGrid, width: float, hbar: float, xs, ps) -> np.ndarray:
+    """(n, m) l2-normalized grid vectors of the packets (xs[j], ps[j]), one per column.
 
-    Raises GridTooSmall when the sampled mass differs from 1 by more than
-    _PACKET_MASS_TOL (1e-6), i.e. when the grid's extent cuts off the packet.
+    Amplitudes follow GaussianPacket.amplitude.  Raises GridTooSmall when a
+    column's sampled mass differs from 1 by more than _PACKET_MASS_TOL
+    (1e-6), i.e. when the grid's extent cuts off that packet; the message
+    names the worst column's mass.
     """
-    v = packet.amplitude(grid.x) * np.sqrt(grid.dx)
-    nrm = np.linalg.norm(v)
-    if abs(nrm**2 - 1.0) > _PACKET_MASS_TOL:
+    xs, ps = np.broadcast_arrays(np.atleast_1d(np.asarray(xs, dtype=float)),
+                                 np.atleast_1d(np.asarray(ps, dtype=float)))
+    xq = grid.x[:, None]
+    pref = np.exp(-1j * xs * ps / (2 * hbar)) / np.sqrt(np.sqrt(np.pi) * width)
+    v = pref * np.exp(1j * xq * ps / hbar - (xs - xq) ** 2 / (2 * width**2)) * np.sqrt(grid.dx)
+    mass = np.sum(v.real**2 + v.imag**2, axis=0)
+    worst = np.argmax(np.abs(mass - 1.0))
+    if abs(mass[worst] - 1.0) > _PACKET_MASS_TOL:
         raise GridTooSmall(
-            f"packet mass on grid {nrm**2:.8f}; widen the grid or the packet")
-    return v / nrm
+            f"packet mass on grid {mass[worst]:.8f} at ({xs[worst]:.4g}, {ps[worst]:.4g}); "
+            "widen the grid or the packet")
+    return v / np.sqrt(mass)
+
+
+def grid_packet(grid: SpatialGrid, packet: GaussianPacket) -> np.ndarray:
+    """l2-normalized grid vector of one Gaussian packet (see grid_packets)."""
+    return grid_packets(grid, packet.width, packet.hbar, packet.center, packet.momentum)[:, 0]
+
+
+def _shift(grid: SpatialGrid, v: np.ndarray, a: float) -> np.ndarray:
+    """Periodic position shift by a along the last axis of v."""
+    return ifft(np.exp(-1j * grid.k * a) * fft(v, axis=-1), axis=-1)
 
 
 def displace_vector(grid: SpatialGrid, v: np.ndarray, a: float, b: float,
@@ -129,17 +153,16 @@ def displace_vector(grid: SpatialGrid, v: np.ndarray, a: float, b: float,
     """Glauber displacement: shift position by a, then boost momentum by b.
 
     Split form with the symmetric phase e^{-i a b / 2 hbar}; exact on the
-    periodic grid for any real displacements.
+    periodic grid for any real displacements.  Acts along the last axis.
     """
-    out = ifft(np.exp(-1j * grid.k * a) * fft(v))
-    return np.exp(-1j * a * b / (2 * hbar)) * np.exp(1j * b * grid.x / hbar) * out
+    phase = np.exp(-1j * a * b / (2 * hbar)) * np.exp(1j * b * grid.x / hbar)
+    return phase * _shift(grid, v, a)
 
 
 def displacement_operator(grid: SpatialGrid, a: float, b: float,
                           hbar: float = 1.0) -> np.ndarray:
-    phase = np.exp(-1j * a * b / (2 * hbar)) * np.exp(1j * b * grid.x / hbar)
-    cols = ifft(np.exp(-1j * grid.k * a)[:, None] * fft(np.eye(grid.n), axis=0), axis=0)
-    return phase[:, None] * cols
+    # row j of the displaced identity is the displaced basis vector e_j
+    return displace_vector(grid, np.eye(grid.n), a, b, hbar).T
 
 
 def free_evolve_vector(grid: SpatialGrid, v: np.ndarray, mass: float, t: float,
@@ -202,14 +225,9 @@ def build_effect_operator(pair: CollisionPair, x_t: float, p_t: float,
     dxm, dpm = xs[1] - xs[0], ps[1] - ps[0]
     if abs(p_t) + ps[-1] + 6 * hb / pair.brownian_width > 0.9 * grid.momentum_cutoff(hb):
         raise GridTooCoarse("displaced packets approach the grid momentum cutoff")
-    cols = np.empty((grid.n, xs.size * ps.size), dtype=complex)
-    wts = np.empty(xs.size * ps.size)
-    i = 0
-    for xv in xs:
-        for pv in ps:
-            cols[:, i] = grid_packet(grid, pair.brownian_packet(x_t + xv, p_t + pv))
-            wts[i] = smearing_weight(pair, xv, pv) * dxm * dpm / (2 * np.pi * hb)
-            i += 1
+    XX, PP = (a.ravel() for a in np.meshgrid(xs, ps, indexing="ij"))
+    cols = grid_packets(grid, pair.brownian_width, hb, x_t + XX, p_t + PP)
+    wts = smearing_weight(pair, XX, PP) * dxm * dpm / (2 * np.pi * hb)
     mat = (cols * wts) @ cols.conj().T
     return OperatorGrid(0.5 * (mat + mat.conj().T), grid)
 
@@ -272,19 +290,13 @@ def _state_moments(rho: OperatorGrid, hbar: float):
     return mx, sx, mp, sp
 
 
-def apply_collision_channel(rho: OperatorGrid, pair: CollisionPair, gas_state,
-                            t: float, mesh: PhaseSpaceMesh = PhaseSpaceMesh(),
-                            pointer_mesh: PhaseSpaceMesh = PhaseSpaceMesh(6.0, 4.5),
-                            ) -> OperatorGrid:
-    """One full collision with the gas packet ``gas_state``, then U(t).
+def _pointer_nodes(rho: OperatorGrid, pair: CollisionPair, pointer_mesh: PhaseSpaceMesh):
+    """Axes (x_t, p_t) of the pointer quadrature mesh of apply_collision_channel.
 
-    The (x_t, p_t) quadrature mesh is centered on the input state's phase
-    space support, widened by the smearing and packet widths.  Trace is
-    preserved up to the reported mesh truncation (~1e-3 budget).
+    Centered on the state's phase-space support, widened by the smearing
+    and packet widths.
     """
-    grid = rho.grid
     hb = pair.hbar
-    _check_grid_resolution(pair, grid)
     wx, wp = smearing_widths(pair)
     sig = pair.brownian_width
     mx, sx, mp, sp = _state_moments(rho, hb)
@@ -294,25 +306,54 @@ def apply_collision_channel(rho: OperatorGrid, pair: CollisionPair, gas_state,
     step_p = min(hb / sig, hb / sig if wp == 0 else wp) / pointer_mesh.points_per_std
     xts = np.arange(mx - span_x, mx + span_x + step_x / 2, step_x)
     pts = np.arange(mp - span_p, mp + span_p + step_p / 2, step_p)
+    return xts, pts
+
+
+def apply_collision_channel(rho: OperatorGrid, pair: CollisionPair, gas_state,
+                            t: float, mesh: PhaseSpaceMesh = PhaseSpaceMesh(),
+                            pointer_mesh: PhaseSpaceMesh = PhaseSpaceMesh(6.0, 4.5),
+                            ) -> OperatorGrid:
+    """One full collision with the gas packet ``gas_state``, then U(t).
+
+    Sums area * K rho K^dagger over the pointer mesh (_pointer_nodes), with
+    K = D(da, db) D(x_t, p_t) sqrt(C) D(x_t, p_t)^dagger as in build_kraus
+    and rho = sum_j v_j v_j^dagger over its kept eigenvectors.  Trace is
+    preserved up to the mesh truncation (~1e-3 budget).
+
+    The nodes are batched one x_t row at a time: the row shares one shift
+    by -x_t, the -p_t boosts are broadcast over its n_p * r vectors, sqrt(C)
+    is one matrix product, and the shifts by x_t and then by da(x_t), each
+    followed by its boost, are one FFT pass each.  The split-form
+    displacements stay apart: on the periodic grid D(da, db) D(x_t, p_t)
+    equals D(da + x_t, db + p_t) only for boosts in multiples of 2 pi hbar / L.
+    """
+    grid = rho.grid
+    hb = pair.hbar
+    _check_grid_resolution(pair, grid)
+    xts, pts = _pointer_nodes(rho, pair, pointer_mesh)
 
     ev, U = np.linalg.eigh(0.5 * (rho.matrix + rho.matrix.conj().T))
     keep = ev > max(1e-12, 1e-12 * ev[-1])
-    vecs = U[:, keep] * np.sqrt(ev[keep])
+    vecs_f = fft((U[:, keep] * np.sqrt(ev[keep])).T, axis=-1)  # (r, n)
 
     sqrt_c = operator_sqrt(build_effect_operator(pair, 0.0, 0.0, grid, mesh)).matrix
-    area = (xts[1] - xts[0]) * (pts[1] - pts[0])
-    out_cols = []
-    for x_t in xts:
-        for p_t in pts:
-            da, db = kraus_displacement(pair, gas_state, x_t, p_t)
-            for j in range(vecs.shape[1]):
-                v = displace_vector(grid, vecs[:, j], -x_t, -p_t, hb)
-                v = sqrt_c @ v
-                v = displace_vector(grid, v, x_t, p_t, hb)
-                v = displace_vector(grid, v, da, db, hb)
-                out_cols.append(v * np.sqrt(area))
-    C = np.array(out_cols).T
-    out = C @ C.conj().T
+    root_area = np.sqrt((xts[1] - xts[0]) * (pts[1] - pts[0]))
+    das, dbs = kraus_displacement(pair, gas_state, xts, pts)
+    # the x-dependent boost factors do not depend on the row
+    wave = np.exp(1j * pts[:, None] * grid.x / hb)
+    kick = np.exp(1j * dbs[:, None] * grid.x / hb)
+    out = np.zeros((grid.n, grid.n), dtype=complex)
+    for x_t, da in zip(xts, das):
+        # D(-x_t, -p_t) and D(x_t, p_t) share the symmetric phase
+        sym = np.exp(-1j * x_t * pts / (2 * hb))[:, None]
+        back = ifft(np.exp(1j * grid.k * x_t) * vecs_f, axis=-1)  # shift by -x_t
+        block = ((sym * wave.conj())[:, None, :] * back).reshape(-1, grid.n)
+        block = (block @ sqrt_c.T).reshape(pts.size, -1, grid.n)
+        block = (sym * wave)[:, None, :] * _shift(grid, block, x_t)
+        block = (np.exp(-1j * da * dbs / (2 * hb))[:, None] * kick)[:, None, :] \
+            * _shift(grid, block, da)
+        C = root_area * block.reshape(-1, grid.n)
+        out += C.T @ C.conj()
     if t:
         phase = np.exp(-1j * hb * grid.k**2 * t / (2 * pair.brownian_mass))
         out = ifft(phase[:, None] * fft(out, axis=0), axis=0)
@@ -373,10 +414,7 @@ def build_projection(region: PhaseSpaceRegion, pair: CollisionPair,
     inside = region.contains(XX, PP)
     if not inside.any():
         raise EmptyRegion("no phase-space mesh nodes inside the region")
-    nodes = np.argwhere(inside)
-    cols = np.empty((grid.n, len(nodes)), dtype=complex)
-    for i, (ix, ip) in enumerate(nodes):
-        cols[:, i] = grid_packet(grid, pair.brownian_packet(xs[ix], ps[ip]))
+    cols = grid_packets(grid, sig, hb, XX[inside], PP[inside])
     weight = step_x * step_p / (2 * np.pi * hb)
     mat = weight * (cols @ cols.conj().T)
     return OperatorGrid(0.5 * (mat + mat.conj().T), grid)

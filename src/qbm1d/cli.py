@@ -465,19 +465,12 @@ def _completeness_residual(pair, grid, span_x_frac=0.55, p_span=6.0):
     xs = np.arange(-half, half + step_x / 2, step_x)
     p_half = p_span * hb / sig
     ps = np.arange(-p_half, p_half + step_p / 2, step_p)
-    cols = np.empty((grid.n, xs.size * ps.size), dtype=complex)
-    i = 0
-    for xv in xs:
-        for pv in ps:
-            cols[:, i] = channel.grid_packet(grid, pair.brownian_packet(xv, pv))
-            i += 1
+    XX, PP = np.meshgrid(xs, ps, indexing="ij")
+    cols = channel.grid_packets(grid, sig, hb, XX.ravel(), PP.ravel())
     M = (step_x * step_p / (2 * np.pi * hb)) * (cols @ cols.conj().T)
-    worst = 0.0
-    for xv in (-half / 3, 0.0, half / 3):
-        for pv in (-p_half / 4, 0.0, p_half / 4):
-            v = channel.grid_packet(grid, pair.brownian_packet(xv, pv))
-            worst = max(worst, float(np.linalg.norm(M @ v - v)))
-    return worst
+    TX, TP = np.meshgrid([-half / 3, 0.0, half / 3], [-p_half / 4, 0.0, p_half / 4])
+    tests = channel.grid_packets(grid, sig, hb, TX.ravel(), TP.ravel())
+    return float(np.max(np.linalg.norm(M @ tests - tests, axis=0)))
 
 
 def _run_trajectories(cfg: ScenarioConfig):

@@ -160,9 +160,16 @@ def _core(pair: CollisionPair, init: COMInitialCondition, t: float):
 def wavefunction(pair: CollisionPair, init: COMInitialCondition, t: float, x_g_prime, x_prime):
     """Two-particle amplitude psi(t, x_g', x'); exactly 0 for x_g' >= x'.
 
-    Vectorized over broadcastable coordinate arrays.  Unit two-particle norm
-    for every t; at t = 0 it reduces to the product of the two packet
-    amplitudes up to the image-tail correction that enforces the hard wall.
+    Vectorized over broadcastable coordinate arrays.  At t = 0 it is the
+    product of the two packet amplitudes minus its mirror image in the wall
+    d = x' - x_g' = 0, which enforces the hard wall.  Its two-particle norm is
+    therefore 1 minus the overlap of the product with its image,
+
+        1 - exp(-(1 + alpha) (x^2 / sigma^2 + p^2 sigma^2 / hbar^2) / alpha),
+
+    constant in t (x, p the Brownian COM labels, sigma the Brownian width);
+    it is 1 to double precision only for packets that start well apart, e.g.
+    0.632 at alpha = 1, sigma = 1, x = 0.5, p = -0.5.
     """
     _check_com(pair, init)
     a = pair.alpha

@@ -65,6 +65,29 @@ class TestGridPacket:
         with pytest.raises(GridTooSmall):
             ch.grid_packet(grid, pair.brownian_packet(-9.0, -3.0))
 
+    def test_columns_match_single_packets(self, pair, grid):
+        xs = np.array([-6.0, -0.4, 0.0, 2.5, 7.9])
+        ps = np.array([1.3, -2.2, 0.0, 0.7, -4.0])
+        cols = ch.grid_packets(grid, pair.brownian_width, pair.hbar, xs, ps)
+        assert cols.shape == (grid.n, xs.size)
+        for j, (x, p) in enumerate(zip(xs, ps)):
+            packet = pair.brownian_packet(x, p)
+            np.testing.assert_allclose(cols[:, j], ch.grid_packet(grid, packet),
+                                       rtol=0, atol=1e-15)
+            # the sampled amplitude route, independent of the kernel
+            amp = packet.amplitude(grid.x)
+            np.testing.assert_allclose(cols[:, j], amp / np.linalg.norm(amp),
+                                       rtol=0, atol=1e-15)
+
+    def test_off_grid_column_raises(self, pair, grid):
+        # one bad centre in a batch fails the whole batch, naming its mass
+        amp = pair.brownian_packet(-9.0, -3.0).amplitude(grid.x)
+        mass = float(np.sum(np.abs(amp) ** 2) * grid.dx)
+        assert 1 - mass > 1e-6
+        with pytest.raises(GridTooSmall, match=f"{mass:.8f}"):
+            ch.grid_packets(grid, pair.brownian_width, pair.hbar,
+                            [0.0, -9.0, 3.0], [0.0, -3.0, 1.0])
+
 
 class TestDisplacement:
     def test_creates_coherent_state(self, pair, grid):
@@ -185,6 +208,67 @@ class TestChannel:
         fid = out.expectation(tgt) / out.trace()
         assert fid >= 0.95
         assert fid == pytest.approx(1.0, abs=1e-3)
+
+
+def _per_node_channel(rho, pair, gas_state, t, mesh, pointer_mesh):
+    """Reference route for apply_collision_channel: for every pointer node
+    and kept eigenvector, three displace_vector calls and one product with
+    sqrt(C); the columns' Gram matrix is then evolved by the matrix U(t)."""
+    grid, hb = rho.grid, pair.hbar
+    xts, pts = ch._pointer_nodes(rho, pair, pointer_mesh)
+    ev, U = np.linalg.eigh(0.5 * (rho.matrix + rho.matrix.conj().T))
+    keep = ev > max(1e-12, 1e-12 * ev[-1])
+    vecs = U[:, keep] * np.sqrt(ev[keep])
+    sqrt_c = ch.operator_sqrt(ch.build_effect_operator(pair, 0.0, 0.0, grid, mesh)).matrix
+    area = (xts[1] - xts[0]) * (pts[1] - pts[0])
+    cols = []
+    for x_t in xts:
+        for p_t in pts:
+            da, db = ch.kraus_displacement(pair, gas_state, x_t, p_t)
+            for v in vecs.T:
+                v = ch.displace_vector(grid, v, -x_t, -p_t, hb)
+                v = sqrt_c @ v
+                v = ch.displace_vector(grid, v, x_t, p_t, hb)
+                v = ch.displace_vector(grid, v, da, db, hb)
+                cols.append(v * np.sqrt(area))
+    C = np.array(cols).T
+    U_t = ch.free_evolve_vector(grid, np.eye(grid.n), pair.brownian_mass, t, hb).T
+    out = U_t @ (C @ C.conj().T) @ U_t.conj().T
+    return 0.5 * (out + out.conj().T)
+
+
+class TestChannelAgainstPerNodeLoop:
+    """The row-batched channel against the per-node loop, on the channel
+    benchmark's small inputs: a pure state and a rank-3 mixture."""
+
+    GAS = (-2.0, 1.5)
+    MESH = ch.PhaseSpaceMesh(3.0, 4.5)
+
+    @pytest.fixture(scope="class")
+    def small_grid(self):
+        return ch.SpatialGrid(n=128, length=16.0)
+
+    @staticmethod
+    def mixture(pair, grid, parts):
+        mat = np.zeros((grid.n, grid.n), dtype=complex)
+        for w, x, p in parts:
+            v = ch.grid_packet(grid, pair.brownian_packet(x, p))
+            mat += w * np.outer(v, v.conj())
+        return ch.OperatorGrid(mat, grid)
+
+    @pytest.mark.parametrize("parts", [
+        [(1.0, 1.0, 0.5)],
+        [(0.5, 1.0, 0.5), (0.3, 0.6, 0.2), (0.2, 1.4, 0.8)],
+    ], ids=["pure", "rank3"])
+    def test_matches_loop(self, pair, small_grid, parts):
+        rho = self.mixture(pair, small_grid, parts)
+        ev = np.linalg.eigvalsh(rho.matrix)
+        assert np.sum(ev > 1e-12) == len(parts)
+        got = ch.apply_collision_channel(rho, pair, self.GAS, 0.5, mesh=self.MESH,
+                                         pointer_mesh=self.MESH)
+        ref = _per_node_channel(rho, pair, self.GAS, 0.5, self.MESH, self.MESH)
+        np.testing.assert_allclose(got.matrix, ref, rtol=0, atol=1e-12)
+        assert got.trace() == pytest.approx(rho.trace(), abs=1e-3)
 
 
 class TestProjection:

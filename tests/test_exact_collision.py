@@ -178,6 +178,17 @@ class TestWavefunction:
         assert ec.two_particle_norm(pair, init, units * t_c) == pytest.approx(
             1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("alpha,sigma,x,p", [(1.0, 1.0, 0.5, -0.5),
+                                                 (1.0, 1.0, 1.0, -1.0),
+                                                 (0.3, 2.0, 1.0, -0.4)])
+    def test_norm_of_overlapping_packets(self, alpha, sigma, x, p):
+        # 1 minus the overlap of the initial product with its wall image
+        pair = CollisionPair.matched(1.0, alpha, sigma)
+        init = ec.com_condition(pair, x, p)
+        expected = 1 - np.exp(-(1 + alpha) * (x**2 / sigma**2 + p**2 * sigma**2) / alpha)
+        for t in (0.0, 1.0, 3.0):
+            assert ec.two_particle_norm(pair, init, t) == pytest.approx(expected, abs=1e-12)
+
 
 class TestPositionMarginal:
     def test_initial_gaussian(self, pair, init):
