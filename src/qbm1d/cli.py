@@ -73,7 +73,7 @@ _MARGINAL_KEYS = {
     "t_max_collision_units": _Key(float, 5.0),
     "x_lo": _Key(float, -40.0), "x_hi": _Key(float, 40.0), "n_x": _Key(int, 321),
     "p_lo": _Key(float, -4.0), "p_hi": _Key(float, 4.0), "n_p": _Key(int, 241),
-    "momentum_grid_n": _Key(int, 1024),
+    "momentum_grid_n": _Key(int, 1024, "ignored; the momentum marginal needs no grid"),
 }
 
 SCHEMAS = {
@@ -231,6 +231,13 @@ def _validate_params(kind, p):
     if kind == "fig1":
         _require(p["x"] > 0, "x", "canonical COM frame needs x > 0")
         _require(p["p"] < 0, "p", "canonical COM frame needs p < 0")
+    if kind == "collide":
+        # the COM momentum that ec.LabFrameCollision reduces the labels to
+        _require(p["gas_x"] != p["x"], "gas_x", "must differ from x")
+        a = _pair_from(p).alpha
+        s = -1 if p["gas_x"] > p["x"] else 1
+        _require(s * ((a * p["p"] - p["gas_p"]) / (1 + a)) < 0, "p",
+                 "packets recede from each other and never collide")
     if kind == "oracle-verify":
         _require(all(n >= 8 for n in p["grid_sizes"]), "grid_sizes",
                  "grid sizes must be >= 8")
@@ -283,18 +290,16 @@ def _gas_from(p, pair) -> ThermalGasSpec:
 # scenario runners: return (summary_payload, tolerance_failures)
 # ---------------------------------------------------------------------------
 
-def _marginal_tables(pair, init, p, times):
+def _marginal_tables(p, times, position, momentum):
+    """Rows (t, x', density) and (t, p', density) on the config's grids;
+    ``position(t, xs)`` and ``momentum(t, ps)`` give the densities."""
     xs = np.linspace(p["x_lo"], p["x_hi"], p["n_x"])
     ps = np.linspace(p["p_lo"], p["p_hi"], p["n_p"])
-    pos_rows, mom_rows, mean_rows = [], [], []
+    pos_rows, mom_rows = [], []
     for t in times:
-        dens_x = ec.position_marginal(pair, init, t, xs)
-        dens_p = ec.momentum_marginal_profile(pair, init, t, ps,
-                                              n_grid=p["momentum_grid_n"])
-        pos_rows.extend((float(t), float(x), float(d)) for x, d in zip(xs, dens_x))
-        mom_rows.extend((float(t), float(pp), float(d)) for pp, d in zip(ps, dens_p))
-        mean_rows.append((float(t), ec.brownian_momentum_mean(pair, init, t)))
-    return pos_rows, mom_rows, mean_rows
+        pos_rows.extend((float(t), float(x), float(d)) for x, d in zip(xs, position(t, xs)))
+        mom_rows.extend((float(t), float(v), float(d)) for v, d in zip(ps, momentum(t, ps)))
+    return pos_rows, mom_rows
 
 
 def _run_fig1(cfg: ScenarioConfig):
@@ -303,7 +308,10 @@ def _run_fig1(cfg: ScenarioConfig):
     init = ec.com_condition(pair, p["x"], p["p"])
     t_c = ec.collision_time(pair, init.p_g)
     times = np.linspace(0.0, p["t_max_collision_units"] * t_c, p["n_times"])
-    pos_rows, mom_rows, mean_rows = _marginal_tables(pair, init, p, times)
+    pos_rows, mom_rows = _marginal_tables(
+        p, times, lambda t, xs: ec.position_marginal(pair, init, t, xs),
+        lambda t, ps: ec.momentum_marginal(pair, init, t, ps))
+    mean_rows = [(float(t), ec.brownian_momentum_mean(pair, init, t)) for t in times]
     files = [
         emit_csv(cfg.out_dir / "position_marginal.csv",
                  ["t", "x_prime", "density"], pos_rows),
@@ -333,17 +341,8 @@ def _run_collide(cfg: ScenarioConfig):
     gas = _gas_from(p, pair)
     t_c = ec.collision_time(pair, init.p_g)
     times = np.linspace(0.0, p["t_max_collision_units"] * t_c, p["n_times"])
-    xs = np.linspace(p["x_lo"], p["x_hi"], p["n_x"])
-    ps = np.linspace(p["p_lo"], p["p_hi"], p["n_p"])
-    pos_rows, mom_rows = [], []
-    for t in times:
-        dens_x = lab.position_marginal(t, xs)
-        shift = pair.brownian_mass * lab.boost_velocity
-        dens_p = ec.momentum_marginal_profile(
-            pair, init, t, lab.reflection * (ps - shift),
-            n_grid=p["momentum_grid_n"])
-        pos_rows.extend((float(t), float(x), float(d)) for x, d in zip(xs, dens_x))
-        mom_rows.extend((float(t), float(pp), float(d)) for pp, d in zip(ps, dens_p))
+    pos_rows, mom_rows = _marginal_tables(p, times, lab.position_marginal,
+                                          lab.momentum_marginal)
     fid_times = p["fidelity_times"]
     if fid_times is None:
         fid_times = [float(v) for v in np.linspace(0.0, 5 * t_c, 11)]

@@ -19,18 +19,6 @@ class ZeroRelativeMomentum(QBM1DError):
     """Collision time is undefined for p_g = 0."""
 
 
-class QuadratureFailure(QBM1DError):
-    """Adaptive quadrature could not reach the requested tolerance.
-
-    Carries the achieved error estimate in ``achieved``.
-    """
-
-    def __init__(self, message, achieved=None, requested=None):
-        super().__init__(message)
-        self.achieved = achieved
-        self.requested = requested
-
-
 class GridTooCoarse(QBM1DError):
     """Grid spacing violates the Nyquist safety margin for the momentum
     content of the state."""

@@ -188,6 +188,49 @@ def sample_collision_partner(p, gas: ThermalGasSpec, pair: CollisionPair, rng):
     return gas.gas_mass * su * 0.5 * (lo + hi)
 
 
+def _draw_collisions(p, gas: ThermalGasSpec, pair: CollisionPair, delta: float,
+                     rng, policy: JumpPolicy):
+    """Random part of one coarse step: (hit, tau, eta, p_g).
+
+    ``hit`` marks the colliding trajectories; for those, tau is the collision
+    instant in the step, eta the unresolved gas flight time (zeros at
+    ``gas_flight_window = 0``, which draws nothing) and p_g the partner's
+    momentum.  Raises StepTooLarge as ``step_ensemble`` does.
+    """
+    rate = collision_rate(p, gas, pair)
+    worst = float(np.max(rate) * delta)
+    if worst > _MAX_STEP_PROBABILITY:
+        raise StepTooLarge(f"rate*delta = {worst:.3f} > {_MAX_STEP_PROBABILITY}")
+    hit = rng.random(p.size) < rate * delta
+    n_hit = int(np.count_nonzero(hit))
+    tau = eta = p_g = np.zeros(n_hit)
+    if n_hit:
+        if policy.timing == "uniform":
+            tau = rng.uniform(0.0, delta, n_hit)
+        else:
+            tau = np.full(n_hit, delta / 2)
+        if policy.gas_flight_window > 0:
+            eta = rng.uniform(-policy.gas_flight_window * delta,
+                              policy.gas_flight_window * delta, n_hit)
+        p_g = sample_collision_partner(p[hit], gas, pair, rng)
+    return hit, tau, eta, p_g
+
+
+def _apply_collisions(x, p, hit, tau, eta, p_g, pair: CollisionPair, delta: float):
+    """New (x, p) after one step: free flight, or drift to contact, the label
+    map against a gas label displaced by its flight over eta, and drift on."""
+    x = x.copy()
+    p = p.copy()
+    ph = p[hit]
+    xh = x[hit] + ph / pair.brownian_mass * tau          # drift to contact
+    x_g_label = xh - (p_g / pair.gas_mass) * eta          # unresolved flight
+    _, _, x_out, p_out = classical_collision_map(pair, x_g_label, p_g, xh, ph)
+    x[hit] = x_out + p_out / pair.brownian_mass * (delta - tau)
+    p[hit] = p_out
+    x[~hit] += p[~hit] / pair.brownian_mass * delta
+    return x, p
+
+
 def step_ensemble(x, p, gas: ThermalGasSpec, pair: CollisionPair, delta: float,
                   rng, policy: JumpPolicy = JumpPolicy()):
     """Advance every trajectory by one coarse step; returns new (x, p).
@@ -195,32 +238,10 @@ def step_ensemble(x, p, gas: ThermalGasSpec, pair: CollisionPair, delta: float,
     Raises StepTooLarge when any trajectory's rate * delta exceeds 0.1
     (two-collision events would no longer be negligible).
     """
-    x = np.asarray(x, dtype=float).copy()
-    p = np.asarray(p, dtype=float).copy()
-    rate = collision_rate(p, gas, pair)
-    worst = float(np.max(rate) * delta)
-    if worst > _MAX_STEP_PROBABILITY:
-        raise StepTooLarge(f"rate*delta = {worst:.3f} > {_MAX_STEP_PROBABILITY}")
-    hit = rng.random(x.size) < rate * delta
-    n_hit = int(np.count_nonzero(hit))
-    if n_hit:
-        if policy.timing == "uniform":
-            tau = rng.uniform(0.0, delta, n_hit)
-        else:
-            tau = np.full(n_hit, delta / 2)
-        eta = (rng.uniform(-policy.gas_flight_window * delta,
-                           policy.gas_flight_window * delta, n_hit)
-               if policy.gas_flight_window > 0 else np.zeros(n_hit))
-        p_g = sample_collision_partner(p[hit], gas, pair, rng)
-        ph = p[hit]
-        xh = x[hit] + ph / pair.brownian_mass * tau          # drift to contact
-        x_g_label = xh - (p_g / pair.gas_mass) * eta          # unresolved flight
-        x_g_out, p_g_out, x_out, p_out = classical_collision_map(
-            pair, x_g_label, p_g, xh, ph)
-        x[hit] = x_out + p_out / pair.brownian_mass * (delta - tau)
-        p[hit] = p_out
-    x[~hit] += p[~hit] / pair.brownian_mass * delta
-    return x, p
+    x = np.asarray(x, dtype=float)
+    p = np.asarray(p, dtype=float)
+    return _apply_collisions(x, p, *_draw_collisions(p, gas, pair, delta, rng, policy),
+                             pair, delta)
 
 
 def _chunk_sizes(n, n_chunks):
@@ -285,48 +306,23 @@ def excess_position_msd(n: int, gas: ThermalGasSpec, pair: CollisionPair,
                         thermal_start: bool = True):
     """Mean squared position gap between a run and its contact-collision twin.
 
-    Both twins consume identical random numbers, so their momentum paths are
+    Both twins share each step's draw and apply the same label map, the
+    contact twin with no gas flight (eta = 0), so their momentum paths are
     identical and the squared gap isolates exactly the position noise from
     the unresolved gas flight.  Its slope in time is the excess position
     diffusion rate at this delta.  Returns (times, msd).
     """
     rng = np.random.default_rng(seed)
-    m = pair.brownian_mass
-    a = pair.alpha
-    p = (rng.normal(0.0, np.sqrt(m * gas.kT), n) if thermal_start
+    p = (rng.normal(0.0, np.sqrt(pair.brownian_mass * gas.kT), n) if thermal_start
          else np.zeros(n))
     x_ref = np.zeros(n)
     x_alt = np.zeros(n)
     n_steps = int(round(horizon / delta))
     msd = np.zeros(n_steps + 1)
     for step in range(1, n_steps + 1):
-        rate = collision_rate(p, gas, pair)
-        worst = float(np.max(rate) * delta)
-        if worst > _MAX_STEP_PROBABILITY:
-            raise StepTooLarge(f"rate*delta = {worst:.3f} > {_MAX_STEP_PROBABILITY}")
-        hit = rng.random(n) < rate * delta
-        n_hit = int(np.count_nonzero(hit))
-        if n_hit:
-            if policy.timing == "uniform":
-                tau = rng.uniform(0.0, delta, n_hit)
-            else:
-                tau = np.full(n_hit, delta / 2)
-            eta = rng.uniform(-policy.gas_flight_window * delta,
-                              policy.gas_flight_window * delta, n_hit)
-            p_g = sample_collision_partner(p[hit], gas, pair, rng)
-            ph = p[hit]
-            p_out = (2 * p_g + (1 - a) * ph) / (1 + a)
-            drift_in = ph / m * tau
-            drift_out = p_out / m * (delta - tau)
-            xh_ref = x_ref[hit] + drift_in
-            xh_alt = x_alt[hit] + drift_in
-            x_ref[hit] = xh_ref + drift_out
-            gas_label = xh_alt - (p_g / pair.gas_mass) * eta
-            x_alt[hit] = ((2 * a * gas_label + (1 - a) * xh_alt) / (1 + a)
-                          + drift_out)
-            p[hit] = p_out
-        free = p[~hit] / m * delta
-        x_ref[~hit] += free
-        x_alt[~hit] += free
+        hit, tau, eta, p_g = _draw_collisions(p, gas, pair, delta, rng, policy)
+        x_ref, _ = _apply_collisions(x_ref, p, hit, tau, np.zeros_like(eta), p_g,
+                                     pair, delta)
+        x_alt, p = _apply_collisions(x_alt, p, hit, tau, eta, p_g, pair, delta)
         msd[step] = np.mean((x_alt - x_ref) ** 2)
     return delta * np.arange(n_steps + 1), msd

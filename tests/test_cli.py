@@ -68,3 +68,30 @@ def test_emit_csv_numpy_scalars_read_back(tmp_path):
     assert "np." not in path.read_text()
     back = np.loadtxt(path, delimiter=",", skiprows=1)
     assert back.tolist() == [float(v) for v in row]
+
+
+@pytest.mark.parametrize("cfg", [{"alpha": 0.3, "sigma": 1.0, "x": 60.0, "p": -2.0},
+                                 {"alpha": 0.02, "sigma": 8.0, "x": 30.0, "p": -1.0}],
+                         ids=["60-widths-apart", "trajectory-defaults"])
+def test_fig1_far_apart_packets(cfg, tmp_path):
+    # the momentum marginal used to come from a wavefunction grid that was
+    # NaN at t = 0 for these packets, and fig1 died in its spline fit
+    ini = _write_ini(tmp_path / "fig1.ini", {**cfg, "n_times": 3, "n_x": 9, "n_p": 9})
+    assert cli.main(["fig1", str(ini), "--out-dir", str(tmp_path)]) == 0
+    for name in ("position_marginal.csv", "momentum_marginal.csv", "momentum_mean.csv"):
+        table = np.loadtxt(tmp_path / name, delimiter=",", skiprows=1)
+        assert table.size and np.all(np.isfinite(table)), name
+
+
+@pytest.mark.parametrize("labels,field", [
+    ({"gas_x": -10.0, "gas_p": -1.0, "x": 3.0, "p": 1.0}, "scenario.p"),
+    ({"gas_x": 10.0, "gas_p": 1.0, "x": 3.0, "p": -1.0}, "scenario.p"),
+    ({"gas_x": 3.0, "gas_p": 1.0, "x": 3.0, "p": -1.0}, "scenario.gas_x"),
+], ids=["receding", "receding-mirrored", "coincident"])
+def test_collide_without_collision_rejected(labels, field, tmp_path, capsys):
+    ini = _write_ini(tmp_path / "collide.ini", {"alpha": 0.7, "sigma": 1.0, **labels})
+    with pytest.raises(ConfigError) as exc:
+        cli.ScenarioConfig.load("collide", str(ini))
+    assert exc.value.field == field
+    assert cli.main(["collide", str(ini), "--out-dir", str(tmp_path / "out")]) == 2
+    assert field in capsys.readouterr().err

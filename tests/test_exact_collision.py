@@ -91,6 +91,50 @@ def _quad_position_marginal(pair, init, t, x_prime):
     return val
 
 
+def _quad_momentum_marginal(pair, init, t, p_prime):
+    """Adaptive quadrature over the gas coordinate of |F(x_g', p')|^2, F the
+    exact half-line transform of psi over x' > x_g'."""
+    a = pair.alpha
+    hb = pair.hbar
+    st, G, pref, m0 = ec._core(pair, init, t)
+    A = 1.0 / (2 * st)
+    c = init.x + init.p * t / pair.brownian_mass
+    std_g = abs(st) / (pair.brownian_width * np.sqrt(2.0 * a))
+    lo, hi = -abs(c) / a - 12 * std_g, abs(c) / a + 12 * std_g
+    pts = [v for v in (-c / a, c / a) if lo < v < hi]
+
+    def F(xg):
+        base = -a * xg**2 / (2 * st) + m0
+        plus = ec._halfline_upper(A, G - 1j * p_prime / hb, xg, base - G * xg)
+        minus = ec._halfline_upper(A, -G - 1j * p_prime / hb, xg, base + G * xg)
+        return pref * (plus - minus) / np.sqrt(2 * np.pi * hb)
+
+    with warnings.catch_warnings():
+        # roundoff warnings at x = 60 sigma; the error estimate is checked
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        val, err = integrate.quad(lambda xg: abs(F(xg)) ** 2, lo, hi,
+                                  points=pts or None, limit=300, epsabs=1e-10,
+                                  epsrel=1e-10)
+    assert err < 1e-8
+    return val
+
+
+def _gl_rule(lo, hi, panel, n=16):
+    """Composite Gauss-Legendre (nodes, weights) on [lo, hi], panels <= panel."""
+    k = int(np.ceil((hi - lo) / panel))
+    x, w = np.polynomial.legendre.leggauss(n)
+    h = (hi - lo) / (2 * k)
+    mids = lo + h * (2 * np.arange(k) + 1)
+    return (mids[:, None] + h * x).ravel(), np.tile(h * w, k)
+
+
+# (alpha, sigma, x, p): the fixture, the benchmark's collide COM frame, equal
+# masses, a heavy gas, the trajectory defaults and packets 60 widths apart
+MOMENTUM_CONFIGS = [(0.3, 4.0, 10.0, -2.0), (0.7, 3.0, 6.0, -2.0),
+                    (1.0, 2.0, 6.0, -2.0), (5.0, 1.0, 4.0, -1.0),
+                    (0.02, 8.0, 30.0, -1.0), (0.3, 1.0, 60.0, -2.0)]
+
+
 class TestCollisionTime:
     def test_reference_value(self, pair, init, t_c):
         expected = np.sqrt(8 / 1.3) * pair.gas_width * 0.3 / 2.0
@@ -246,14 +290,14 @@ class TestMomentumMarginal:
     def test_initial_gaussian(self, pair, init):
         # momentum density of the incoming packet: N(-2, hbar^2/(2 sigma^2))
         ps = np.linspace(-3.2, -0.8, 49)
-        dens = np.array([ec.momentum_marginal(pair, init, 0.0, float(p)) for p in ps])
+        dens = ec.momentum_marginal(pair, init, 0.0, ps)
         var = pair.hbar**2 / (2 * pair.brownian_width**2)
         ref = np.exp(-(ps + 2.0) ** 2 / (2 * var)) / np.sqrt(2 * np.pi * var)
         assert np.max(np.abs(dens - ref)) < 1e-5
 
     def test_late_time_reflected(self, pair, init, t_c):
         ps = np.linspace(0.8, 3.2, 49)
-        dens = np.array([ec.momentum_marginal(pair, init, 5 * t_c, float(p)) for p in ps])
+        dens = ec.momentum_marginal(pair, init, 5 * t_c, ps)
         var = pair.hbar**2 / (2 * pair.brownian_width**2)
         ref = np.exp(-(ps - 2.0) ** 2 / (2 * var)) / np.sqrt(2 * np.pi * var)
         assert np.max(np.abs(dens - ref)) < 1e-4
@@ -272,11 +316,41 @@ class TestMomentumMarginal:
             limit=300, points=[-2.0, 2.0])
         assert val == pytest.approx(1.0, abs=3e-5)
 
-    def test_grid_route_agrees(self, pair, init):
-        ps = np.linspace(-3, 3, 25)
-        grid = ec.momentum_marginal_profile(pair, init, 5.0, ps, n_grid=2048)
-        direct = np.array([ec.momentum_marginal(pair, init, 5.0, float(p)) for p in ps])
-        np.testing.assert_allclose(grid, direct, atol=2e-4)
+    @pytest.mark.parametrize("units", [0.0, 0.5, 1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("alpha,sigma,x,p", MOMENTUM_CONFIGS)
+    def test_matches_quad(self, alpha, sigma, x, p, units):
+        pair = CollisionPair.matched(1.0, alpha, sigma)
+        init = ec.com_condition(pair, x, p)
+        t = units * abs(x / p)
+        ps = np.linspace(-abs(p) - 3 / sigma, abs(p) + 3 / sigma, 11)
+        ref = [_quad_momentum_marginal(pair, init, t, float(v)) for v in ps]
+        tol = 1e-6 if alpha == 0.02 or x == 60.0 else 1e-8
+        np.testing.assert_allclose(ec.momentum_marginal(pair, init, t, ps), ref,
+                                   rtol=0, atol=tol)
+        # the mean over +-12 hbar/sigma around +-p, on a rule that resolves
+        # hbar/sigma, against the closed-form <p>
+        nodes, w = _gl_rule(-abs(p) - 12 / sigma, abs(p) + 12 / sigma, 1 / sigma, n=8)
+        mean = (ec.momentum_marginal(pair, init, t, nodes) * nodes) @ w
+        assert mean == pytest.approx(ec.brownian_momentum_mean(pair, init, t), abs=1e-6)
+
+    @pytest.mark.parametrize("alpha,sigma,x,p", [(0.3, 4.0, 10.0, -2.0),
+                                                 (0.3, 1.0, 60.0, -2.0)])
+    def test_no_floating_point_warnings(self, alpha, sigma, x, p):
+        pair = CollisionPair.matched(1.0, alpha, sigma)
+        init = ec.com_condition(pair, x, p)
+        ps = np.linspace(-3 * abs(p) - 12 / sigma, 3 * abs(p) + 12 / sigma, 61)
+        with warnings.catch_warnings(), np.errstate(over="raise", divide="raise",
+                                                    invalid="raise"):
+            warnings.simplefilter("error")
+            for t in (0.0, abs(x / p), 3 * abs(x / p)):
+                dens = ec.momentum_marginal(pair, init, t, ps)
+                assert np.all(np.isfinite(dens)) and np.all(dens >= 0)
+
+    def test_scalar_and_array_shapes(self, pair, init):
+        val = ec.momentum_marginal(pair, init, 5.0, -2.0)
+        assert isinstance(val, float)
+        grid = ec.momentum_marginal(pair, init, 5.0, np.full((2, 3), -2.0))
+        assert grid.shape == (2, 3) and np.all(grid == val)
 
     @pytest.mark.parametrize("t", [0.0, 2.0, 5.0, 8.0, 13.6])
     def test_total_momentum_conserved(self, pair, init, t):
@@ -387,6 +461,9 @@ class TestLabFrame:
         dens = lab.position_marginal(0.0, xs)
         ref = ec.position_marginal(pair, init, 0.0, -xs)
         np.testing.assert_allclose(dens, ref, atol=1e-10)
+        ps = np.linspace(-3.0, 3.0, 25)
+        np.testing.assert_allclose(lab.momentum_marginal(4.0, ps),
+                                   ec.momentum_marginal(pair, init, 4.0, -ps), atol=1e-12)
 
     def test_receding_raises(self, pair):
         with pytest.raises(ValueError, match="receding"):
