@@ -46,6 +46,8 @@ __all__ = [
 ]
 
 _MAX_STEP_PROBABILITY = 0.1
+_NEWTON_MAX_STEPS = 100
+_SQRT_2PI = np.sqrt(2 * np.pi)
 
 
 class ValidityWarning(UserWarning):
@@ -75,9 +77,24 @@ class JumpPolicy:
 class EnsembleStats:
     """Quantum moments of the trajectory ensemble with standard errors.
 
-    Second moments include the pure-state packet floor (sigma^2/2 in
-    position, hbar^2/(2 sigma^2) in momentum); the symmetrized cross moment
-    of a packet at (x, p) is 2 x p.
+    Each moment is the ensemble mean of the label moment plus the packet's
+    own pure-state covariance, its floor; the symmetrized cross moment of a
+    label (x, p) is 2 x p.  A packet of width sigma that starts at t = 0
+    spreads freely, so at time t its floors are
+
+        <x^2>: sigma^2/2 + hbar^2 t^2 / (2 m^2 sigma^2)
+        <{x,p}>: hbar^2 t / (m sigma^2)
+        <p^2>: hbar^2 / (2 sigma^2)
+
+    and collisions leave them as they are.  With matched widths
+    (m sigma^2 = m_g sigma_g^2) both free packets have the complex width
+    sigma^2 + i hbar t / m per unit mass, so in the mass-weighted coordinates
+    (sqrt(m) x, sqrt(m_g) x_g) the pair is an isotropic Gaussian of age t.
+    The label map conserves momentum and kinetic energy and acts alike on
+    positions and velocities, so in those coordinates it is one orthogonal
+    map: it moves the centres and keeps the isotropic shape.  The outgoing
+    packet is therefore again a free packet of age t.  The standard errors
+    are those of the label moments; the floors carry none.
     """
 
     t: float
@@ -95,52 +112,25 @@ class EnsembleStats:
 
     @classmethod
     def from_phase_points(cls, t, x, p, pair: CollisionPair) -> "EnsembleStats":
-        n = x.size
-        s2 = pair.brownian_width**2
-        floor_x = s2 / 2
-        floor_p = pair.hbar**2 / (2 * s2)
-        x2 = x**2
-        p2 = p**2
-        xp = 2 * x * p
-        rn = np.sqrt(n)
-
-        def se(arr):
-            return float(np.std(arr, ddof=1) / rn) if n > 1 else float("nan")
-
-        return cls(
-            t=float(t), n=int(n),
-            mean_x=float(x.mean()), mean_p=float(p.mean()),
-            mean_x2=float(x2.mean() + floor_x),
-            mean_xp=float(xp.mean()),
-            mean_p2=float(p2.mean() + floor_p),
-            se_mean_x=se(x), se_mean_p=se(p),
-            se_mean_x2=se(x2), se_mean_xp=se(xp), se_mean_p2=se(p2),
-        )
+        return cls.from_moments(t, _chunk_moments(x, p)).with_floors(pair)
 
     @classmethod
-    def merge_sums(cls, t, n, sums) -> "EnsembleStats":
-        """Build stats from associatively mergeable per-chunk sums."""
-        sx, sp, sx2, sp2, sxp, sx4, sp4, sxp2 = sums
-
-        def mean_se(s1, s2, scale=1.0):
-            m = s1 / n
-            var = max(s2 / n - m**2, 0.0) * n / max(n - 1, 1)
-            return scale * m, scale * np.sqrt(var / n)
-
-        mx, se_x = mean_se(sx, sx2)
-        mp, se_p = mean_se(sp, sp2)
-        mx2, se_x2 = mean_se(sx2, sx4)
-        mp2, se_p2 = mean_se(sp2, sp4)
-        mxp, se_xp = mean_se(sxp, sxp2, 2.0)
-        return cls(t=float(t), n=int(n), mean_x=mx, mean_p=mp,
-                   mean_x2=mx2, mean_xp=mxp, mean_p2=mp2,
-                   se_mean_x=se_x, se_mean_p=se_p, se_mean_x2=se_x2,
-                   se_mean_xp=se_xp, se_mean_p2=se_p2)
+    def from_moments(cls, t, moments) -> "EnsembleStats":
+        """Label moments, without floors, from one (n, means, M2) record of
+        ``_chunk_moments``, merged or not."""
+        n = int(moments[0])
+        mean = moments[1:6]
+        se = np.sqrt(moments[6:] / (n - 1) / n) if n > 1 else np.full(5, np.nan)
+        return cls(float(t), n, *map(float, mean), *map(float, se))
 
     def with_floors(self, pair: CollisionPair) -> "EnsembleStats":
         s2 = pair.brownian_width**2
-        return replace(self, mean_x2=self.mean_x2 + s2 / 2,
-                       mean_p2=self.mean_p2 + pair.hbar**2 / (2 * s2))
+        hb2 = pair.hbar**2
+        spread = self.t / pair.brownian_mass
+        return replace(self,
+                       mean_x2=self.mean_x2 + s2 / 2 + hb2 * spread**2 / (2 * s2),
+                       mean_xp=self.mean_xp + hb2 * spread / s2,
+                       mean_p2=self.mean_p2 + hb2 / (2 * s2))
 
 
 def collision_rate(p, gas: ThermalGasSpec, pair: CollisionPair):
@@ -154,38 +144,66 @@ def typical_collision_time(gas: ThermalGasSpec, pair: CollisionPair) -> float:
     return np.sqrt(8 / (1 + a)) * pair.gas_width * pair.gas_mass / gas.thermal_momentum
 
 
+def _flux_tail(b, z):
+    """G_b(z) = b Phi(z) + phi(z), the flux mass below z <= b of the density
+    |t - b| phi(t), and phi(z); G_b' = (b - z) phi."""
+    phi = np.exp(-0.5 * z * z) / _SQRT_2PI
+    return b * ndtr(z) + phi, phi
+
+
 def sample_collision_partner(p, gas: ThermalGasSpec, pair: CollisionPair, rng):
     """Gas momenta from the flux-weighted density ~ mu(p_g) |v_g - v|.
 
-    Exact inverse-transform sampling: the flux-weighted CDF is closed form
-    (Gaussian pieces), inverted by vectorized bisection.  Deterministic
-    given the rng; the density vanishes at p_g = p m_g / m (zero relative
-    motion) and the returned samples never include it.
+    Exact inverse-transform sampling of one uniform u per momentum.  In gas
+    velocity units z = v_g / sqrt(kT/m_g) the density is |z - z_v| phi(z),
+    zero at the kink z_v = v / sqrt(kT/m_g).  Its CDF is closed form:
+    G_{z_v}(z) below the kink, 2 G_{z_v}(z_v) - G_{z_v}(z) above it, out of
+    the total G_{z_v}(z_v) + G_{-z_v}(-z_v), with G_b(z) = b Phi(z) + phi(z).
+
+    Mirrored branch: the density is symmetric under (z, z_v) -> (-z, -z_v),
+    so for u > 1/2 the draw is minus the (1 - u)-quantile of the density
+    with kink -z_v.  Every inversion then solves F_b(z) = y for a mass y of
+    at most half the total, counted from the lower tail, where the closed
+    form keeps its relative precision.
+
+    Newton on log F with F' = |z - b| phi(z), started from the quadratic
+    expansion of F at the kink b.  The bracket is [min(b, 0) - 10, b] when
+    the root lies below the kink and [b, max(b, 0) + 1] above it (the median
+    lies there); a step that leaves the closed bracket falls back to
+    bisection.  Each element stops at a step <= 1e-13 (1 + |z|); the target
+    mass is floored at the bracket's lower end, so u = 0 returns that end.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     su = np.sqrt(gas.kT / gas.gas_mass)
     zv = (p / pair.brownian_mass) / su
-    sq2p = np.sqrt(2 * np.pi)
-    phiV = np.exp(-(zv**2) / 2) / sq2p
-    PhiV = ndtr(zv)
-
-    def cdf_raw(z):
-        # integral_{-inf}^z |t - zv| phi(t) dt, in gas-velocity units
-        Phi = ndtr(z)
-        phi = np.exp(-(z**2) / 2) / sq2p
-        below = zv * Phi + phi
-        above = (zv * PhiV + phiV) + ((phiV - phi) - zv * (Phi - PhiV))
-        return np.where(z <= zv, below, above)
-
-    lo = zv - 9.0
-    hi = zv + 9.0
-    target = rng.random(p.size) * cdf_raw(hi)
-    for _ in range(52):
-        mid = 0.5 * (lo + hi)
-        low_side = cdf_raw(mid) < target
-        lo = np.where(low_side, mid, lo)
-        hi = np.where(low_side, hi, mid)
-    return gas.gas_mass * su * 0.5 * (lo + hi)
+    u = rng.random(p.size)
+    mirror = np.where(u > 0.5, -1.0, 1.0)
+    b = mirror * zv
+    m, phi_b = _flux_tail(b, b)                        # mass below the kink
+    y = np.minimum(u, 1.0 - u) * (m + _flux_tail(-b, -b)[0])
+    # F = c + sgn G_b: G_b below the kink, 2 m - G_b above it
+    sgn = np.where(y > m, -1.0, 1.0)
+    c = (1.0 - sgn) * m
+    lo = np.where(sgn < 0, b, np.minimum(b, 0.0) - 10.0)
+    hi = np.where(sgn < 0, np.maximum(b, 0.0) + 1.0, b)
+    f_lo = c + sgn * _flux_tail(b, lo)[0]
+    y = np.maximum(y, f_lo)
+    z = np.clip(b - sgn * np.sqrt(2 * np.abs(y - m) / np.maximum(phi_b, 1e-300)), lo, hi)
+    log_y = np.log(y)
+    for _ in range(_NEWTON_MAX_STEPS):
+        g, phi = _flux_tail(b, z)
+        f = c + sgn * g
+        low = f < y
+        lo = np.where(low, z, lo)
+        hi = np.where(low, hi, z)
+        # F' vanishes at the kink; the guard keeps the step finite there
+        new = z + (log_y - np.log(f)) * f / (np.abs(z - b) * phi + 1e-300)
+        new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
+        done = np.abs(new - z) <= 1e-13 * (1.0 + np.abs(new))
+        z = new
+        if done.all():
+            break
+    return gas.gas_mass * su * mirror * z
 
 
 def _draw_collisions(p, gas: ThermalGasSpec, pair: CollisionPair, delta: float,
@@ -270,7 +288,7 @@ def run(x0, p0, gas: ThermalGasSpec, pair: CollisionPair, horizon: float,
             f"typical collision time {t_typ:.3g}; the instantaneous-collision "
             "picture is strained", ValidityWarning, stacklevel=2)
     n_rec = n_steps // record_every + 1
-    sums = np.zeros((n_rec, 8))
+    merged = None
     children = np.random.SeedSequence(seed).spawn(n_chunks)
     offset = 0
     for size, child in zip(_chunk_sizes(n, n_chunks), children):
@@ -278,26 +296,39 @@ def run(x0, p0, gas: ThermalGasSpec, pair: CollisionPair, horizon: float,
         x = x0[offset:offset + size].copy()
         p = p0[offset:offset + size].copy()
         offset += size
-        ix = 0
-        sums[0] += _moment_sums(x, p)
+        moments = np.empty((n_rec, 11))
+        moments[0] = _chunk_moments(x, p)
         for step in range(1, n_steps + 1):
             x, p = step_ensemble(x, p, gas, pair, delta, rng, policy)
             if step % record_every == 0:
-                ix += 1
-                sums[ix] += _moment_sums(x, p)
-    out = []
-    for i in range(n_rec):
-        stats = EnsembleStats.merge_sums(i * record_every * delta, n, sums[i])
-        out.append(stats.with_floors(pair))
-    return out
+                moments[step // record_every] = _chunk_moments(x, p)
+        merged = moments if merged is None else _merge_moments(merged, moments)
+    return [EnsembleStats.from_moments(i * record_every * delta, row).with_floors(pair)
+            for i, row in enumerate(merged)]
 
 
-def _moment_sums(x, p):
-    x2 = x * x
-    p2 = p * p
-    xp = x * p
-    return np.array([x.sum(), p.sum(), x2.sum(), p2.sum(), xp.sum(),
-                     (x2 * x2).sum(), (p2 * p2).sum(), (xp * xp).sum()])
+def _chunk_moments(x, p):
+    """(n, means, M2) of the label moments x, p, x^2, 2xp, p^2 of one chunk,
+    M2 the sum of squared deviations from the mean (two-pass)."""
+    q = np.empty((5, x.size))
+    q[0] = x
+    q[1] = p
+    np.multiply(x, x, out=q[2])
+    np.multiply(x, 2 * p, out=q[3])
+    np.multiply(p, p, out=q[4])
+    mean = q.mean(axis=1)
+    q -= mean[:, None]
+    return np.concatenate([[x.size], mean, np.einsum("ij,ij->i", q, q)])
+
+
+def _merge_moments(a, b):
+    """Pairwise merge of (n, means, M2) records along the last axis (Chan,
+    Golub & LeVeque), free of the cancellation in s2/n - mean^2."""
+    na, nb = a[..., :1], b[..., :1]
+    n = na + nb
+    d = b[..., 1:6] - a[..., 1:6]
+    return np.concatenate([n, a[..., 1:6] + d * (nb / n),
+                           a[..., 6:] + b[..., 6:] + d * d * (na * nb / n)], axis=-1)
 
 
 def excess_position_msd(n: int, gas: ThermalGasSpec, pair: CollisionPair,

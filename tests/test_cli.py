@@ -95,3 +95,18 @@ def test_collide_without_collision_rejected(labels, field, tmp_path, capsys):
     assert exc.value.field == field
     assert cli.main(["collide", str(ini), "--out-dir", str(tmp_path / "out")]) == 2
     assert field in capsys.readouterr().err
+
+
+def test_delta_scan_without_flight_window_fails_on_its_slope(tmp_path, capsys):
+    # every excess rate is 0, so the log-log slope is undefined
+    ini = _write_ini(tmp_path / "scan.ini", {"n_traj": 200, "horizon": 10.0,
+                                            "gas_flight_window": 0.0})
+    assert cli.main(["delta-scan", str(ini), "--out-dir", str(tmp_path)]) == 3
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    summary = json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject)
+    assert summary["log_log_slope"] is None
+    assert any("slope" in f for f in summary["tolerance_failures"])
+    assert "slope" in capsys.readouterr().err
