@@ -243,6 +243,8 @@ def _validate_params(kind, p):
                  "grid sizes must be >= 8")
         _require(all(t >= 0 for t in p["times_collision_units"]),
                  "times_collision_units", "times must be >= 0")
+    if kind == "trajectories":
+        _require(p["n_chunks"] <= p["n_traj"], "n_chunks", "must not exceed n_traj")
     if kind == "delta-scan":
         _require(len(p["deltas"]) >= 2, "deltas", "need at least two deltas")
         _require(all(d > 0 for d in p["deltas"]), "deltas", "must be > 0")
@@ -380,7 +382,6 @@ def _run_oracle_verify(cfg: ScenarioConfig):
     r_len = p["r_length"] or base.r_length
     R_half = p["R_halfwidth"] or base.R_halfwidth
     rows = []
-    worst_finest = 0.0
     finest = max(p["grid_sizes"])
     for n in sorted(p["grid_sizes"]):
         params = grid_oracle.GridParams(n_R=n, n_r=n, R_halfwidth=R_half,
@@ -389,11 +390,12 @@ def _run_oracle_verify(cfg: ScenarioConfig):
             err = grid_oracle.compare_to_analytic(pair, init, t, params,
                                                   validate=False)
             rows.append((n, float(t), float(err)))
-            if n == finest:
-                worst_finest = max(worst_finest, err)
     files = [emit_csv(cfg.out_dir / "oracle_error.csv",
                       ["grid_n", "t", "l2_error"], rows)]
-    failures = []
+    # np.max, unlike max, keeps a NaN
+    worst_finest = float(np.max([e for n, _, e in rows if n == finest], initial=0.0))
+    failures = [f"L2 error {e} at grid_n = {n}, t = {t!r} is not finite"
+                for n, t, e in rows if not np.isfinite(e)]
     if worst_finest > p["tolerance"]:
         failures.append(
             f"finest-grid L2 error {worst_finest:.3e} exceeds tolerance "
@@ -401,7 +403,7 @@ def _run_oracle_verify(cfg: ScenarioConfig):
     summary = {
         "collision_time": t_c,
         "grid": {"r_length": float(r_len), "R_halfwidth": float(R_half)},
-        "worst_error_at_finest": worst_finest,
+        "worst_error_at_finest": worst_finest if np.isfinite(worst_finest) else None,
         "requested_tolerance": p["tolerance"],
         "outputs": [f.name for f in files],
     }

@@ -177,9 +177,10 @@ def wavefunction(pair: CollisionPair, init: COMInitialCondition, t: float, x_g_p
     xg = np.asarray(x_g_prime, dtype=float)
     xb = np.asarray(x_prime, dtype=float)
     d = xb - xg
-    envelope = np.exp(-(xb**2 + a * xg**2) / (2 * st) + m0)
-    braces = np.exp(d * G) - np.exp(-d * G)
-    out = pref * envelope * braces
+    # one exponent per image term keeps each finite: exp(+-d G) alone
+    # overflows, and the envelope underflows, for packets many widths apart
+    log_env = -(xb**2 + a * xg**2) / (2 * st) + m0
+    out = pref * (np.exp(log_env + d * G) - np.exp(log_env - d * G))
     return np.where(d > 0, out, 0.0)
 
 

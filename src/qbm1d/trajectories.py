@@ -280,6 +280,8 @@ def run(x0, p0, gas: ThermalGasSpec, pair: CollisionPair, horizon: float,
     x0 = np.asarray(x0, dtype=float)
     p0 = np.asarray(p0, dtype=float)
     n = x0.size
+    if not 1 <= n_chunks <= n:
+        raise ValueError(f"n_chunks = {n_chunks} must lie in [1, {n}], the number of paths")
     n_steps = int(round(horizon / delta))
     t_typ = typical_collision_time(gas, pair)
     if delta < 3 * t_typ:

@@ -110,3 +110,46 @@ def test_delta_scan_without_flight_window_fails_on_its_slope(tmp_path, capsys):
     assert summary["log_log_slope"] is None
     assert any("slope" in f for f in summary["tolerance_failures"])
     assert "slope" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg", [{}, {"alpha": 0.02, "sigma": 8.0, "x": 30.0, "p": -1.0}],
+                         ids=["defaults", "190-widths-apart"])
+def test_oracle_verify_at_default_grids(cfg, tmp_path):
+    # the far-apart closed form used to be NaN on every row, and the gate
+    # read the NaN as an error of 0
+    ini = _write_ini(tmp_path / "oracle.ini", cfg)
+    for name in ("first", "second"):
+        assert cli.main(["oracle-verify", str(ini), "--out-dir", str(tmp_path / name)]) == 0
+    for name in ("oracle_error.csv", "summary.json"):
+        assert ((tmp_path / "first" / name).read_bytes()
+                == (tmp_path / "second" / name).read_bytes()), name
+    table = np.loadtxt(tmp_path / "first" / "oracle_error.csv", delimiter=",", skiprows=1)
+    assert table.shape == (21, 3) and np.all(np.isfinite(table))
+    summary = json.loads((tmp_path / "first" / "summary.json").read_text())
+    assert summary["worst_error_at_finest"] <= 1e-12
+
+
+def test_oracle_verify_fails_on_a_non_finite_error(tmp_path, capsys, monkeypatch):
+    compare = cli.grid_oracle.compare_to_analytic
+
+    def broken(pair, init, t, params, validate=True):
+        return float("nan") if t > 0 else compare(pair, init, t, params, validate)
+
+    monkeypatch.setattr(cli.grid_oracle, "compare_to_analytic", broken)
+    ini = _write_ini(tmp_path / "oracle.ini", SMOKE["oracle-verify"])
+    assert cli.main(["oracle-verify", str(ini), "--out-dir", str(tmp_path)]) == 3
+    summary = json.loads((tmp_path / "summary.json").read_text(),
+                         parse_constant=lambda c: pytest.fail(f"{c} is not JSON"))
+    assert summary["worst_error_at_finest"] is None
+    assert len(summary["tolerance_failures"]) == 2
+    assert any("grid_n = 96" in f for f in summary["tolerance_failures"])
+    assert "not finite" in capsys.readouterr().err
+
+
+def test_more_chunks_than_paths_rejected(tmp_path, capsys):
+    ini = _write_ini(tmp_path / "traj.ini", {"n_traj": 2, "n_chunks": 3, "horizon": 1.0})
+    with pytest.raises(ConfigError) as exc:
+        cli.ScenarioConfig.load("trajectories", str(ini))
+    assert exc.value.field == "scenario.n_chunks"
+    assert cli.main(["trajectories", str(ini), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "scenario.n_chunks" in capsys.readouterr().err

@@ -1,10 +1,51 @@
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 from qbm1d import exact_collision as ec
 from qbm1d import grid_oracle as go
 from qbm1d.errors import GridTooCoarse, GridTooSmall
 from qbm1d.packets import CollisionPair, GaussianPacket
+
+# (alpha, sigma, x, p): the fixture's packets, and packets that start inside
+# each other's wall image, where the mirror term of the initial state matters
+CASES = {"fixture": (0.3, 4.0, 10.0, -2.0), "overlapping": (5.0, 2.0, 6.0, -2.0)}
+
+
+def _case(name):
+    alpha, sigma, x, p = CASES[name]
+    pair = CollisionPair.matched(1.0, alpha, sigma)
+    init = ec.com_condition(pair, x, p)
+    return pair, init, ec.collision_time(pair, init.p_g)
+
+
+def _lab(pair, R, r):
+    """Gas and Brownian coordinates (x_g', x') at the (R, r) nodes."""
+    a = pair.alpha
+    return R - r / (1 + a), R + a * r / (1 + a)
+
+
+def _initial_state(pair, init, R, r):
+    """The packet product minus its mirror image in the wall r = 0."""
+    gas = pair.gas_packet(init.x_g, init.p_g).amplitude
+    brownian = pair.brownian_packet(init.x, init.p).amplitude
+    (xg, xb), (mirror_xg, mirror_xb) = _lab(pair, R, r), _lab(pair, R, -r)
+    return gas(xg) * brownian(xb) - gas(mirror_xg) * brownian(mirror_xb)
+
+
+def _full_grid_error(pair, init, t, params):
+    """compare_to_analytic on the n_R x n_r nodes: the initial state sampled,
+    propagated by a 2-D FFT x DST-I round trip and compared pointwise."""
+    RR, rr = np.meshgrid(*params.axes(), indexing="ij")
+    kR = 2 * np.pi * np.fft.fftfreq(params.n_R, d=params.dR)
+    kappa = np.pi * np.arange(1, params.n_r + 1) / params.r_length
+    phase = (kR[:, None] ** 2 / pair.total_mass
+             + kappa[None, :] ** 2 / pair.reduced_mass)
+    spec = sfft.dst(sfft.fft(_initial_state(pair, init, RR, rr), axis=0), type=1, axis=1)
+    psi = sfft.ifft(sfft.idst(spec * np.exp(-0.5j * pair.hbar * t * phase), type=1, axis=1),
+                    axis=0)
+    exact = ec.wavefunction(pair, init, t, *_lab(pair, RR, rr))
+    return np.linalg.norm(psi - exact) / np.linalg.norm(exact)
 
 
 @pytest.fixture(scope="module")
@@ -42,10 +83,9 @@ class TestDiscretize:
 
     def test_matches_product_amplitudes(self, pair, init, params):
         state = go.discretize(pair, init, params)
-        xg, xb = state.lab_coordinates(pair.alpha)
-        prod = (pair.gas_packet(init.x_g, init.p_g).amplitude(xg)
-                * pair.brownian_packet(init.x, init.p).amplitude(xb))
-        assert np.max(np.abs(state.psi - prod)) < 1e-8
+        RR, rr = np.meshgrid(state.R, state.r, indexing="ij")
+        target = _initial_state(pair, init, RR, rr)
+        assert np.max(np.abs(state.psi - target)) < 1e-8
 
     def test_nyquist_guard(self, pair, init):
         with pytest.raises(GridTooCoarse):
@@ -90,8 +130,7 @@ class TestPropagate:
         R, r = prm.axes()
         chi = GaussianPacket(0.0, 0.0, 6.0, pair.total_mass).amplitude(R)
         phi = GaussianPacket(r0, pr, sig, mu).amplitude(r)
-        state = go.GridWavefunction((chi[:, None] * phi[None, :]).astype(complex),
-                                    R, r, 0.0)
+        state = go.GridWavefunction(chi, phi, R, r, 0.0)
         t_star = 3.5 * r0 * mu / abs(pr)  # well past the bounce at r0 mu/|pr|
         out = go.propagate(state, pair, t_star)
         mirror = GaussianPacket(-r0, -pr, sig, mu).evolve(t_star)
@@ -106,12 +145,47 @@ class TestCompareToAnalytic:
         assert err < 1e-3
 
     def test_initial_agreement(self, pair, init, params):
-        assert go.compare_to_analytic(pair, init, 0.0, params) < 1e-6
+        assert go.compare_to_analytic(pair, init, 0.0, params) < 1e-12
+
+    def test_initial_agreement_overlapping_packets(self):
+        # the bare product missed the closed form here by 5e-4 to 1.2e-3
+        pair, init, t_c = _case("overlapping")
+        params = go.default_grid(pair, init, 256, t_max=3 * t_c)
+        assert go.compare_to_analytic(pair, init, 0.0, params, validate=False) < 1e-12
+
+    @pytest.mark.parametrize("n_R,n_r", [(96, 96), (192, 192), (256, 256), (32, 256)])
+    @pytest.mark.parametrize("units", [0.0, 1.0, 3.0])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_full_grid_route(self, case, n_R, n_r, units):
+        # oracle-verify's extents; n = 96 aliases the fixture in r (error
+        # 1.41), n_R = 32 under-resolves R (errors 2e-3 to 0.1)
+        pair, init, t_c = _case(case)
+        box = go.default_grid(pair, init, n_r, t_max=3 * t_c)
+        params = go.GridParams(n_R, n_r, box.R_halfwidth, box.r_length)
+        got = go.compare_to_analytic(pair, init, units * t_c, params, validate=False)
+        ref = _full_grid_error(pair, init, units * t_c, params)
+        # rows the grid resolves read rounding errors of a few 1e-15 on both
+        # routes, which agree there only absolutely
+        assert got == pytest.approx(ref, rel=1e-8, abs=1e-13)
+
+    def test_far_apart_packets_stay_finite(self):
+        # packets 190 Brownian widths apart: exp(+-d G) alone overflows there
+        pair = CollisionPair.matched(1.0, 0.02, 8.0)
+        init = ec.com_condition(pair, 30.0, -1.0)
+        t_c = ec.collision_time(pair, init.p_g)
+        params = go.default_grid(pair, init, 1024, t_max=3 * t_c)
+        RR, rr = np.meshgrid(*params.axes(), indexing="ij")
+        with np.errstate(over="raise", invalid="raise"):
+            for t in (0.0, t_c, 3 * t_c):
+                psi = ec.wavefunction(pair, init, t, *_lab(pair, RR[::4, ::4], rr[::4, ::4]))
+                assert np.all(np.isfinite(psi))
+                err = go.compare_to_analytic(pair, init, t, params, validate=False)
+                assert err < 1e-12
 
     def test_refinement_reduces_error(self, pair, init, t_c):
         # resolution-limited regime: these grids deliberately violate the
-        # Nyquist margin, hence validate=False; beyond ~192 the error sits on
-        # the initial-state truncation floor (~3e-7), far below tolerance
+        # Nyquist margin, hence validate=False; beyond ~192 the error sits at
+        # rounding level (~1e-14)
         errs = {}
         for n in (128, 256):
             prm = go.GridParams(n_R=n, n_r=n, R_halfwidth=50.0, r_length=160.0)

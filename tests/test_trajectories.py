@@ -176,6 +176,10 @@ class TestRun:
             dataclasses.astuple(s) for s in second]
         assert first[-1].mean_p2 != first[0].mean_p2  # collisions happened
 
+    def test_more_chunks_than_paths_rejected(self, gas, pair):
+        with pytest.raises(ValueError, match="n_chunks"):
+            tr.run(np.zeros(2), np.zeros(2), gas, pair, 1.0, 0.5, seed=0, n_chunks=3)
+
     def test_merged_chunk_sums_match_phase_points(self, pair):
         rng = np.random.default_rng(2)
         x = rng.normal(3.0, 2.0, 1001)
