@@ -6,10 +6,12 @@ Kraus operators, approximate phase-space projections, and collision
 probability/rate operators.  Everything lives on a uniform position grid
 with periodic FFT displacements; states are l2-normalized grid vectors.
 
-Phase-space sums are array operations, not node loops: ``grid_packets``
-builds every coherent column of a mesh at once (effect operator,
-projection), and ``apply_collision_channel`` batches its pointer mesh one
-x_t row at a time, with one matrix product and three FFT passes per row.
+Closed forms come first: the effect operator is a Gaussian kernel for every
+mass ratio, and the rate operator is diagonal in momentum.  The remaining
+phase-space sums are array operations, not node loops: ``grid_packets``
+builds every coherent column of the projection mesh at once, and
+``apply_collision_channel`` batches its pointer mesh one x_t row at a time,
+with one matrix product and three FFT passes per row.
 
 This module certifies algebraic structure on modest grids (N <= 512); the
 trajectory unraveling carries production dynamics.
@@ -87,12 +89,6 @@ class OperatorGrid:
     matrix: np.ndarray
     grid: SpatialGrid
 
-    def hermitized(self, tol: float = 1e-10) -> "OperatorGrid":
-        drift = np.max(np.abs(self.matrix - self.matrix.conj().T))
-        if drift > tol * max(1.0, np.max(np.abs(self.matrix))):
-            raise ValueError(f"hermiticity drift {drift:.3e} beyond tolerance")
-        return OperatorGrid(0.5 * (self.matrix + self.matrix.conj().T), self.grid)
-
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
@@ -106,7 +102,7 @@ class OperatorGrid:
 
 @dataclass(frozen=True)
 class PhaseSpaceMesh:
-    """Uniform phase-space quadrature resolution: nodes per std, half-span."""
+    """Pointer mesh of apply_collision_channel: nodes per std, half-span."""
 
     points_per_std: float = 6.0
     span_std: float = 4.5
@@ -173,8 +169,6 @@ def free_evolve_vector(grid: SpatialGrid, v: np.ndarray, mass: float, t: float,
 def smearing_widths(pair: CollisionPair):
     """Standard deviations (in x and p) of the smearing weight w."""
     a, s, hb = pair.alpha, pair.brownian_width, pair.hbar
-    if a == 1.0:
-        return 0.0, 0.0
     return (abs(1 - a) * s / (2 * np.sqrt(a)),
             abs(1 - a) * hb / (2 * np.sqrt(a) * s))
 
@@ -182,8 +176,8 @@ def smearing_widths(pair: CollisionPair):
 def smearing_weight(pair: CollisionPair, x, p):
     """Phase-space weight w(x, p); normalized so its double integral is 1.
 
-    Degenerates to a point mass at alpha = 1, which is handled as a
-    dedicated branch elsewhere; here it raises.
+    Degenerates to a point mass at alpha = 1, where it raises; the
+    closed-form effect operator needs no such branch.
     """
     a, s, hb = pair.alpha, pair.brownian_width, pair.hbar
     if a == 1.0:
@@ -200,36 +194,36 @@ def _check_grid_resolution(pair: CollisionPair, grid: SpatialGrid):
             f"dx = {grid.dx:.4g} > sigma/8 = {pair.brownian_width / 8:.4g}")
 
 
-def _w_mesh(pair: CollisionPair, mesh: PhaseSpaceMesh):
-    wx, wp = smearing_widths(pair)
-    nx = max(3, int(np.ceil(2 * mesh.span_std * mesh.points_per_std)) | 1)
-    xs = np.linspace(-mesh.span_std * wx, mesh.span_std * wx, nx)
-    ps = np.linspace(-mesh.span_std * wp, mesh.span_std * wp, nx)
-    return xs, ps
-
-
 def build_effect_operator(pair: CollisionPair, x_t: float, p_t: float,
                           grid: SpatialGrid,
                           mesh: PhaseSpaceMesh = PhaseSpaceMesh()) -> OperatorGrid:
-    """Effect operator: w-weighted mixture of displaced packet projectors.
+    """Effect operator: w-weighted mixture of the coherent projectors at
+    (x_t + x, p_t + p) over 2 pi hbar, from its closed-form kernel.
 
-    At alpha = 1 the weight is a point mass and the effect operator is the
-    bare coherent projector at (x_t, p_t).
+    With s = (y + y')/2, d = y - y', (w_x, w_p) = smearing_widths(pair) and
+    q = sigma^2 + 2 w_x^2, C(y, y') = dy exp(-(s - x_t)^2/q - d^2/(4 sigma^2)
+    - w_p^2 d^2/(2 hbar^2) + i p_t d/hbar) / (2 pi hbar sqrt(pi q)).  One
+    expression serves every alpha: at alpha = 1 the widths vanish and C is
+    |x_t, p_t><x_t, p_t| / (2 pi hbar).  GridTooSmall when the sampled mass
+    2 pi hbar Tr C misses 1 by more than _PACKET_MASS_TOL; GridTooCoarse when
+    packets 4.5 w_p beyond p_t approach the momentum cutoff.  ``mesh`` has no
+    effect; it stays for callers that pass it (perfbench's channel workload).
     """
     _check_grid_resolution(pair, grid)
-    hb = pair.hbar
-    if pair.alpha == 1.0:
-        v = grid_packet(grid, pair.brownian_packet(x_t, p_t))
-        return OperatorGrid(np.outer(v, v.conj()), grid)
-    xs, ps = _w_mesh(pair, mesh)
-    dxm, dpm = xs[1] - xs[0], ps[1] - ps[0]
-    if abs(p_t) + ps[-1] + 6 * hb / pair.brownian_width > 0.9 * grid.momentum_cutoff(hb):
+    hb, sig = pair.hbar, pair.brownian_width
+    wx, wp = smearing_widths(pair)
+    if abs(p_t) + 4.5 * wp + 6 * hb / sig > 0.9 * grid.momentum_cutoff(hb):
         raise GridTooCoarse("displaced packets approach the grid momentum cutoff")
-    XX, PP = (a.ravel() for a in np.meshgrid(xs, ps, indexing="ij"))
-    cols = grid_packets(grid, pair.brownian_width, hb, x_t + XX, p_t + PP)
-    wts = smearing_weight(pair, XX, PP) * dxm * dpm / (2 * np.pi * hb)
-    mat = (cols * wts) @ cols.conj().T
-    return OperatorGrid(0.5 * (mat + mat.conj().T), grid)
+    q = sig**2 + 2 * wx**2
+    y = grid.x
+    s, d = (y[:, None] + y) / 2, y[:, None] - y
+    mat = np.exp(-(s - x_t) ** 2 / q - d**2 * (1 / (4 * sig**2) + wp**2 / (2 * hb**2))
+                 + 1j * p_t * d / hb) * (grid.dx / (2 * np.pi * hb * np.sqrt(np.pi * q)))
+    mass = 2 * np.pi * hb * np.trace(mat).real
+    if abs(mass - 1.0) > _PACKET_MASS_TOL:
+        raise GridTooSmall(f"effect operator mass on grid {mass:.8f} at x_t = {x_t:.4g}; "
+                           "widen the grid")
+    return OperatorGrid(mat, grid)
 
 
 def operator_sqrt(op: OperatorGrid, clamp_tol: float = 1e-6) -> OperatorGrid:
@@ -261,11 +255,12 @@ def build_kraus(pair: CollisionPair, gas_state, x_t: float, p_t: float,
 
     ``sqrt_effect_center`` may carry a cached sqrt of the origin-centered
     effect operator; displacement covariance supplies every other (x_t, p_t).
+    ``mesh`` has no effect (see build_effect_operator).
     """
     hb = pair.hbar
     if sqrt_effect_center is None:
         sqrt_effect_center = operator_sqrt(
-            build_effect_operator(pair, 0.0, 0.0, grid, mesh)).matrix
+            build_effect_operator(pair, 0.0, 0.0, grid)).matrix
     da, db = kraus_displacement(pair, gas_state, x_t, p_t)
     D_shift = displacement_operator(grid, da, db, hb)
     D_center = displacement_operator(grid, x_t, p_t, hb)
@@ -318,7 +313,9 @@ def apply_collision_channel(rho: OperatorGrid, pair: CollisionPair, gas_state,
     Sums area * K rho K^dagger over the pointer mesh (_pointer_nodes), with
     K = D(da, db) D(x_t, p_t) sqrt(C) D(x_t, p_t)^dagger as in build_kraus
     and rho = sum_j v_j v_j^dagger over its kept eigenvectors.  Trace is
-    preserved up to the mesh truncation (~1e-3 budget).
+    preserved up to the pointer mesh truncation (~1e-3 budget).  ``mesh``
+    has no effect (see build_effect_operator); ``pointer_mesh`` sets the
+    pointer nodes.
 
     The nodes are batched one x_t row at a time: the row shares one shift
     by -x_t, the -p_t boosts are broadcast over its n_p * r vectors, sqrt(C)
@@ -336,7 +333,7 @@ def apply_collision_channel(rho: OperatorGrid, pair: CollisionPair, gas_state,
     keep = ev > max(1e-12, 1e-12 * ev[-1])
     vecs_f = fft((U[:, keep] * np.sqrt(ev[keep])).T, axis=-1)  # (r, n)
 
-    sqrt_c = operator_sqrt(build_effect_operator(pair, 0.0, 0.0, grid, mesh)).matrix
+    sqrt_c = operator_sqrt(build_effect_operator(pair, 0.0, 0.0, grid)).matrix
     root_area = np.sqrt((xts[1] - xts[0]) * (pts[1] - pts[0]))
     das, dbs = kraus_displacement(pair, gas_state, xts, pts)
     # the x-dependent boost factors do not depend on the row
@@ -414,9 +411,13 @@ def build_projection(region: PhaseSpaceRegion, pair: CollisionPair,
     inside = region.contains(XX, PP)
     if not inside.any():
         raise EmptyRegion("no phase-space mesh nodes inside the region")
-    cols = grid_packets(grid, sig, hb, XX[inside], PP[inside])
-    weight = step_x * step_p / (2 * np.pi * hb)
-    mat = weight * (cols @ cols.conj().T)
+    xs_in, ps_in = XX[inside], PP[inside]
+    mat = np.zeros((grid.n, grid.n), dtype=complex)
+    # blocks of 1024 columns bound the transient memory (~13 MB at N = 256)
+    for j in range(0, xs_in.size, 1024):
+        cols = grid_packets(grid, sig, hb, xs_in[j:j + 1024], ps_in[j:j + 1024])
+        mat += cols @ cols.conj().T
+    mat *= step_x * step_p / (2 * np.pi * hb)
     return OperatorGrid(0.5 * (mat + mat.conj().T), grid)
 
 

@@ -173,6 +173,7 @@ class ScenarioConfig:
         if kind not in SCHEMAS:
             raise ConfigError("scenario.kind", f"unknown scenario {kind!r}")
         parser = configparser.ConfigParser()
+        parser.optionxform = str  # keys are case-sensitive, as in the schemas
         read = parser.read(path)
         if not read:
             raise ConfigError("config", f"cannot read config file {path!r}")
@@ -238,16 +239,22 @@ def _validate_params(kind, p):
         s = -1 if p["gas_x"] > p["x"] else 1
         _require(s * ((a * p["p"] - p["gas_p"]) / (1 + a)) < 0, "p",
                  "packets recede from each other and never collide")
+        ft = p["fidelity_times"]
+        _require(ft is None or (ft and all(t >= 0 for t in ft)), "fidelity_times",
+                 "need one or more times, each >= 0")
     if kind == "oracle-verify":
-        _require(all(n >= 8 for n in p["grid_sizes"]), "grid_sizes",
-                 "grid sizes must be >= 8")
-        _require(all(t >= 0 for t in p["times_collision_units"]),
-                 "times_collision_units", "times must be >= 0")
+        _require(p["grid_sizes"] and all(n >= 8 for n in p["grid_sizes"]), "grid_sizes",
+                 "need one or more grid sizes, each >= 8")
+        _require(p["times_collision_units"] and all(t >= 0 for t in p["times_collision_units"]),
+                 "times_collision_units", "need one or more times, each >= 0")
     if kind == "trajectories":
         _require(p["n_chunks"] <= p["n_traj"], "n_chunks", "must not exceed n_traj")
     if kind == "delta-scan":
-        _require(len(p["deltas"]) >= 2, "deltas", "need at least two deltas")
+        _require(len(set(p["deltas"])) == len(p["deltas"]) >= 2, "deltas",
+                 "need at least two distinct deltas")
         _require(all(d > 0 for d in p["deltas"]), "deltas", "must be > 0")
+        _require(2 * max(p["deltas"]) <= p["horizon"], "deltas",
+                 "each delta must be <= horizon / 2, two steps to fit a rate")
 
 
 def emit_csv(path, header, rows):

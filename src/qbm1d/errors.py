@@ -30,7 +30,7 @@ class GridTooSmall(QBM1DError):
 
 class EqualMassSingularity(QBM1DError):
     """The phase-space smearing weight degenerates to a point mass at
-    alpha = 1; use the dedicated equal-mass branch."""
+    alpha = 1; the closed-form effect operator covers that case."""
 
 
 class NegativeEigenvalueBeyondTolerance(QBM1DError):
@@ -45,10 +45,6 @@ class EmptyRegion(QBM1DError):
 class StepTooLarge(QBM1DError):
     """rate * delta exceeds 0.1; two-collision events are no longer
     negligible within one coarse step."""
-
-
-class StepTooCoarse(QBM1DError):
-    """ODE step does not resolve the friction time 1/f."""
 
 
 class GridMismatch(QBM1DError):

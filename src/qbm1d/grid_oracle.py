@@ -146,12 +146,12 @@ def _validate(pair: CollisionPair, init: COMInitialCondition, params: GridParams
         limit = np.pi * hb / (4 * (abs(mean) + 5 * std))
         if step >= limit:
             raise GridTooCoarse(f"{name} = {step:.4g} >= pi*hbar/(4 {p_name}) = {limit:.4g}")
-    # support truncation: Gaussian tail mass (centre, std) outside [lo, hi] in r and R
-    tails = ((init.x - init.x_g, np.sqrt((s**2 + pair.gas_width**2) / 2), 0.0, params.r_length),
-             ((init.x + a * init.x_g) / (1 + a), s / np.sqrt(2 * (1 + a)),
-              -params.R_halfwidth, params.R_halfwidth))
-    mass = sum(0.5 * erfc((c - lo) / (np.sqrt(2) * w)) + 0.5 * erfc((hi - c) / (np.sqrt(2) * w))
-               for c, w, lo, hi in tails)
+    # tail mass beyond the r box and both R edges; the mirrored state has none behind the wall
+    r0, s_r = init.x - init.x_g, np.sqrt((s**2 + pair.gas_width**2) / 2)
+    R0, s_R = (init.x + a * init.x_g) / (1 + a), s / np.sqrt(2 * (1 + a))
+    mass = 0.5 * (erfc((params.r_length - r0) / (np.sqrt(2) * s_r))
+                  + erfc((params.R_halfwidth - R0) / (np.sqrt(2) * s_R))
+                  + erfc((params.R_halfwidth + R0) / (np.sqrt(2) * s_R)))
     if mass > 1e-10:
         raise GridTooSmall(f"support truncation {mass:.3e} > 1e-10; enlarge extents")
 

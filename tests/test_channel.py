@@ -154,10 +154,76 @@ class TestEffectOperator:
             ch.build_effect_operator(pair, 0.0, 0.0, ch.SpatialGrid(64, 24.0))
 
     def test_equal_mass_branch_is_projector(self, grid):
+        # the weight is a point mass: C = |x_t, p_t><x_t, p_t| / (2 pi hbar)
         pr = CollisionPair.matched(1.0, 1.0, 1.0)
         eff = ch.build_effect_operator(pr, 0.5, -0.2, grid)
         v = ch.grid_packet(grid, pr.brownian_packet(0.5, -0.2))
-        np.testing.assert_allclose(eff.matrix, np.outer(v, v.conj()), atol=1e-12)
+        np.testing.assert_allclose(eff.matrix, np.outer(v, v.conj()) / (2 * np.pi * pr.hbar),
+                                   atol=1e-12)
+
+    def test_continuous_at_equal_mass(self, grid):
+        near, at = (ch.build_effect_operator(CollisionPair.matched(1.0, a, 1.0),
+                                             0.5, -0.2, grid).matrix
+                    for a in (1.0 - 1e-4, 1.0))
+        assert np.max(np.abs(near - at)) <= 1e-6 * np.max(np.abs(at))
+
+    def test_trace_is_one_over_two_pi_hbar(self, grid):
+        for alpha in (0.3, 1.0, 3.0):
+            pr = CollisionPair.matched(1.0, alpha, 1.0, hbar=0.7)
+            eff = ch.build_effect_operator(pr, 0.4, -0.3, grid)
+            assert eff.trace() == pytest.approx(1 / (2 * np.pi * pr.hbar), rel=1e-12)
+
+    def test_mesh_argument_has_no_effect(self, pair, grid, effect0):
+        eff = ch.build_effect_operator(pair, 0.0, 0.0, grid, ch.PhaseSpaceMesh(3.0, 4.5))
+        np.testing.assert_array_equal(eff.matrix, effect0.matrix)
+
+    def test_mass_off_grid_raises(self, pair, grid):
+        # the mixture's position density has std sqrt(sigma^2/2 + w_x^2) = 0.95
+        # here, so a centre 2 from the edge of [-12, 12) loses ~2e-2 of its mass
+        with pytest.raises(GridTooSmall):
+            ch.build_effect_operator(pair, 10.0, 0.0, grid)
+        ch.build_effect_operator(pair, 6.0, 0.0, grid)
+
+    def test_momentum_cutoff_guard(self, pair, grid):
+        # the packets the weight reaches, 4.5 w_p beyond p_t and 6 packet
+        # momentum widths wide, must stay below 0.9 of the cutoff
+        _, wp = ch.smearing_widths(pair)
+        edge = (0.9 * grid.momentum_cutoff(pair.hbar) - 4.5 * wp
+                - 6 * pair.hbar / pair.brownian_width)
+        ch.build_effect_operator(pair, 0.0, edge - 0.1, grid)
+        with pytest.raises(GridTooCoarse):
+            ch.build_effect_operator(pair, 0.0, edge + 0.1, grid)
+
+
+def _mesh_effect_operator(pair, x_t, p_t, grid, points_per_std, span_std):
+    """Reference route for build_effect_operator: the w-weighted sum of
+    coherent projectors on a uniform phase-space mesh of ``points_per_std``
+    nodes per smearing std out to ``span_std`` stds, one x row at a time."""
+    wx, wp = ch.smearing_widths(pair)
+    nx = max(3, int(np.ceil(2 * span_std * points_per_std)) | 1)
+    xs = np.linspace(-span_std * wx, span_std * wx, nx)
+    ps = np.linspace(-span_std * wp, span_std * wp, nx)
+    area = (xs[1] - xs[0]) * (ps[1] - ps[0]) / (2 * np.pi * pair.hbar)
+    mat = np.zeros((grid.n, grid.n), dtype=complex)
+    for x in xs:
+        cols = ch.grid_packets(grid, pair.brownian_width, pair.hbar, x_t + x, p_t + ps)
+        mat += (cols * (area * ch.smearing_weight(pair, x, ps))) @ cols.conj().T
+    return mat
+
+
+class TestEffectOperatorAgainstMeshSum:
+    """The closed form against the phase-space mesh sum, which must converge
+    to it as the mesh is refined (nodes per std, half-span in stds)."""
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.7, 3.0])
+    @pytest.mark.parametrize("points_per_std,span_std,tol", [
+        (6.0, 4.5, 2e-5), (6.0, 6.0, 5e-9), (8.0, 7.0, 1e-11), (10.0, 8.0, 1e-13),
+    ])
+    def test_mesh_sum_converges(self, grid, alpha, points_per_std, span_std, tol):
+        pr = CollisionPair.matched(1.0, alpha, 1.0)
+        closed = ch.build_effect_operator(pr, 0.4, -0.3, grid).matrix
+        mesh = _mesh_effect_operator(pr, 0.4, -0.3, grid, points_per_std, span_std)
+        assert np.max(np.abs(mesh - closed)) <= tol * np.max(np.abs(closed))
 
 
 class TestKraus:
@@ -193,6 +259,13 @@ class TestChannel:
         rho, out = channel_output
         assert out.trace() == pytest.approx(rho.trace(), abs=1e-3)
 
+    def test_trace_preserved_at_equal_mass(self, grid):
+        pr = CollisionPair.matched(1.0, 1.0, 1.0)
+        psi = ch.grid_packet(grid, pr.brownian_packet(1.0, 0.5))
+        rho = ch.OperatorGrid(np.outer(psi, psi.conj()), grid)
+        out = ch.apply_collision_channel(rho, pr, (-2.0, 1.5), t=0.5)
+        assert out.trace() == pytest.approx(1.0, abs=1e-3)
+
     def test_output_positive(self, channel_output):
         _, out = channel_output
         lo, _ = out.eigenvalue_range()
@@ -210,7 +283,7 @@ class TestChannel:
         assert fid == pytest.approx(1.0, abs=1e-3)
 
 
-def _per_node_channel(rho, pair, gas_state, t, mesh, pointer_mesh):
+def _per_node_channel(rho, pair, gas_state, t, pointer_mesh):
     """Reference route for apply_collision_channel: for every pointer node
     and kept eigenvector, three displace_vector calls and one product with
     sqrt(C); the columns' Gram matrix is then evolved by the matrix U(t)."""
@@ -219,7 +292,7 @@ def _per_node_channel(rho, pair, gas_state, t, mesh, pointer_mesh):
     ev, U = np.linalg.eigh(0.5 * (rho.matrix + rho.matrix.conj().T))
     keep = ev > max(1e-12, 1e-12 * ev[-1])
     vecs = U[:, keep] * np.sqrt(ev[keep])
-    sqrt_c = ch.operator_sqrt(ch.build_effect_operator(pair, 0.0, 0.0, grid, mesh)).matrix
+    sqrt_c = ch.operator_sqrt(ch.build_effect_operator(pair, 0.0, 0.0, grid)).matrix
     area = (xts[1] - xts[0]) * (pts[1] - pts[0])
     cols = []
     for x_t in xts:
@@ -266,7 +339,7 @@ class TestChannelAgainstPerNodeLoop:
         assert np.sum(ev > 1e-12) == len(parts)
         got = ch.apply_collision_channel(rho, pair, self.GAS, 0.5, mesh=self.MESH,
                                          pointer_mesh=self.MESH)
-        ref = _per_node_channel(rho, pair, self.GAS, 0.5, self.MESH, self.MESH)
+        ref = _per_node_channel(rho, pair, self.GAS, 0.5, self.MESH)
         np.testing.assert_allclose(got.matrix, ref, rtol=0, atol=1e-12)
         assert got.trace() == pytest.approx(rho.trace(), abs=1e-3)
 

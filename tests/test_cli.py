@@ -153,3 +153,44 @@ def test_more_chunks_than_paths_rejected(tmp_path, capsys):
     assert exc.value.field == "scenario.n_chunks"
     assert cli.main(["trajectories", str(ini), "--out-dir", str(tmp_path / "out")]) == 2
     assert "scenario.n_chunks" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,cfg,field", [
+    ("oracle-verify", {"grid_sizes": ""}, "scenario.grid_sizes"),
+    ("oracle-verify", {"times_collision_units": ""}, "scenario.times_collision_units"),
+    ("delta-scan", {"deltas": "0.1 0.1"}, "scenario.deltas"),
+    ("delta-scan", {"deltas": "0.1 200", "horizon": 5.0}, "scenario.deltas"),
+    ("collide", {**SMOKE["collide"], "fidelity_times": "-1"}, "scenario.fidelity_times"),
+    ("collide", {**SMOKE["collide"], "fidelity_times": ""}, "scenario.fidelity_times"),
+], ids=["no-grid-sizes", "no-times", "duplicate-deltas", "delta-beyond-horizon",
+        "negative-fidelity-time", "no-fidelity-times"])
+def test_input_that_would_escape_validation_rejected(kind, cfg, field, tmp_path, capsys):
+    ini = _write_ini(tmp_path / "bad.ini", cfg)
+    with pytest.raises(ConfigError) as exc:
+        cli.ScenarioConfig.load(kind, str(ini))
+    assert exc.value.field == field
+    assert cli.main([kind, str(ini), "--out-dir", str(tmp_path / "out")]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("kind", sorted(cli.SCHEMAS))
+def test_every_schema_error_names_its_field(kind, tmp_path):
+    # a value no key accepts, a missing required key and an unknown key
+    def field_of(cfg):
+        with pytest.raises(ConfigError) as exc:
+            cli.ScenarioConfig.load(kind, str(_write_ini(tmp_path / "cfg.ini", cfg)))
+        return exc.value.field
+
+    for key, spec in cli.SCHEMAS[kind].items():
+        assert field_of({**SMOKE[kind], key: "bogus"}) == f"scenario.{key}"
+        if spec.default is cli._REQUIRED:
+            rest = {k: v for k, v in SMOKE[kind].items() if k != key}
+            assert field_of(rest) == f"scenario.{key}"
+    assert field_of({**SMOKE[kind], "bogus_key": 1}) == "scenario.bogus_key"
+
+
+def test_mixed_case_key_is_read(tmp_path):
+    # INI keys used to be lower-cased, so R_halfwidth could not be set at all
+    ini = _write_ini(tmp_path / "oracle.ini", {**SMOKE["oracle-verify"], "R_halfwidth": 30.0})
+    assert cli.ScenarioConfig.load("oracle-verify", str(ini)).params["R_halfwidth"] == 30.0

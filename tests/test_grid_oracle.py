@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import fft as sfft
@@ -167,6 +169,22 @@ class TestCompareToAnalytic:
         # rows the grid resolves read rounding errors of a few 1e-15 on both
         # routes, which agree there only absolutely
         assert got == pytest.approx(ref, rel=1e-8, abs=1e-13)
+
+    def test_guards_count_no_tail_behind_the_wall(self):
+        # the bare product leaves 1.7e-6 of its mass at r < 0, but the
+        # mirrored state the grid starts from has none there
+        pair = CollisionPair.matched(1.0, 5.0, 2.0)
+        init = ec.com_condition(pair, 6.0, -2.0)
+        t_c = ec.collision_time(pair, init.p_g)
+        params = go.default_grid(pair, init, 1024, t_max=3 * t_c)
+        for t in (0.0, t_c, 3 * t_c):
+            assert go.compare_to_analytic(pair, init, t, params, validate=True) < 1e-12
+        r0 = init.x - init.x_g
+        R0 = (init.x + pair.alpha * init.x_g) / (1 + pair.alpha)
+        for short in (replace(params, r_length=r0 + 3.0),
+                      replace(params, R_halfwidth=abs(R0) + 1.0)):
+            with pytest.raises(GridTooSmall):
+                go.compare_to_analytic(pair, init, 0.0, short, validate=True)
 
     def test_far_apart_packets_stay_finite(self):
         # packets 190 Brownian widths apart: exp(+-d G) alone overflows there
