@@ -6,23 +6,17 @@ Monte Carlo with thermal gas sampling, and the moment ODE system, wired
 together by a scenario CLI (``qbm1d``).
 """
 
-from .packets import (CollisionPair, EvolvedPacket, GaussianPacket,
-                      classical_collision_map, evolve_free, overlap)
-from .thermal import (ThermalGasSpec, adjusted_temperature, mean_relative_speed,
-                      momentum_weight, sample_gas_state, sample_mixture_momentum)
+from .packets import CollisionPair, EvolvedPacket, GaussianPacket, classical_collision_map, overlap
+from .thermal import ThermalGasSpec, adjusted_temperature, mean_relative_speed
 
 __all__ = [
     "GaussianPacket",
     "EvolvedPacket",
     "CollisionPair",
     "classical_collision_map",
-    "evolve_free",
     "overlap",
     "ThermalGasSpec",
     "adjusted_temperature",
-    "momentum_weight",
-    "sample_gas_state",
-    "sample_mixture_momentum",
     "mean_relative_speed",
 ]
 

@@ -2,14 +2,16 @@
 
 Verifies the measurement-theoretic layer numerically: phase-space-smeared
 effect operators, their square roots, the displacement-composed collision
-Kraus operators, approximate phase-space projections, and collision
-probability/rate operators.  Everything lives on a uniform position grid
-with periodic FFT displacements; states are l2-normalized grid vectors.
+Kraus operators, approximate phase-space projections, the completeness of
+the coherent states, and the aggregate collision rate operator.  Everything
+lives on a uniform position grid with periodic FFT displacements; states are
+l2-normalized grid vectors.
 
 Closed forms come first: the effect operator is a Gaussian kernel for every
-mass ratio, and the rate operator is diagonal in momentum.  The remaining
-phase-space sums are array operations, not node loops: ``grid_packets``
-builds every coherent column of the projection mesh at once, and
+mass ratio, and the rate operator is diagonal in momentum with a closed-form
+symbol.  The remaining phase-space sums are array operations, not node
+loops: the projection and the completeness check share one blocked coherent
+sum, whose columns ``grid_packets`` builds a block at a time, and
 ``apply_collision_channel`` batches its pointer mesh one x_t row at a time,
 with one matrix product and three FFT passes per row.
 
@@ -28,7 +30,7 @@ from scipy.special import erfcinv
 from .errors import (EmptyRegion, EqualMassSingularity, GridTooCoarse, GridTooSmall,
                      NegativeEigenvalueBeyondTolerance)
 from .packets import CollisionPair, GaussianPacket
-from .thermal import ThermalGasSpec, adjusted_temperature, mean_relative_speed, momentum_weight
+from .thermal import ThermalGasSpec, adjusted_temperature, mean_relative_speed
 
 __all__ = [
     "SpatialGrid",
@@ -47,9 +49,8 @@ __all__ = [
     "build_kraus",
     "apply_collision_channel",
     "build_projection",
-    "collision_probability",
+    "completeness_residual",
     "aggregate_rate_operator",
-    "total_collision_probability",
 ]
 
 
@@ -359,8 +360,25 @@ def apply_collision_channel(rho: OperatorGrid, pair: CollisionPair, gas_state,
 
 
 # ---------------------------------------------------------------------------
-# phase-space projection and collision probability
+# coherent phase-space sums and the collision rate
 # ---------------------------------------------------------------------------
+
+# coherent-sum mesh: nodes per packet width in x and p; momentum half-span
+_SUM_PER_STD = 6.0
+_SUM_P_SPAN_STD = 6.0
+
+
+def _coherent_sum(grid: SpatialGrid, width: float, hbar: float, xs, ps,
+                  cell: float) -> np.ndarray:
+    """cell / (2 pi hbar) * sum_j |x_j, p_j><x_j, p_j| over the nodes (xs, ps),
+    in blocks of 1024 columns that bound the transient memory (~13 MB at N = 256)."""
+    mat = np.zeros((grid.n, grid.n), dtype=complex)
+    for j in range(0, xs.size, 1024):
+        cols = grid_packets(grid, width, hbar, xs[j:j + 1024], ps[j:j + 1024])
+        mat += cols @ cols.conj().T
+    mat *= cell / (2 * np.pi * hbar)
+    return mat
+
 
 @dataclass(frozen=True)
 class PhaseSpaceRegion:
@@ -384,22 +402,22 @@ class PhaseSpaceRegion:
 
 
 def build_projection(region: PhaseSpaceRegion, pair: CollisionPair,
-                     grid: SpatialGrid, points_per_std: float = 6.0,
-                     p_span_std: float = 6.0, p_center: float = 0.0) -> OperatorGrid:
+                     grid: SpatialGrid) -> OperatorGrid:
     """Approximate projection onto the region: coherent integral over S.
 
-    The momentum window is [p_center - span, p_center + span] in units of
-    the packet momentum width.  Positions cover the region's own extent,
-    x_g to x_g + delta * v_rel over that momentum window, clipped only where
-    a packet centre would lose more than grid_packet's mass tolerance off
-    the grid.  Raises EmptyRegion when no mesh node lands inside S.
+    The mesh has _SUM_PER_STD nodes per packet width in x and in p.  Its
+    momentum window is 0 +- (_SUM_P_SPAN_STD packet momentum widths
+    + m |p_g| / m_g).  Positions cover the region's own extent, x_g to
+    x_g + delta * v_rel over that momentum window, clipped only where a
+    packet centre would lose more than grid_packet's mass tolerance off the
+    grid.  Raises EmptyRegion when no mesh node lands inside S.
     """
     hb = pair.hbar
     sig = pair.brownian_width
-    step_x = sig / points_per_std
-    step_p = hb / sig / points_per_std
-    p_half = p_span_std * hb / sig + abs(region.p_g / region.gas_mass) * pair.brownian_mass
-    ps = np.arange(p_center - p_half, p_center + p_half + step_p / 2, step_p)
+    step_x = sig / _SUM_PER_STD
+    step_p = hb / sig / _SUM_PER_STD
+    p_half = _SUM_P_SPAN_STD * hb / sig + abs(region.p_g / region.gas_mass) * pair.brownian_mass
+    ps = np.arange(-p_half, p_half + step_p / 2, step_p)
     reach = region.delta * region.relative_velocity(ps[[0, -1]])
     # a centre this far inside the end nodes leaves one tail of mass
     # _PACKET_MASS_TOL off the grid (3.36 sigma at 1e-6)
@@ -411,37 +429,30 @@ def build_projection(region: PhaseSpaceRegion, pair: CollisionPair,
     inside = region.contains(XX, PP)
     if not inside.any():
         raise EmptyRegion("no phase-space mesh nodes inside the region")
-    xs_in, ps_in = XX[inside], PP[inside]
-    mat = np.zeros((grid.n, grid.n), dtype=complex)
-    # blocks of 1024 columns bound the transient memory (~13 MB at N = 256)
-    for j in range(0, xs_in.size, 1024):
-        cols = grid_packets(grid, sig, hb, xs_in[j:j + 1024], ps_in[j:j + 1024])
-        mat += cols @ cols.conj().T
-    mat *= step_x * step_p / (2 * np.pi * hb)
+    mat = _coherent_sum(grid, sig, hb, XX[inside], PP[inside], step_x * step_p)
     return OperatorGrid(0.5 * (mat + mat.conj().T), grid)
 
 
-def collision_probability(rho: OperatorGrid, region: PhaseSpaceRegion,
-                          gas: ThermalGasSpec, gamma: OperatorGrid | None = None,
-                          pair: CollisionPair | None = None) -> float:
-    """Collision probability density n_g mu(p_g) Tr[rho Gamma_delta].
-
-    This is a density over the gas labels (x_g, p_g); integrate it over
-    both to obtain the total collision probability (see
-    :func:`total_collision_probability` for the closed-form reduction).
-    """
-    if gamma is None:
-        if pair is None:
-            raise ValueError("supply either gamma or pair to build it")
-        gamma = build_projection(region, pair, rho.grid)
-    mu = float(momentum_weight(gas, region.p_g))
-    val = float(np.real(np.trace(rho.matrix @ gamma.matrix)))
-    return gas.number_density * mu * val
+def completeness_residual(pair: CollisionPair, grid: SpatialGrid) -> float:
+    """Operator-norm residual of the coherent completeness sum, over the
+    central 55 % of the grid, on nine interior test packets."""
+    hb = pair.hbar
+    sig = pair.brownian_width
+    step_x = sig / _SUM_PER_STD
+    step_p = hb / sig / _SUM_PER_STD
+    half = 0.55 * grid.length / 2
+    xs = np.arange(-half, half + step_x / 2, step_x)
+    p_half = _SUM_P_SPAN_STD * hb / sig
+    ps = np.arange(-p_half, p_half + step_p / 2, step_p)
+    XX, PP = np.meshgrid(xs, ps, indexing="ij")
+    M = _coherent_sum(grid, sig, hb, XX.ravel(), PP.ravel(), step_x * step_p)
+    TX, TP = np.meshgrid([-half / 3, 0.0, half / 3], [-p_half / 4, 0.0, p_half / 4])
+    tests = grid_packets(grid, sig, hb, TX.ravel(), TP.ravel())
+    return float(np.max(np.linalg.norm(M @ tests - tests, axis=0)))
 
 
 def aggregate_rate_operator(pair: CollisionPair, gas: ThermalGasSpec,
-                            grid: SpatialGrid, points_per_std: float = 6.0,
-                            p_span_std: float = 8.0) -> OperatorGrid:
+                            grid: SpatialGrid, points_per_std: float = 6.0) -> OperatorGrid:
     """Total collision rate operator R = P_delta / delta.
 
     The gas-label integral of the probability operators reduces exactly to
@@ -454,34 +465,23 @@ def aggregate_rate_operator(pair: CollisionPair, gas: ThermalGasSpec,
     the packet momentum density N(p, hbar^2 / 2 sigma^2) at hbar k on its
     diagonal.  R is therefore diagonal in momentum with the symbol
 
-        r(hbar k) = n_g sum_p dp E|v_g - p/m| N(hbar k; p, hbar^2 / 2 sigma^2),
+        r(hbar k) = n_g int dp E|v_g - p/m| N(hbar k; p, hbar^2 / 2 sigma^2),
 
-    E taken at the adjusted temperature T_sigma; the p sum is a uniform
-    quadrature of ``points_per_std`` nodes per packet momentum width out to
-    ``p_span_std`` widths (or thermal momenta, whichever is larger).
+    E taken over label velocities at the adjusted temperature T_sigma.  The
+    relative velocity v_g - p/m is then Gaussian with mean -hbar k/m and
+    variance k_B T_sigma/m_g + hbar^2/(2 m^2 sigma^2), the label spread plus
+    the packet's own, so r(hbar k) is n_g E|v_g - hbar k/m| in closed form
+    (mean_relative_speed) at the temperature whose k_B T/m_g is that
+    variance.  ``points_per_std`` has no effect; it stays for callers that
+    pass it (perfbench's channel workload).
     """
     hb = pair.hbar
     sig = pair.brownian_width
     m = pair.brownian_mass
-    t_adj = adjusted_temperature(gas)
-    step_p = hb / sig / points_per_std
-    p_half = p_span_std * max(hb / sig, np.sqrt(m * gas.kT) if m * gas.kT > 0 else 0)
-    ps = np.arange(-p_half, p_half + step_p / 2, step_p)
-    flux = mean_relative_speed(gas, ps, m, temperature=t_adj)
-    p_std = hb / (np.sqrt(2) * sig)
-    dens = np.exp(-((hb * grid.k[:, None] - ps) / p_std) ** 2 / 2) / (np.sqrt(2 * np.pi) * p_std)
-    symbol = gas.number_density * step_p * (dens @ flux)
+    t_eff = adjusted_temperature(gas) + gas.gas_mass * hb**2 / (2 * gas.k_B * m**2 * sig**2)
+    symbol = gas.number_density * mean_relative_speed(gas, hb * grid.k, m, temperature=t_eff)
     # circulant position kernel of the momentum-diagonal operator
     kernel = ifft(symbol)
     idx = np.arange(grid.n)
     mat = kernel[(idx[:, None] - idx[None, :]) % grid.n]
     return OperatorGrid(0.5 * (mat + mat.conj().T), grid)
-
-
-def total_collision_probability(rho: OperatorGrid, pair: CollisionPair,
-                                gas: ThermalGasSpec, delta: float,
-                                rate_op: OperatorGrid | None = None) -> float:
-    """Tr[rho P_delta] with P_delta integrated over all gas labels."""
-    if rate_op is None:
-        rate_op = aggregate_rate_operator(pair, gas, rho.grid)
-    return delta * float(np.real(np.trace(rho.matrix @ rate_op.matrix)))

@@ -131,7 +131,6 @@ SCHEMAS = {
         "timing": _Key(str, "uniform"),
         "gas_flight_window": _Key(float, 1.0),
         "record_every": _Key(int, 1),
-        "n_chunks": _Key(int, 1),
     },
     "moments": {
         **_COMMON,
@@ -225,11 +224,16 @@ def _validate_params(kind, p):
     if "timing" in p:
         _require(p["timing"] in ("uniform", "midpoint"), "timing",
                  "must be 'uniform' or 'midpoint'")
+    # a gate threshold at or below 0 can never pass
+    for key in ("tolerance", "trace_tol", "completeness_tol", "slope_tol"):
+        if key in p:
+            _require(p[key] > 0, key, "must be > 0")
     for key in ("n_traj", "n_times", "n_x", "n_p", "grid_n", "record_every",
-                "n_chunks", "momentum_grid_n"):
+                "momentum_grid_n"):
         if key in p:
             _require(p[key] > 0, key, "must be a positive integer")
-    if kind == "fig1":
+    _require(p["seed"] >= 0, "seed", "must be >= 0")
+    if kind in ("fig1", "oracle-verify"):
         _require(p["x"] > 0, "x", "canonical COM frame needs x > 0")
         _require(p["p"] < 0, "p", "canonical COM frame needs p < 0")
     if kind == "collide":
@@ -247,14 +251,18 @@ def _validate_params(kind, p):
                  "need one or more grid sizes, each >= 8")
         _require(p["times_collision_units"] and all(t >= 0 for t in p["times_collision_units"]),
                  "times_collision_units", "need one or more times, each >= 0")
-    if kind == "trajectories":
-        _require(p["n_chunks"] <= p["n_traj"], "n_chunks", "must not exceed n_traj")
+        for key in ("r_length", "R_halfwidth"):
+            _require(p[key] >= 0, key, "must be >= 0 (0 derives it)")
+    if kind == "channel-verify":
+        _require(p["grid_n"] >= 16, "grid_n", "must be >= 16")
+        _require(0 < p["fidelity_min"] <= 1, "fidelity_min", "must lie in (0, 1]")
     if kind == "delta-scan":
         _require(len(set(p["deltas"])) == len(p["deltas"]) >= 2, "deltas",
                  "need at least two distinct deltas")
         _require(all(d > 0 for d in p["deltas"]), "deltas", "must be > 0")
         _require(2 * max(p["deltas"]) <= p["horizon"], "deltas",
                  "each delta must be <= horizon / 2, two steps to fit a rate")
+        _require(p["ratio_factor"] >= 1, "ratio_factor", "must be >= 1")
 
 
 def emit_csv(path, header, rows):
@@ -436,7 +444,7 @@ def _run_channel_verify(cfg: ScenarioConfig):
     eff = channel.build_effect_operator(pair, 0.0, 0.0, grid)
     root = channel.operator_sqrt(eff)
     ktk_residual = float(np.max(np.abs(root.matrix @ root.matrix - eff.matrix)))
-    completeness = _completeness_residual(pair, grid)
+    completeness = channel.completeness_residual(pair, grid)
     lo, hi = eff.eigenvalue_range()
     rows = [
         ("pointer_fidelity", fidelity, p["fidelity_min"], fidelity >= p["fidelity_min"]),
@@ -462,25 +470,6 @@ def _run_channel_verify(cfg: ScenarioConfig):
     return summary, failures
 
 
-def _completeness_residual(pair, grid, span_x_frac=0.55, p_span=6.0):
-    """Operator-norm residual of the coherent completeness sum on interior
-    test states."""
-    hb = pair.hbar
-    sig = pair.brownian_width
-    step_x = sig / 6.0
-    step_p = hb / sig / 6.0
-    half = span_x_frac * grid.length / 2
-    xs = np.arange(-half, half + step_x / 2, step_x)
-    p_half = p_span * hb / sig
-    ps = np.arange(-p_half, p_half + step_p / 2, step_p)
-    XX, PP = np.meshgrid(xs, ps, indexing="ij")
-    cols = channel.grid_packets(grid, sig, hb, XX.ravel(), PP.ravel())
-    M = (step_x * step_p / (2 * np.pi * hb)) * (cols @ cols.conj().T)
-    TX, TP = np.meshgrid([-half / 3, 0.0, half / 3], [-p_half / 4, 0.0, p_half / 4])
-    tests = channel.grid_packets(grid, sig, hb, TX.ravel(), TP.ravel())
-    return float(np.max(np.linalg.norm(M @ tests - tests, axis=0)))
-
-
 def _run_trajectories(cfg: ScenarioConfig):
     p = cfg.params
     pair = _pair_from(p)
@@ -496,7 +485,6 @@ def _run_trajectories(cfg: ScenarioConfig):
                                      gas_flight_window=p["gas_flight_window"])
     series = trajectories.run(x0, p0, gas, pair, p["horizon"], p["delta"],
                               seed=p["seed"] + 1, policy=policy,
-                              n_chunks=p["n_chunks"],
                               record_every=p["record_every"])
     rows = [(s.t, s.mean_x, s.mean_p, s.mean_x2, s.mean_xp, s.mean_p2,
              s.se_mean_x, s.se_mean_p, s.se_mean_x2, s.se_mean_xp, s.se_mean_p2)
@@ -505,7 +493,7 @@ def _run_trajectories(cfg: ScenarioConfig):
                       ["t", "mean_x", "mean_p", "mean_x2", "mean_xp", "mean_p2",
                        "se_mean_x", "se_mean_p", "se_mean_x2", "se_mean_xp",
                        "se_mean_p2"], rows)]
-    t_typ = trajectories.typical_collision_time(gas, pair)
+    t_typ = ec.collision_time(pair, gas.thermal_momentum)
     rate0 = float(trajectories.collision_rate(np.array([p["p0"]]), gas, pair)[0])
     summary = {
         "friction_constant": moments.friction_constant(gas, pair.brownian_mass),

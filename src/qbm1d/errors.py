@@ -11,10 +11,6 @@ class NonPositiveAdjustedTemperature(QBM1DError):
     Enlarge sigma_g or raise T."""
 
 
-class EmptyWindow(QBM1DError):
-    """Position sampling window is empty or unbounded."""
-
-
 class ZeroRelativeMomentum(QBM1DError):
     """Collision time is undefined for p_g = 0."""
 

@@ -69,7 +69,6 @@ __all__ = [
     "wavefunction",
     "two_particle_norm",
     "brownian_momentum_mean",
-    "gas_momentum_mean",
     "position_marginal",
     "momentum_marginal",
     "momentum_marginal_profile",
@@ -300,11 +299,6 @@ def brownian_momentum_mean(pair: CollisionPair, init: COMInitialCondition, t: fl
     return pair.hbar * float(np.imag(G * (_FLUX_SIGNS @ i0) - 2 * q * (_SIGNS @ i1)))
 
 
-def gas_momentum_mean(pair: CollisionPair, init: COMInitialCondition, t: float) -> float:
-    """<p_hat> of the gas particle at time t; the COM frame has zero total momentum."""
-    return -brownian_momentum_mean(pair, init, t)
-
-
 def outgoing_fidelity(pair: CollisionPair, init: COMInitialCondition, t: float) -> float:
     """Squared overlap of psi(t) with the reflected free product state.
 
@@ -312,10 +306,8 @@ def outgoing_fidelity(pair: CollisionPair, init: COMInitialCondition, t: float) 
     (-x_g, -p_g) and (-x, -p): the outgoing state of a completed collision.
     Its quadratic form equals that of psi and, in the COM frame, it has no
     linear term in u, so the overlap is the u integral times half-line
-    integrals in d.
+    integrals in d.  Raises ValueError for t < 0, as EvolvedPacket does.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
     st, G, log_c, A, log_u = _factorized(pair, init, t)
     _, b_g, c_g = EvolvedPacket(pair.gas_packet(-init.x_g, -init.p_g), t).quadratic_form()
     _, b_b, c_b = EvolvedPacket(pair.brownian_packet(-init.x, -init.p), t).quadratic_form()

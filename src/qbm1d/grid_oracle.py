@@ -18,7 +18,6 @@ probability current through the wall vanish identically.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,11 +35,7 @@ __all__ = [
     "discretize",
     "propagate",
     "compare_to_analytic",
-    "save_density_frames",
-    "load_density_frames",
 ]
-
-_MAGIC = b"QBM1DGRD"
 
 
 @dataclass(frozen=True)
@@ -217,49 +212,3 @@ def compare_to_analytic(pair: CollisionPair, init: COMInitialCondition, t: float
                    nrm(state.chi - lam * c) * nrm(state.phi))
     return float(num / (nrm(c) * nrm(phi_e)))
 
-
-def save_density_frames(path, state_frames):
-    """Dump |psi|^2 frames to a flat binary file.
-
-    Layout: 8-byte magic ``QBM1DGRD``, uint32 version = 1, uint32 n_frames,
-    uint64 n_R, uint64 n_r, float64 dR, dr, R0, r0; then per frame one
-    float64 time stamp followed by n_R * n_r row-major float64 densities.
-    """
-    frames = list(state_frames)
-    if not frames:
-        raise ValueError("no frames to save")
-    first = frames[0]
-    n_R, n_r = len(first.R), len(first.r)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", 1, len(frames)))
-        fh.write(struct.pack("<QQ", n_R, n_r))
-        fh.write(struct.pack("<dddd", first.dR, first.dr,
-                             float(first.R[0]), float(first.r[0])))
-        for fr in frames:
-            if (len(fr.R), len(fr.r)) != (n_R, n_r):
-                raise ValueError("all frames must share one grid")
-            fh.write(struct.pack("<d", fr.t))
-            np.ascontiguousarray(np.abs(fr.psi) ** 2, dtype=np.float64).tofile(fh)
-
-
-def load_density_frames(path):
-    """Read a file written by :func:`save_density_frames`.
-
-    Returns (meta, frames) with meta = dict(dR, dr, R0, r0) and frames a
-    list of (t, density) pairs.
-    """
-    with open(path, "rb") as fh:
-        if fh.read(8) != _MAGIC:
-            raise ValueError("not a qbm1d density dump")
-        version, n_frames = struct.unpack("<II", fh.read(8))
-        if version != 1:
-            raise ValueError(f"unsupported version {version}")
-        n_R, n_r = struct.unpack("<QQ", fh.read(16))
-        dR, dr, R0, r0 = struct.unpack("<dddd", fh.read(32))
-        frames = []
-        for _ in range(n_frames):
-            (t,) = struct.unpack("<d", fh.read(8))
-            dens = np.fromfile(fh, dtype=np.float64, count=n_R * n_r).reshape(n_R, n_r)
-            frames.append((t, dens))
-    return {"dR": dR, "dr": dr, "R0": R0, "r0": r0}, frames

@@ -110,28 +110,21 @@ def artifact_diffusion_rate(gas: ThermalGasSpec, delta: float) -> float:
             * (2 * gas.kT / gas.gas_mass) ** 1.5 * delta**2)
 
 
-def system_matrix(params: FrictionParams):
-    """Affine form dv/dt = A v + b over v = (x, p, x2, xp, p2)."""
+def system_matrix(params: FrictionParams) -> np.ndarray:
+    """Augmented generator M with d(v, 1)/dt = M (v, 1), v = (x, p, x2, xp, p2).
+
+    M[:5, :5] is the linear part and M[:5, 5] the constant drive.
+    """
     f, m = params.f, params.mass
-    A = np.zeros((5, 5))
-    b = np.zeros(5)
-    A[0, 1] = 1 / m
-    A[1, 1] = -f
-    A[2, 3] = 1 / m
-    b[2] = params.artifact_rate
-    A[3, 4] = 2 / m
-    A[3, 3] = -f
-    A[4, 4] = -2 * f
-    b[4] = 2 * f * m * params.kT
-    return A, b
-
-
-def _generator(params: FrictionParams) -> np.ndarray:
-    """Augmented generator M with d(v, 1)/dt = M (v, 1)."""
-    A, b = system_matrix(params)
     M = np.zeros((6, 6))
-    M[:5, :5] = A
-    M[:5, 5] = b
+    M[0, 1] = 1 / m
+    M[1, 1] = -f
+    M[2, 3] = 1 / m
+    M[2, 5] = params.artifact_rate
+    M[3, 4] = 2 / m
+    M[3, 3] = -f
+    M[4, 4] = -2 * f
+    M[4, 5] = 2 * f * m * params.kT
     return M
 
 
@@ -142,7 +135,7 @@ def integrate(initial: MomentState, params: FrictionParams, horizon: float,
     One step applies expm(M dt) of the augmented generator, so every dt > 0
     gives the exact solution at its times.  Returns the list of states.
     """
-    step = expm(_generator(params) * dt)
+    step = expm(system_matrix(params) * dt)
     v = np.append(initial.as_vector(), 1.0)
     out = [replace(initial, t=0.0)]
     n_steps = int(round(horizon / dt))
@@ -154,7 +147,7 @@ def integrate(initial: MomentState, params: FrictionParams, horizon: float,
 
 def closed_form(initial: MomentState, params: FrictionParams, ts):
     """Exact solution via the matrix exponential of the augmented system."""
-    M = _generator(params)
+    M = system_matrix(params)
     v0 = np.append(initial.as_vector(), 1.0)
     return [MomentState.from_vector(expm(M * float(t)) @ v0, t)
             for t in np.atleast_1d(ts)]

@@ -27,7 +27,6 @@ __all__ = [
     "GaussianPacket",
     "EvolvedPacket",
     "CollisionPair",
-    "evolve_free",
     "overlap",
     "classical_collision_map",
 ]
@@ -66,7 +65,12 @@ class GaussianPacket:
         return self.hbar**2 / (2 * self.width**2)
 
     def evolve(self, t: float) -> "EvolvedPacket":
-        return evolve_free(self, t)
+        """Free evolution for time t >= 0.
+
+        Position density becomes Gaussian centered at x + p t/m with variance
+        (sigma^2 + hbar^2 t^2 / (m^2 sigma^2))/2; momentum density is unchanged.
+        """
+        return EvolvedPacket(self, t)
 
 
 @dataclass(frozen=True)
@@ -79,6 +83,10 @@ class EvolvedPacket:
 
     packet: GaussianPacket
     t: float
+
+    def __post_init__(self):
+        if self.t < 0:
+            raise ValueError("t must be >= 0")
 
     @property
     def complex_width(self) -> complex:
@@ -125,17 +133,6 @@ class EvolvedPacket:
         a, b, c = self.quadratic_form()
         xq = np.asarray(xq)
         return np.exp(-a * xq**2 + b * xq + c)
-
-
-def evolve_free(pkt: GaussianPacket, t: float) -> EvolvedPacket:
-    """Free evolution for time t >= 0.
-
-    Position density becomes Gaussian centered at x + p t/m with variance
-    (sigma^2 + hbar^2 t^2 / (m^2 sigma^2))/2; momentum density is unchanged.
-    """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    return EvolvedPacket(pkt, t)
 
 
 def overlap(a: GaussianPacket | EvolvedPacket, b: GaussianPacket | EvolvedPacket) -> complex:

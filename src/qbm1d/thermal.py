@@ -13,9 +13,9 @@ the sigma_g-independent Maxwell-Boltzmann law at T:
 
     m_g k_B T_sigma + hbar^2/(2 sigma_g^2) = m_g k_B T.
 
-The infinite normalization length of the homogeneous mixture is replaced by
-a caller-supplied finite window; physical rates depend only on the number
-density, so the window cancels everywhere it should.
+The mixture is homogeneous: every physical rate depends on the packet
+centres only through the number density n_g, so no normalization length
+enters.
 """
 
 from __future__ import annotations
@@ -26,14 +26,11 @@ import numpy as np
 
 from scipy.special import erf
 
-from .errors import EmptyWindow, NonPositiveAdjustedTemperature
+from .errors import NonPositiveAdjustedTemperature
 
 __all__ = [
     "ThermalGasSpec",
     "adjusted_temperature",
-    "momentum_weight",
-    "sample_gas_state",
-    "sample_mixture_momentum",
     "mean_relative_speed",
 ]
 
@@ -79,38 +76,6 @@ def adjusted_temperature(spec: ThermalGasSpec) -> float:
             f"T_sigma = {t_adj!r} <= 0; enlarge packet_width or raise temperature"
         )
     return t_adj
-
-
-def momentum_weight(spec: ThermalGasSpec, p_g) -> np.ndarray:
-    """Label-momentum density mu(p_g): Gaussian with variance m_g k_B T_sigma."""
-    var = spec.gas_mass * spec.k_B * adjusted_temperature(spec)
-    p_g = np.asarray(p_g)
-    return np.exp(-(p_g**2) / (2 * var)) / np.sqrt(2 * np.pi * var)
-
-
-def sample_gas_state(spec: ThermalGasSpec, window, rng):
-    """Draw one (x_g, p_g) packet label from the mixture restricted to window.
-
-    ``window`` is an (x_lo, x_hi) interval; the position is uniform on it and
-    the momentum is a Gaussian draw at T_sigma.  Deterministic given ``rng``.
-    """
-    x_lo, x_hi = float(window[0]), float(window[1])
-    if not np.isfinite(x_lo) or not np.isfinite(x_hi) or x_hi <= x_lo:
-        raise EmptyWindow(f"window ({x_lo}, {x_hi}) is empty or not finite")
-    std = np.sqrt(spec.gas_mass * spec.k_B * adjusted_temperature(spec))
-    x_g = rng.uniform(x_lo, x_hi)
-    p_g = rng.normal(0.0, std)
-    return x_g, p_g
-
-
-def sample_mixture_momentum(spec: ThermalGasSpec, rng, size=None):
-    """Physical gas momentum: packet label plus internal packet spread.
-
-    The sum is exactly Maxwell-Boltzmann at T, independent of sigma_g.
-    """
-    label_std = np.sqrt(spec.gas_mass * spec.k_B * adjusted_temperature(spec))
-    internal_std = spec.hbar / (np.sqrt(2) * spec.packet_width)
-    return rng.normal(0.0, label_std, size) + rng.normal(0.0, internal_std, size)
 
 
 def mean_relative_speed(spec: ThermalGasSpec, p, mass, temperature=None):

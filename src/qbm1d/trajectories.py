@@ -6,7 +6,8 @@ keep collisions Gaussian-preserving), carried by its phase-space label
 rate(p) * delta; the collision draws a gas momentum from the flux-weighted
 Maxwell-Boltzmann distribution and applies the elastic collision map to the
 labels.  Ensemble averages of the packet moments unravel the master
-equation's expectation values.
+equation's expectation values.  One seeded rng stream drives the whole
+ensemble, so a seed fixes every path.
 
 Coarse-graining position model
 ------------------------------
@@ -24,12 +25,13 @@ for comparison.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
 from .errors import StepTooLarge
+from .exact_collision import collision_time
 from .packets import CollisionPair, classical_collision_map
 from .thermal import ThermalGasSpec, mean_relative_speed
 
@@ -42,7 +44,6 @@ __all__ = [
     "step_ensemble",
     "run",
     "excess_position_msd",
-    "typical_collision_time",
 ]
 
 _MAX_STEP_PROBABILITY = 0.1
@@ -112,36 +113,23 @@ class EnsembleStats:
 
     @classmethod
     def from_phase_points(cls, t, x, p, pair: CollisionPair) -> "EnsembleStats":
-        return cls.from_moments(t, _chunk_moments(x, p)).with_floors(pair)
-
-    @classmethod
-    def from_moments(cls, t, moments) -> "EnsembleStats":
-        """Label moments, without floors, from one (n, means, M2) record of
-        ``_chunk_moments``, merged or not."""
-        n = int(moments[0])
-        mean = moments[1:6]
-        se = np.sqrt(moments[6:] / (n - 1) / n) if n > 1 else np.full(5, np.nan)
-        return cls(float(t), n, *map(float, mean), *map(float, se))
-
-    def with_floors(self, pair: CollisionPair) -> "EnsembleStats":
-        s2 = pair.brownian_width**2
-        hb2 = pair.hbar**2
-        spread = self.t / pair.brownian_mass
-        return replace(self,
-                       mean_x2=self.mean_x2 + s2 / 2 + hb2 * spread**2 / (2 * s2),
-                       mean_xp=self.mean_xp + hb2 * spread / s2,
-                       mean_p2=self.mean_p2 + hb2 / (2 * s2))
+        """Moments of the labels (x, p) at time t plus their floors.  The
+        standard errors come from sums of squared deviations from the mean
+        (two passes), free of the cancellation in s2/n - mean^2."""
+        t, n = float(t), x.size
+        q = np.stack([x, p, x * x, x * (2 * p), p * p])
+        mean = q.mean(axis=1)
+        q -= mean[:, None]
+        se = np.sqrt(np.einsum("ij,ij->i", q, q) / (n - 1) / n) if n > 1 else np.full(5, np.nan)
+        mx, mp, mx2, mxp, mp2 = map(float, mean)
+        s2, hb2, spread = pair.brownian_width**2, pair.hbar**2, t / pair.brownian_mass
+        return cls(t, n, mx, mp, mx2 + s2 / 2 + hb2 * spread**2 / (2 * s2),
+                   mxp + hb2 * spread / s2, mp2 + hb2 / (2 * s2), *map(float, se))
 
 
 def collision_rate(p, gas: ThermalGasSpec, pair: CollisionPair):
     """Flux rate n_g E|v_g - v| against the mixture's full-T momenta."""
     return gas.number_density * mean_relative_speed(gas, p, pair.brownian_mass)
-
-
-def typical_collision_time(gas: ThermalGasSpec, pair: CollisionPair) -> float:
-    """Collision duration at the thermal momentum scale sqrt(m_g k_B T)."""
-    a = pair.alpha
-    return np.sqrt(8 / (1 + a)) * pair.gas_width * pair.gas_mass / gas.thermal_momentum
 
 
 def _flux_tail(b, z):
@@ -262,92 +250,47 @@ def step_ensemble(x, p, gas: ThermalGasSpec, pair: CollisionPair, delta: float,
                              pair, delta)
 
 
-def _chunk_sizes(n, n_chunks):
-    base, extra = divmod(n, n_chunks)
-    return [base + (1 if i < extra else 0) for i in range(n_chunks)]
-
-
 def run(x0, p0, gas: ThermalGasSpec, pair: CollisionPair, horizon: float,
-        delta: float, seed, policy: JumpPolicy = JumpPolicy(),
-        n_chunks: int = 1, record_every: int = 1):
-    """Evolve an ensemble to the horizon, recording moments every step.
+        delta: float, seed, policy: JumpPolicy = JumpPolicy(), record_every: int = 1):
+    """Evolve an ensemble to the horizon, recording moments every
+    ``record_every`` steps.
 
-    ``x0``/``p0`` are arrays of initial labels.  The ensemble is partitioned
-    into ``n_chunks`` sub-ensembles with independent rng streams derived
-    from ``seed``; identical (seed, n_chunks) reproduce results bit for bit
-    and chunk statistics merge associatively.
+    ``x0``/``p0`` are arrays of initial labels.  One rng stream, the first
+    child of ``SeedSequence(seed)``, drives every path, so an identical seed
+    reproduces the results bit for bit.
     """
-    x0 = np.asarray(x0, dtype=float)
-    p0 = np.asarray(p0, dtype=float)
-    n = x0.size
-    if not 1 <= n_chunks <= n:
-        raise ValueError(f"n_chunks = {n_chunks} must lie in [1, {n}], the number of paths")
+    x = np.array(x0, dtype=float)
+    p = np.array(p0, dtype=float)
     n_steps = int(round(horizon / delta))
-    t_typ = typical_collision_time(gas, pair)
+    t_typ = collision_time(pair, gas.thermal_momentum)
     if delta < 3 * t_typ:
         warnings.warn(
             f"coarse step delta = {delta:.3g} is not large against the "
             f"typical collision time {t_typ:.3g}; the instantaneous-collision "
             "picture is strained", ValidityWarning, stacklevel=2)
-    n_rec = n_steps // record_every + 1
-    merged = None
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
-    offset = 0
-    for size, child in zip(_chunk_sizes(n, n_chunks), children):
-        rng = np.random.default_rng(child)
-        x = x0[offset:offset + size].copy()
-        p = p0[offset:offset + size].copy()
-        offset += size
-        moments = np.empty((n_rec, 11))
-        moments[0] = _chunk_moments(x, p)
-        for step in range(1, n_steps + 1):
-            x, p = step_ensemble(x, p, gas, pair, delta, rng, policy)
-            if step % record_every == 0:
-                moments[step // record_every] = _chunk_moments(x, p)
-        merged = moments if merged is None else _merge_moments(merged, moments)
-    return [EnsembleStats.from_moments(i * record_every * delta, row).with_floors(pair)
-            for i, row in enumerate(merged)]
-
-
-def _chunk_moments(x, p):
-    """(n, means, M2) of the label moments x, p, x^2, 2xp, p^2 of one chunk,
-    M2 the sum of squared deviations from the mean (two-pass)."""
-    q = np.empty((5, x.size))
-    q[0] = x
-    q[1] = p
-    np.multiply(x, x, out=q[2])
-    np.multiply(x, 2 * p, out=q[3])
-    np.multiply(p, p, out=q[4])
-    mean = q.mean(axis=1)
-    q -= mean[:, None]
-    return np.concatenate([[x.size], mean, np.einsum("ij,ij->i", q, q)])
-
-
-def _merge_moments(a, b):
-    """Pairwise merge of (n, means, M2) records along the last axis (Chan,
-    Golub & LeVeque), free of the cancellation in s2/n - mean^2."""
-    na, nb = a[..., :1], b[..., :1]
-    n = na + nb
-    d = b[..., 1:6] - a[..., 1:6]
-    return np.concatenate([n, a[..., 1:6] + d * (nb / n),
-                           a[..., 6:] + b[..., 6:] + d * d * (na * nb / n)], axis=-1)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    series = [EnsembleStats.from_phase_points(0.0, x, p, pair)]
+    for step in range(1, n_steps + 1):
+        x, p = step_ensemble(x, p, gas, pair, delta, rng, policy)
+        if step % record_every == 0:
+            series.append(EnsembleStats.from_phase_points(step * delta, x, p, pair))
+    return series
 
 
 def excess_position_msd(n: int, gas: ThermalGasSpec, pair: CollisionPair,
                         delta: float, horizon: float, seed,
-                        policy: JumpPolicy = JumpPolicy(),
-                        thermal_start: bool = True):
+                        policy: JumpPolicy = JumpPolicy()):
     """Mean squared position gap between a run and its contact-collision twin.
 
     Both twins share each step's draw and apply the same label map, the
     contact twin with no gas flight (eta = 0), so their momentum paths are
     identical and the squared gap isolates exactly the position noise from
     the unresolved gas flight.  Its slope in time is the excess position
-    diffusion rate at this delta.  Returns (times, msd).
+    diffusion rate at this delta.  Every path starts at x = 0 with a thermal
+    momentum.  Returns (times, msd).
     """
     rng = np.random.default_rng(seed)
-    p = (rng.normal(0.0, np.sqrt(pair.brownian_mass * gas.kT), n) if thermal_start
-         else np.zeros(n))
+    p = rng.normal(0.0, np.sqrt(pair.brownian_mass * gas.kT), n)
     x_ref = np.zeros(n)
     x_alt = np.zeros(n)
     n_steps = int(round(horizon / delta))

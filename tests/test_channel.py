@@ -146,8 +146,7 @@ class TestEffectOperator:
         assert lhs == pytest.approx(rhs, abs=1e-6)
 
     def test_completeness_on_interior(self, pair, grid):
-        from qbm1d.cli import _completeness_residual
-        assert _completeness_residual(pair, grid) <= 1e-3
+        assert ch.completeness_residual(pair, grid) <= 1e-3
 
     def test_grid_resolution_guard(self, pair):
         with pytest.raises(GridTooCoarse):
@@ -430,20 +429,6 @@ class TestCollisionProbability:
         return ThermalGasSpec(temperature=4.0, number_density=0.05,
                               gas_mass=pair.gas_mass, packet_width=50.0)
 
-    def test_linear_in_density(self, pair, grid, gas):
-        region = ch.PhaseSpaceRegion(x_g=-2.0, p_g=1.2, delta=4.0,
-                                     brownian_mass=pair.brownian_mass,
-                                     gas_mass=pair.gas_mass)
-        gamma = ch.build_projection(region, pair, grid)
-        v = ch.grid_packet(grid, pair.brownian_packet(3.0, 0.0))
-        rho = ch.OperatorGrid(np.outer(v, v.conj()), grid)
-        from dataclasses import replace
-        lo = ch.collision_probability(rho, region, replace(gas, number_density=0.01),
-                                      gamma=gamma)
-        hi = ch.collision_probability(rho, region, replace(gas, number_density=0.03),
-                                      gamma=gamma)
-        assert hi == pytest.approx(3 * lo, rel=1e-12)
-
     def test_total_probability_against_flux(self, pair, gas):
         # localized state: total collision probability = n_g delta E|v_rel|
         grid = ch.SpatialGrid(n=320, length=36.0)
@@ -452,8 +437,7 @@ class TestCollisionProbability:
         rate_op = ch.aggregate_rate_operator(pr, gas, grid)
         p0 = 0.8
         v = ch.grid_packet(grid, pr.brownian_packet(0.0, p0))
-        rho = ch.OperatorGrid(np.outer(v, v.conj()), grid)
-        got = ch.total_collision_probability(rho, pr, gas, delta, rate_op=rate_op)
+        got = delta * rate_op.expectation(v)
         expected = gas.number_density * delta * float(
             mean_relative_speed(gas, p0, pr.brownian_mass,
                                 temperature=adjusted_temperature(gas)))
@@ -465,8 +449,7 @@ class TestCollisionProbability:
         pr = CollisionPair.matched(1.0, 0.3, 3.0)
         rate_op = ch.aggregate_rate_operator(pr, gas, grid)
         v = ch.grid_packet(grid, pr.brownian_packet(0.0, 0.0))
-        rho = ch.OperatorGrid(np.outer(v, v.conj()), grid)
-        rate = ch.total_collision_probability(rho, pr, gas, 1.0, rate_op=rate_op)
+        rate = rate_op.expectation(v)
         expected = gas.number_density * np.sqrt(2 * gas.kT / (np.pi * gas.gas_mass))
         assert rate == pytest.approx(expected, rel=1e-2)
 
@@ -481,21 +464,21 @@ class TestCollisionProbability:
         assert rates[1] == pytest.approx(rates[0], rel=1e-7)
 
     def test_rate_against_position_sum(self, pair, grid, gas):
-        # the exact period integral against the coherent sum over a position
-        # mesh that reaches 8.5 sigma beyond the probe states on each side,
-        # at the same p quadrature
-        pps, p_span = 2.0, 3.0
-        rate_op = ch.aggregate_rate_operator(pair, gas, grid, points_per_std=pps,
-                                             p_span_std=p_span)
+        # the closed-form symbol against the coherent sum over a phase-space
+        # mesh: 6 nodes per packet width, positions to 8.5 sigma beyond the
+        # probe states on each side, momenta to 8 thermal momenta
+        rate_op = ch.aggregate_rate_operator(pair, gas, grid)
         hb, sig, m = pair.hbar, pair.brownian_width, pair.brownian_mass
-        step_x, step_p = sig / 6, hb / sig / pps
-        p_half = p_span * max(hb / sig, np.sqrt(m * gas.kT))
+        step_x, step_p = sig / 6, hb / sig / 6
+        p_half = 8 * max(hb / sig, np.sqrt(m * gas.kT))
         ps = np.arange(-p_half, p_half + step_p / 2, step_p)
         xs = np.arange(-8.5 * sig, 8.5 * sig + step_x / 2, step_x)
         flux = mean_relative_speed(gas, ps, m, temperature=adjusted_temperature(gas))
-        for x0, p0 in ((0.0, 0.0), (0.0, 0.8), (0.3, -1.3)):
-            v = ch.grid_packet(grid, pair.brownian_packet(x0, p0))
-            ref = sum(fl * abs(np.vdot(ch.grid_packet(grid, pair.brownian_packet(xv, pv)), v)) ** 2
-                      for pv, fl in zip(ps, flux) for xv in xs)
-            ref *= gas.number_density * step_x * step_p / (2 * np.pi * hb)
-            assert rate_op.expectation(v) == pytest.approx(ref, rel=1e-12)
+        probes = ch.grid_packets(grid, sig, hb, [0.0, 0.0, 0.3], [0.0, 0.8, -1.3])
+        ref = np.zeros(probes.shape[1])
+        for pv, fl in zip(ps, flux):
+            cols = ch.grid_packets(grid, sig, hb, xs, pv)
+            ref += fl * np.sum(abs(cols.conj().T @ probes) ** 2, axis=0)
+        ref *= gas.number_density * step_x * step_p / (2 * np.pi * hb)
+        for v, expected in zip(probes.T, ref):
+            assert rate_op.expectation(v) == pytest.approx(expected, rel=1e-12)

@@ -146,30 +146,43 @@ def test_oracle_verify_fails_on_a_non_finite_error(tmp_path, capsys, monkeypatch
     assert "not finite" in capsys.readouterr().err
 
 
-def test_more_chunks_than_paths_rejected(tmp_path, capsys):
-    ini = _write_ini(tmp_path / "traj.ini", {"n_traj": 2, "n_chunks": 3, "horizon": 1.0})
-    with pytest.raises(ConfigError) as exc:
-        cli.ScenarioConfig.load("trajectories", str(ini))
-    assert exc.value.field == "scenario.n_chunks"
-    assert cli.main(["trajectories", str(ini), "--out-dir", str(tmp_path / "out")]) == 2
-    assert "scenario.n_chunks" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("kind,cfg,field", [
-    ("oracle-verify", {"grid_sizes": ""}, "scenario.grid_sizes"),
-    ("oracle-verify", {"times_collision_units": ""}, "scenario.times_collision_units"),
-    ("delta-scan", {"deltas": "0.1 0.1"}, "scenario.deltas"),
-    ("delta-scan", {"deltas": "0.1 200", "horizon": 5.0}, "scenario.deltas"),
-    ("collide", {**SMOKE["collide"], "fidelity_times": "-1"}, "scenario.fidelity_times"),
-    ("collide", {**SMOKE["collide"], "fidelity_times": ""}, "scenario.fidelity_times"),
+@pytest.mark.parametrize("kind,cfg,seed,field", [
+    ("oracle-verify", {"grid_sizes": ""}, None, "scenario.grid_sizes"),
+    ("oracle-verify", {"times_collision_units": ""}, None, "scenario.times_collision_units"),
+    ("delta-scan", {"deltas": "0.1 0.1"}, None, "scenario.deltas"),
+    ("delta-scan", {"deltas": "0.1 200", "horizon": 5.0}, None, "scenario.deltas"),
+    ("collide", {**SMOKE["collide"], "fidelity_times": "-1"}, None, "scenario.fidelity_times"),
+    ("collide", {**SMOKE["collide"], "fidelity_times": ""}, None, "scenario.fidelity_times"),
+    ("oracle-verify", {"x": -3.0}, None, "scenario.x"),
+    ("oracle-verify", {"p": 1.0}, None, "scenario.p"),
+    ("oracle-verify", {"r_length": -1.0}, None, "scenario.r_length"),
+    ("oracle-verify", {"R_halfwidth": -1.0}, None, "scenario.R_halfwidth"),
+    ("trajectories", {"seed": -1}, None, "scenario.seed"),
+    ("trajectories", {}, -1, "scenario.seed"),
+    ("delta-scan", {}, -1, "scenario.seed"),
+    ("channel-verify", {"grid_n": 8}, None, "scenario.grid_n"),
+    ("delta-scan", {"ratio_factor": 0.0}, None, "scenario.ratio_factor"),
+    ("delta-scan", {"ratio_factor": 0.5}, None, "scenario.ratio_factor"),
+    ("oracle-verify", {"tolerance": 0.0}, None, "scenario.tolerance"),
+    ("channel-verify", {"trace_tol": 0.0}, None, "scenario.trace_tol"),
+    ("channel-verify", {"completeness_tol": -1e-3}, None, "scenario.completeness_tol"),
+    ("delta-scan", {"slope_tol": 0.0}, None, "scenario.slope_tol"),
+    ("channel-verify", {"fidelity_min": 0.0}, None, "scenario.fidelity_min"),
+    ("channel-verify", {"fidelity_min": 1.5}, None, "scenario.fidelity_min"),
 ], ids=["no-grid-sizes", "no-times", "duplicate-deltas", "delta-beyond-horizon",
-        "negative-fidelity-time", "no-fidelity-times"])
-def test_input_that_would_escape_validation_rejected(kind, cfg, field, tmp_path, capsys):
+        "negative-fidelity-time", "no-fidelity-times", "oracle-x-not-positive",
+        "oracle-p-not-negative", "negative-r-length", "negative-R-halfwidth",
+        "negative-seed-in-config", "negative-seed-option", "negative-scan-seed",
+        "grid-below-16", "zero-ratio-factor", "ratio-factor-below-1", "zero-tolerance",
+        "zero-trace-tol", "negative-completeness-tol", "zero-slope-tol",
+        "zero-fidelity-min", "fidelity-min-above-1"])
+def test_input_that_would_escape_validation_rejected(kind, cfg, seed, field, tmp_path, capsys):
     ini = _write_ini(tmp_path / "bad.ini", cfg)
     with pytest.raises(ConfigError) as exc:
-        cli.ScenarioConfig.load(kind, str(ini))
+        cli.ScenarioConfig.load(kind, str(ini), seed=seed)
     assert exc.value.field == field
-    assert cli.main([kind, str(ini), "--out-dir", str(tmp_path / "out")]) == 2
+    argv = [] if seed is None else ["--seed", str(seed)]
+    assert cli.main([kind, str(ini), *argv, "--out-dir", str(tmp_path / "out")]) == 2
     assert field in capsys.readouterr().err
     assert not (tmp_path / "out" / "summary.json").exists()
 

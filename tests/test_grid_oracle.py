@@ -212,17 +212,3 @@ class TestCompareToAnalytic:
         order = np.log2(errs[128] / errs[256])
         assert order >= 2.0
 
-
-class TestDensityDump:
-    def test_roundtrip(self, pair, init, tmp_path):
-        prm = go.GridParams(n_R=256, n_r=256, R_halfwidth=50.0, r_length=160.0)
-        s0 = go.discretize(pair, init, prm, validate=False)
-        s1 = go.propagate(s0, pair, 1.0)
-        path = tmp_path / "frames.bin"
-        go.save_density_frames(path, [s0, s1])
-        meta, frames = go.load_density_frames(path)
-        assert meta["dR"] == pytest.approx(s0.dR)
-        assert meta["r0"] == pytest.approx(float(s0.r[0]))
-        assert len(frames) == 2
-        assert frames[0][0] == 0.0 and frames[1][0] == 1.0
-        np.testing.assert_allclose(frames[1][1], np.abs(s1.psi) ** 2, rtol=1e-12)

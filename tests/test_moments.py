@@ -21,7 +21,8 @@ def initial():
 def _rk4(initial, params, horizon, dt):
     """Reference route for integrate: classic fourth-order Runge-Kutta on
     the affine system, as vectors at every step."""
-    A, b = mo.system_matrix(params)
+    M = mo.system_matrix(params)
+    A, b = M[:5, :5], M[:5, 5]
 
     def rhs(v):
         return A @ v + b

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from qbm1d.packets import (CollisionPair, GaussianPacket, classical_collision_map,
-                           evolve_free, overlap)
+from qbm1d.packets import (CollisionPair, EvolvedPacket, GaussianPacket,
+                           classical_collision_map, overlap)
 
 
 def quad_complex(f, lo, hi, **kw):
@@ -38,12 +38,12 @@ class TestFreeEvolution:
     def test_t0_identity(self):
         pkt = GaussianPacket(2.0, -1.0, 1.2, 0.7)
         xs = np.linspace(-4, 8, 257)
-        np.testing.assert_allclose(evolve_free(pkt, 0.0).amplitude(xs),
+        np.testing.assert_allclose(pkt.evolve(0.0).amplitude(xs),
                                    pkt.amplitude(xs), atol=1e-14)
 
     def test_ehrenfest_center(self):
         pkt = GaussianPacket(1.0, 2.0, 1.5, 2.0)
-        ev = evolve_free(pkt, 3.0)
+        ev = pkt.evolve(3.0)
         assert ev.center == pytest.approx(1.0 + 2.0 * 3.0 / 2.0, rel=1e-14)
         mean, _ = integrate.quad(lambda x: x * abs(ev.amplitude(x)) ** 2,
                                  ev.center - 40, ev.center + 40, limit=200)
@@ -59,7 +59,7 @@ class TestFreeEvolution:
         k = 2 * np.pi * np.fft.fftfreq(n, d=dx)
         psi_t = np.fft.ifft(np.exp(-1j * pkt.hbar * k**2 * t / (2 * pkt.mass))
                             * np.fft.fft(pkt.amplitude(xs)))
-        ev = evolve_free(pkt, t)
+        ev = pkt.evolve(t)
         np.testing.assert_allclose(psi_t, ev.amplitude(xs), atol=1e-10)
         dens = np.abs(psi_t) ** 2 * dx
         var_fft = np.sum(xs**2 * dens) - np.sum(xs * dens) ** 2
@@ -67,11 +67,19 @@ class TestFreeEvolution:
 
     def test_momentum_density_unchanged(self):
         pkt = GaussianPacket(0.3, -0.8, 1.1, 1.0)
-        assert evolve_free(pkt, 5.0).momentum_variance == pkt.momentum_variance
+        assert pkt.evolve(5.0).momentum_variance == pkt.momentum_variance
+
+    def test_negative_time_raises(self):
+        # on every route: evolve, and direct construction as in outgoing_fidelity
+        pkt = GaussianPacket(0.0, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            pkt.evolve(-1.0)
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            EvolvedPacket(pkt, -1e-12)
 
     def test_norm_preserved(self):
         pkt = GaussianPacket(0.0, 3.0, 0.7, 1.0)
-        ev = evolve_free(pkt, 4.0)
+        ev = pkt.evolve(4.0)
         val, _ = integrate.quad(lambda x: abs(ev.amplitude(x)) ** 2,
                                 ev.center - 120, ev.center + 120, limit=400)
         assert abs(val - 1.0) < 1e-8
@@ -91,14 +99,13 @@ class TestOverlap:
         rng = np.random.default_rng(0)
         for _ in range(50):
             a = GaussianPacket(rng.normal(), rng.normal(), rng.uniform(0.5, 2), 1.0)
-            b = evolve_free(GaussianPacket(rng.normal(), rng.normal(),
-                                           rng.uniform(0.5, 2), 1.0),
-                            rng.uniform(0, 3))
+            b = GaussianPacket(rng.normal(), rng.normal(),
+                           rng.uniform(0.5, 2), 1.0).evolve(rng.uniform(0, 3))
             assert abs(overlap(a, b)) <= 1.0 + 1e-12
 
     def test_against_quadrature(self):
-        a = evolve_free(GaussianPacket(0.4, 1.1, 1.3, 1.0), 0.8)
-        b = evolve_free(GaussianPacket(-0.9, 0.6, 1.0, 1.0), 1.9)
+        a = GaussianPacket(0.4, 1.1, 1.3, 1.0).evolve(0.8)
+        b = GaussianPacket(-0.9, 0.6, 1.0, 1.0).evolve(1.9)
         direct = quad_complex(lambda x: np.conj(a.amplitude(x)) * b.amplitude(x),
                               -60, 60, limit=400)
         assert overlap(a, b) == pytest.approx(direct, abs=1e-8)

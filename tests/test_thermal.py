@@ -3,11 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.stats import kstest, norm
 
-from qbm1d.errors import EmptyWindow, NonPositiveAdjustedTemperature
-from qbm1d.thermal import (ThermalGasSpec, adjusted_temperature, mean_relative_speed,
-                           momentum_weight, sample_gas_state, sample_mixture_momentum)
+from qbm1d.errors import NonPositiveAdjustedTemperature
+from qbm1d.thermal import ThermalGasSpec, adjusted_temperature, mean_relative_speed
 
 
 def make_spec(T=1.0, n_g=0.01, m_g=0.3, sigma_g=7.303, hbar=1.0, k_B=1.0):
@@ -34,85 +32,13 @@ class TestAdjustedTemperature:
         assert adjusted_temperature(spec) == pytest.approx(0.9688, abs=2e-4)
 
 
-class TestMomentumWeight:
-    def test_peak(self):
-        spec = make_spec()
-        var = spec.gas_mass * adjusted_temperature(spec)
-        assert momentum_weight(spec, 0.0) == pytest.approx(1 / np.sqrt(2 * np.pi * var))
-
-    def test_normalization_by_quadrature(self):
-        spec = make_spec()
-        std = np.sqrt(spec.gas_mass * adjusted_temperature(spec))
-        val, _ = integrate.quad(lambda p: momentum_weight(spec, p), -10 * std, 10 * std)
-        assert abs(val - 1.0) < 1e-9
-
-    def test_second_moment_by_quadrature(self):
-        spec = make_spec()
-        var = spec.gas_mass * adjusted_temperature(spec)
-        std = np.sqrt(var)
-        val, _ = integrate.quad(lambda p: p**2 * momentum_weight(spec, p),
-                                -12 * std, 12 * std)
-        assert val == pytest.approx(var, rel=1e-9)
-
-    def test_nonnegative(self):
-        spec = make_spec()
-        ps = np.linspace(-30, 30, 1001)
-        assert np.all(momentum_weight(spec, ps) >= 0)
-
-
-class TestSampling:
-    def test_mean_momentum_consistent_with_zero(self):
-        spec = make_spec()
-        rng = np.random.default_rng(42)
-        n = 40000
-        samples = np.array([sample_gas_state(spec, (-5, 5), rng)[1] for _ in range(n)])
-        std = np.sqrt(spec.gas_mass * adjusted_temperature(spec))
-        assert abs(samples.mean()) < 4 * std / np.sqrt(n)
-
-    def test_mixture_momentum_variance_identity(self):
-        # packet spread restores exactly what the label distribution lacks
-        spec = make_spec()
-        label_var = spec.gas_mass * spec.k_B * adjusted_temperature(spec)
-        packet_var = spec.hbar**2 / (2 * spec.packet_width**2)
-        assert label_var + packet_var == pytest.approx(
-            spec.gas_mass * spec.k_B * spec.temperature, rel=1e-12)
-
-    def test_fixed_seed_reproducible(self):
-        spec = make_spec()
-        a = [sample_gas_state(spec, (0, 1), np.random.default_rng(7)) for _ in range(5)]
-        b = [sample_gas_state(spec, (0, 1), np.random.default_rng(7)) for _ in range(5)]
-        assert a == b
-
-    def test_window_respected_and_uniform(self):
-        spec = make_spec()
-        rng = np.random.default_rng(12)
-        xs = np.array([sample_gas_state(spec, (2.0, 4.0), rng)[0] for _ in range(30000)])
-        assert xs.min() >= 2.0 and xs.max() <= 4.0
-        stat = kstest(xs, "uniform", args=(2.0, 2.0)).statistic
-        assert stat < 1.628 / np.sqrt(xs.size)
-
-    def test_empty_window(self):
-        spec = make_spec()
-        with pytest.raises(EmptyWindow):
-            sample_gas_state(spec, (1.0, 1.0), np.random.default_rng(0))
-
-    def test_label_histogram_matches_weight(self):
-        # KS statistic below the 1% critical value at N = 1e5
-        spec = make_spec()
-        rng = np.random.default_rng(11)
-        n = 100000
-        ps = np.array([sample_gas_state(spec, (-1, 1), rng)[1] for _ in range(n)])
-        std = np.sqrt(spec.gas_mass * adjusted_temperature(spec))
-        stat = kstest(ps, norm(scale=std).cdf).statistic
-        assert stat < 1.628 / np.sqrt(n)
-
-    def test_mixture_momentum_is_maxwellian(self):
-        spec = make_spec(sigma_g=3.0)
-        rng = np.random.default_rng(5)
-        ps = sample_mixture_momentum(spec, rng, size=100000)
-        std = np.sqrt(spec.gas_mass * spec.temperature)
-        stat = kstest(ps, norm(scale=std).cdf).statistic
-        assert stat < 1.628 / np.sqrt(ps.size)
+def test_mixture_momentum_variance_identity():
+    # packet spread restores exactly what the label distribution lacks
+    spec = make_spec()
+    label_var = spec.gas_mass * spec.k_B * adjusted_temperature(spec)
+    packet_var = spec.hbar**2 / (2 * spec.packet_width**2)
+    assert label_var + packet_var == pytest.approx(
+        spec.gas_mass * spec.k_B * spec.temperature, rel=1e-12)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import warnings
 
 import numpy as np
@@ -84,11 +83,6 @@ class _FixedUniforms:
         return self.u.copy()
 
 
-def _merged_in_chunks(t, x, p):
-    chunks = [tr._chunk_moments(x[i:i + 250], p[i:i + 250]) for i in range(0, x.size, 250)]
-    return tr.EnsembleStats.from_moments(t, functools.reduce(tr._merge_moments, chunks))
-
-
 def _free_packet_moments(pair, p0, t):
     """<x^2>, <{x,p}> and <p^2> of the packet |0, p0> after free flight for
     time t, by quadrature of its amplitude exp(-a x^2 + b x + c)."""
@@ -163,39 +157,31 @@ class TestCollisionPartner:
 
 class TestRun:
     @pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
-    def test_reproducible_for_fixed_seed_and_chunks(self, gas, pair):
+    def test_reproducible_for_fixed_seed(self, gas, pair):
         rng = np.random.default_rng(1)
         p0 = rng.normal(0.0, 1.0, 500)
 
         def go():
-            return tr.run(np.zeros(500), p0, gas, pair, horizon=20.0, delta=0.5,
-                          seed=11, n_chunks=3)
+            return tr.run(np.zeros(500), p0, gas, pair, horizon=20.0, delta=0.5, seed=11)
 
         first, second = go(), go()
         assert [dataclasses.astuple(s) for s in first] == [
             dataclasses.astuple(s) for s in second]
         assert first[-1].mean_p2 != first[0].mean_p2  # collisions happened
 
-    def test_more_chunks_than_paths_rejected(self, gas, pair):
-        with pytest.raises(ValueError, match="n_chunks"):
-            tr.run(np.zeros(2), np.zeros(2), gas, pair, 1.0, 0.5, seed=0, n_chunks=3)
-
-    def test_merged_chunk_sums_match_phase_points(self, pair):
-        rng = np.random.default_rng(2)
-        x = rng.normal(3.0, 2.0, 1001)
-        p = rng.normal(-1.0, 0.5, 1001)
-        merged = _merged_in_chunks(4.0, x, p).with_floors(pair)
-        direct = tr.EnsembleStats.from_phase_points(4.0, x, p, pair)
-        for name in ("mean_x", "mean_p", "mean_x2", "mean_xp", "mean_p2"):
-            assert getattr(merged, name) == pytest.approx(getattr(direct, name),
-                                                          rel=1e-12), name
+    def test_two_pass_standard_errors(self, pair):
         # a mean far above the spread: a variance taken as s2/n - mean^2 from
-        # merged raw sums puts se_mean_x 1 % off here
+        # raw sums puts se_mean_x 1 % off here.  At t = 0 the floors of
+        # <x> and <{x,p}> are 0 and that of <x^2> is sigma^2/2.
+        rng = np.random.default_rng(2)
         x = 1e4 + rng.normal(0.0, 1e-3, 1001)
-        merged = _merged_in_chunks(4.0, x, p)
+        p = rng.normal(-1.0, 0.5, 1001)
+        stats = tr.EnsembleStats.from_phase_points(0.0, x, p, pair)
+        floors = {"x": 0.0, "x2": pair.brownian_width**2 / 2, "xp": 0.0}
         for name, values in (("x", x), ("x2", x**2), ("xp", 2 * x * p)):
-            assert getattr(merged, "mean_" + name) == pytest.approx(np.mean(values), rel=1e-12)
-            assert getattr(merged, "se_mean_" + name) == pytest.approx(
+            assert getattr(stats, "mean_" + name) - floors[name] == pytest.approx(
+                np.mean(values), rel=1e-12), name
+            assert getattr(stats, "se_mean_" + name) == pytest.approx(
                 np.std(values, ddof=1) / np.sqrt(x.size), rel=1e-9), name
 
     @pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
