@@ -73,6 +73,7 @@ __all__ = [
     "momentum_marginal",
     "momentum_marginal_profile",
     "outgoing_fidelity",
+    "ldht_number",
     "validity_report",
 ]
 
@@ -405,6 +406,12 @@ class ValidityReport:
                 raise ValueError(f"{name} must be >= 0")
 
 
+def ldht_number(pair: CollisionPair, gas: ThermalGasSpec) -> float:
+    """The low-density/high-temperature parameter of the gas for this pair."""
+    return math.sqrt(2.0) * (1 + pair.alpha) * gas.number_density * pair.hbar / math.sqrt(
+        math.pi * gas.gas_mass * gas.kT)
+
+
 def validity_report(pair: CollisionPair, init: COMInitialCondition,
                     gas: ThermalGasSpec, delta: float) -> ValidityReport:
     """All validity diagnostics for one collision scenario; caller decides."""
@@ -413,14 +420,12 @@ def validity_report(pair: CollisionPair, init: COMInitialCondition,
     t_c = collision_time(pair, init.p_g)
     sep = abs(init.x_g - init.x)
     widths = math.sqrt(pair.gas_width**2 + pair.brownian_width**2)
-    ldht = math.sqrt(2.0) * (1 + a) * gas.number_density * hb / math.sqrt(
-        math.pi * gas.gas_mass * gas.kT)
     rate = gas.number_density * mean_relative_speed(gas, init.p, pair.brownian_mass)
     return ValidityReport(
         overlap_ratio=sep / widths,
         momentum_ratio=abs(init.p_g) * pair.gas_width * math.sqrt(1 + a) / hb,
         collision_time=t_c,
-        ldht_number=ldht,
+        ldht_number=ldht_number(pair, gas),
         coarse_graining_ratio=t_c / delta,
         step_collision_probability=rate * delta,
     )

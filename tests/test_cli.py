@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -29,7 +30,7 @@ def _write_ini(path, cfg):
 
 
 def test_every_scenario_has_a_smoke_config():
-    assert set(SMOKE) == set(cli.SCHEMAS)
+    assert set(SMOKE) == set(cli.SCENARIOS)
 
 
 @pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
@@ -169,13 +170,21 @@ def test_oracle_verify_fails_on_a_non_finite_error(tmp_path, capsys, monkeypatch
     ("delta-scan", {"slope_tol": 0.0}, None, "scenario.slope_tol"),
     ("channel-verify", {"fidelity_min": 0.0}, None, "scenario.fidelity_min"),
     ("channel-verify", {"fidelity_min": 1.5}, None, "scenario.fidelity_min"),
+    ("trajectories", {"horizon": 1.0, "delta": 2.0}, None, "scenario.horizon"),
+    ("moments", {"horizon": 1.0, "dt": 5.0}, None, "scenario.dt"),
+    ("fig1", {"kind": "fig1"}, None, "scenario.kind"),
+    ("trajectories", {"timing": "midpoint"}, None, "scenario.timing"),
+    ("delta-scan", {"timing": "uniform"}, None, "scenario.timing"),
+    ("trajectories", {"thermal_start": "false"}, None, "scenario.thermal_start"),
 ], ids=["no-grid-sizes", "no-times", "duplicate-deltas", "delta-beyond-horizon",
         "negative-fidelity-time", "no-fidelity-times", "oracle-x-not-positive",
         "oracle-p-not-negative", "negative-r-length", "negative-R-halfwidth",
         "negative-seed-in-config", "negative-seed-option", "negative-scan-seed",
         "grid-below-16", "zero-ratio-factor", "ratio-factor-below-1", "zero-tolerance",
         "zero-trace-tol", "negative-completeness-tol", "zero-slope-tol",
-        "zero-fidelity-min", "fidelity-min-above-1"])
+        "zero-fidelity-min", "fidelity-min-above-1", "horizon-below-delta",
+        "dt-beyond-horizon", "removed-kind-key", "removed-timing-key",
+        "removed-scan-timing-key", "removed-thermal-start-key"])
 def test_input_that_would_escape_validation_rejected(kind, cfg, seed, field, tmp_path, capsys):
     ini = _write_ini(tmp_path / "bad.ini", cfg)
     with pytest.raises(ConfigError) as exc:
@@ -187,7 +196,11 @@ def test_input_that_would_escape_validation_rejected(kind, cfg, seed, field, tmp
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
-@pytest.mark.parametrize("kind", sorted(cli.SCHEMAS))
+def _keys(kind):
+    return cli._keys(cli.SCENARIOS[kind])
+
+
+@pytest.mark.parametrize("kind", sorted(cli.SCENARIOS))
 def test_every_schema_error_names_its_field(kind, tmp_path):
     # a value no key accepts, a missing required key and an unknown key
     def field_of(cfg):
@@ -195,15 +208,30 @@ def test_every_schema_error_names_its_field(kind, tmp_path):
             cli.ScenarioConfig.load(kind, str(_write_ini(tmp_path / "cfg.ini", cfg)))
         return exc.value.field
 
-    for key, spec in cli.SCHEMAS[kind].items():
-        assert field_of({**SMOKE[kind], key: "bogus"}) == f"scenario.{key}"
-        if spec.default is cli._REQUIRED:
-            rest = {k: v for k, v in SMOKE[kind].items() if k != key}
-            assert field_of(rest) == f"scenario.{key}"
+    for f in _keys(kind):
+        assert field_of({**SMOKE[kind], f.name: "bogus"}) == f"scenario.{f.name}"
+        if f.default is dataclasses.MISSING:
+            rest = {k: v for k, v in SMOKE[kind].items() if k != f.name}
+            assert field_of(rest) == f"scenario.{f.name}"
     assert field_of({**SMOKE[kind], "bogus_key": 1}) == "scenario.bogus_key"
 
 
 def test_mixed_case_key_is_read(tmp_path):
     # INI keys used to be lower-cased, so R_halfwidth could not be set at all
     ini = _write_ini(tmp_path / "oracle.ini", {**SMOKE["oracle-verify"], "R_halfwidth": 30.0})
-    assert cli.ScenarioConfig.load("oracle-verify", str(ini)).params["R_halfwidth"] == 30.0
+    assert cli.ScenarioConfig.load("oracle-verify", str(ini)).R_halfwidth == 30.0
+
+
+@pytest.mark.parametrize("kind", sorted(SMOKE))
+def test_summary_config_holds_every_resolved_key(kind, tmp_path, monkeypatch):
+    # perfbench's accuracy checks rebuild the physics from this block
+    monkeypatch.setattr(cli.SCENARIOS[kind], "run", lambda cfg: ({"outputs": []}, []))
+    ini = _write_ini(tmp_path / "cfg.ini", SMOKE[kind])
+    assert cli.main([kind, str(ini), "--seed", "3", "--out-dir", str(tmp_path)]) == 0
+    config = json.loads((tmp_path / "summary.json").read_text())["config"]
+    assert set(config) == {f.name for f in _keys(kind)} | {"kind"}
+    assert config["kind"] == kind and config["seed"] == 3
+    resolved = {**SMOKE[kind], "seed": 3}
+    for f in _keys(kind):
+        value = cli._CASTS[f.type](resolved[f.name]) if f.name in resolved else f.default
+        assert config[f.name] == json.loads(json.dumps(value)), f.name
