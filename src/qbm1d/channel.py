@@ -21,6 +21,7 @@ trajectory unraveling carries production dynamics.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,6 +243,14 @@ def operator_sqrt(op: OperatorGrid, clamp_tol: float = 1e-6) -> OperatorGrid:
     return OperatorGrid(root, op.grid)
 
 
+@functools.lru_cache(maxsize=4)
+def _sqrt_effect_center(pair: CollisionPair, grid: SpatialGrid) -> np.ndarray:
+    """Read-only sqrt of the origin-centered effect operator, one eigh per (pair, grid)."""
+    root = operator_sqrt(build_effect_operator(pair, 0.0, 0.0, grid)).matrix
+    root.flags.writeable = False
+    return root
+
+
 def kraus_displacement(pair: CollisionPair, gas_state, x_t: float, p_t: float):
     """Displacement arguments of the collision Kraus operator."""
     a = pair.alpha
@@ -260,8 +269,7 @@ def build_kraus(pair: CollisionPair, gas_state, x_t: float, p_t: float,
     """
     hb = pair.hbar
     if sqrt_effect_center is None:
-        sqrt_effect_center = operator_sqrt(
-            build_effect_operator(pair, 0.0, 0.0, grid)).matrix
+        sqrt_effect_center = _sqrt_effect_center(pair, grid)
     da, db = kraus_displacement(pair, gas_state, x_t, p_t)
     D_shift = displacement_operator(grid, da, db, hb)
     D_center = displacement_operator(grid, x_t, p_t, hb)
@@ -334,7 +342,7 @@ def apply_collision_channel(rho: OperatorGrid, pair: CollisionPair, gas_state,
     keep = ev > max(1e-12, 1e-12 * ev[-1])
     vecs_f = fft((U[:, keep] * np.sqrt(ev[keep])).T, axis=-1)  # (r, n)
 
-    sqrt_c = operator_sqrt(build_effect_operator(pair, 0.0, 0.0, grid)).matrix
+    sqrt_c = _sqrt_effect_center(pair, grid)
     root_area = np.sqrt((xts[1] - xts[0]) * (pts[1] - pts[0]))
     das, dbs = kraus_displacement(pair, gas_state, xts, pts)
     # the x-dependent boost factors do not depend on the row

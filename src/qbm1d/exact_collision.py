@@ -64,8 +64,6 @@ __all__ = [
     "LabFrameCollision",
     "com_condition",
     "collision_time",
-    "eigenenergy",
-    "spectral_amplitude",
     "wavefunction",
     "two_particle_norm",
     "brownian_momentum_mean",
@@ -114,33 +112,6 @@ def collision_time(pair: CollisionPair, p_g: float) -> float:
         raise ZeroRelativeMomentum("collision time undefined for p_g = 0")
     a = pair.alpha
     return math.sqrt(8.0 / (1.0 + a)) * pair.gas_width * pair.gas_mass / abs(p_g)
-
-
-def eigenenergy(pair: CollisionPair, kt, kb):
-    """Energy of the hard-wall eigenfunction with wavenumbers (kt, kb)."""
-    a = pair.alpha
-    return (1 + a) * (np.asarray(kt) ** 2 + a * np.asarray(kb) ** 2) * pair.hbar**2 / (2 * pair.gas_mass)
-
-
-def spectral_amplitude(pair: CollisionPair, init: COMInitialCondition, kt, kb):
-    """Expansion amplitude of the initial state over the hard-wall eigenbasis.
-
-    Defined for kt > 0; vanishes linearly as kt -> 0+ (the two Gaussian
-    terms cancel).  Vectorized over (kt, kb).
-    """
-    _check_com(pair, init)
-    a = pair.alpha
-    s = pair.brownian_width
-    hb = pair.hbar
-    x, p = init.x, init.p
-    kt = np.asarray(kt, dtype=float)
-    kb = np.asarray(kb, dtype=float)
-    c = (1 + a) * s**2 / (2 * a)
-    pref = (1 + a) * s / np.sqrt(2 * np.pi * np.sqrt(a))
-    glob = np.exp(1j * x * p * (1 + a) / (2 * a * hb) - kb**2 * (1 + a) * s**2 / 2)
-    term_plus = np.exp(1j * kt * x * (1 + a) / a) * np.exp(-((kt + p / hb) ** 2) * c)
-    term_minus = np.exp(-1j * kt * x * (1 + a) / a) * np.exp(-((kt - p / hb) ** 2) * c)
-    return pref * glob * (term_plus - term_minus)
 
 
 def _core(pair: CollisionPair, init: COMInitialCondition, t: float):

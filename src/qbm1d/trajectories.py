@@ -18,8 +18,9 @@ an unbiased step-resolution uncertainty).  This injects an excess position
 diffusion proportional to delta^2 - the coarse-graining artifact under
 study.  ``gas_flight_window = 0`` recovers contact collisions (exactly
 continuous trajectories, no artifact).  The collision instant itself is
-uniform in the step by default; ``timing="midpoint"`` pins it to delta/2
-for comparison.
+uniform in the step.  Each step thins its uniforms against the rate at the
+largest |p| (Lewis & Shedler 1979): only the draws below that bound take
+their own rate, and the hits are those of the full-rate draw.
 """
 
 from __future__ import annotations
@@ -59,17 +60,13 @@ class ValidityWarning(UserWarning):
 class JumpPolicy:
     """Collision stepping switches.
 
-    timing: "uniform" draws the collision instant uniformly in the step,
-    "midpoint" always uses delta/2.  gas_flight_window scales the
-    unresolved gas flight (0 = contact collisions; 1 = one full step).
+    gas_flight_window scales the unresolved gas flight (0 = contact
+    collisions; 1 = one full step).
     """
 
-    timing: str = "uniform"
     gas_flight_window: float = 1.0
 
     def __post_init__(self):
-        if self.timing not in ("uniform", "midpoint"):
-            raise ValueError("timing must be 'uniform' or 'midpoint'")
         if self.gas_flight_window < 0:
             raise ValueError("gas_flight_window must be >= 0")
 
@@ -128,7 +125,8 @@ class EnsembleStats:
 
 
 def collision_rate(p, gas: ThermalGasSpec, pair: CollisionPair):
-    """Flux rate n_g E|v_g - v| against the mixture's full-T momenta."""
+    """Flux rate n_g E|v_g - v| against the mixture's full-T momenta; even in
+    p and non-decreasing in |p|, with d/dv = n_g erf(v / (sqrt(2) s_u)) >= 0."""
     return gas.number_density * mean_relative_speed(gas, p, pair.brownian_mass)
 
 
@@ -198,26 +196,25 @@ def _draw_collisions(p, gas: ThermalGasSpec, pair: CollisionPair, delta: float,
                      rng, policy: JumpPolicy):
     """Random part of one coarse step: (hit, tau, eta, p_g).
 
-    ``hit`` marks the colliding trajectories; for those, tau is the collision
-    instant in the step, eta the unresolved gas flight time (zeros at
-    ``gas_flight_window = 0``, which draws nothing) and p_g the partner's
-    momentum.  Raises StepTooLarge as ``step_ensemble`` does.
+    ``hit`` holds the ascending indices of the colliding trajectories; for
+    those, tau is the collision instant in the step, eta the unresolved gas
+    flight time (zeros at ``gas_flight_window = 0``, which draws nothing) and
+    p_g the partner's momentum.  Only uniforms below the bound rate(max |p|)
+    * delta (+1e-9 relative, for rounding) take their own rate.  Raises
+    StepTooLarge as ``step_ensemble`` does.
     """
-    rate = collision_rate(p, gas, pair)
-    worst = float(np.max(rate) * delta)
+    worst = float(collision_rate(np.max(np.abs(p)), gas, pair) * delta)
     if worst > _MAX_STEP_PROBABILITY:
         raise StepTooLarge(f"rate*delta = {worst:.3f} > {_MAX_STEP_PROBABILITY}")
-    hit = rng.random(p.size) < rate * delta
-    n_hit = int(np.count_nonzero(hit))
-    tau = eta = p_g = np.zeros(n_hit)
-    if n_hit:
-        if policy.timing == "uniform":
-            tau = rng.uniform(0.0, delta, n_hit)
-        else:
-            tau = np.full(n_hit, delta / 2)
+    u = rng.random(p.size)
+    cand = np.flatnonzero(u < worst * (1 + 1e-9))
+    hit = cand[u[cand] < collision_rate(p[cand], gas, pair) * delta]
+    tau = eta = p_g = np.zeros(hit.size)
+    if hit.size:
+        tau = rng.uniform(0.0, delta, hit.size)
         if policy.gas_flight_window > 0:
             eta = rng.uniform(-policy.gas_flight_window * delta,
-                              policy.gas_flight_window * delta, n_hit)
+                              policy.gas_flight_window * delta, hit.size)
         p_g = sample_collision_partner(p[hit], gas, pair, rng)
     return hit, tau, eta, p_g
 
@@ -225,15 +222,14 @@ def _draw_collisions(p, gas: ThermalGasSpec, pair: CollisionPair, delta: float,
 def _apply_collisions(x, p, hit, tau, eta, p_g, pair: CollisionPair, delta: float):
     """New (x, p) after one step: free flight, or drift to contact, the label
     map against a gas label displaced by its flight over eta, and drift on."""
-    x = x.copy()
-    p = p.copy()
     ph = p[hit]
     xh = x[hit] + ph / pair.brownian_mass * tau          # drift to contact
     x_g_label = xh - (p_g / pair.gas_mass) * eta          # unresolved flight
     _, _, x_out, p_out = classical_collision_map(pair, x_g_label, p_g, xh, ph)
+    x = x + p / pair.brownian_mass * delta               # the hits are overwritten
     x[hit] = x_out + p_out / pair.brownian_mass * (delta - tau)
+    p = p.copy()
     p[hit] = p_out
-    x[~hit] += p[~hit] / pair.brownian_mass * delta
     return x, p
 
 

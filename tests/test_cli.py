@@ -172,6 +172,9 @@ def test_oracle_verify_fails_on_a_non_finite_error(tmp_path, capsys, monkeypatch
     ("channel-verify", {"fidelity_min": 1.5}, None, "scenario.fidelity_min"),
     ("trajectories", {"horizon": 1.0, "delta": 2.0}, None, "scenario.horizon"),
     ("moments", {"horizon": 1.0, "dt": 5.0}, None, "scenario.dt"),
+    # dt = 0 resolves to 0.001/f = 0.111 at the defaults
+    ("moments", {"horizon": 0.05}, None, "scenario.dt"),
+    ("trajectories", {"record_every": 1000, "horizon": 20.0}, None, "scenario.record_every"),
     ("fig1", {"kind": "fig1"}, None, "scenario.kind"),
     ("trajectories", {"timing": "midpoint"}, None, "scenario.timing"),
     ("delta-scan", {"timing": "uniform"}, None, "scenario.timing"),
@@ -183,7 +186,8 @@ def test_oracle_verify_fails_on_a_non_finite_error(tmp_path, capsys, monkeypatch
         "grid-below-16", "zero-ratio-factor", "ratio-factor-below-1", "zero-tolerance",
         "zero-trace-tol", "negative-completeness-tol", "zero-slope-tol",
         "zero-fidelity-min", "fidelity-min-above-1", "horizon-below-delta",
-        "dt-beyond-horizon", "removed-kind-key", "removed-timing-key",
+        "dt-beyond-horizon", "resolved-dt-beyond-horizon",
+        "record-every-skips-horizon", "removed-kind-key", "removed-timing-key",
         "removed-scan-timing-key", "removed-thermal-start-key"])
 def test_input_that_would_escape_validation_rejected(kind, cfg, seed, field, tmp_path, capsys):
     ini = _write_ini(tmp_path / "bad.ini", cfg)

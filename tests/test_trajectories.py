@@ -7,6 +7,7 @@ from scipy import integrate, stats
 from scipy.special import ndtr
 
 from qbm1d import trajectories as tr
+from qbm1d.errors import StepTooLarge
 from qbm1d.packets import CollisionPair
 from qbm1d.thermal import ThermalGasSpec
 
@@ -75,12 +76,21 @@ def _bisect_quantile(zv, u):
 
 
 class _FixedUniforms:
-    def __init__(self, u):
+    """The given uniforms on the first ``random`` call, then a seeded stream."""
+
+    def __init__(self, u, seed=0):
         self.u = np.asarray(u, dtype=float)
+        self.rng = np.random.default_rng(seed)
 
     def random(self, size):
+        if self.u is None:
+            return self.rng.random(size)
         assert size == self.u.size
-        return self.u.copy()
+        u, self.u = self.u, None
+        return u
+
+    def uniform(self, lo, hi, size):
+        return self.rng.uniform(lo, hi, size)
 
 
 def _free_packet_moments(pair, p0, t):
@@ -208,3 +218,84 @@ class TestExcessPositionMSD:
     def test_flight_window_spreads_twins(self, gas, pair):
         _, msd = tr.excess_position_msd(2000, gas, pair, 0.5, 40.0, seed=4)
         assert msd[0] == 0.0 and msd[-1] > 0.0
+
+
+def _full_rate_draw(p, gas, pair, delta, rng, policy):
+    """The unthinned draw: every path's rate, one uniform per path, the hits
+    as a boolean mask; the same rng calls in the same order as the thinned
+    draw."""
+    rate = tr.collision_rate(p, gas, pair)
+    hit = rng.random(p.size) < rate * delta
+    n_hit = int(np.count_nonzero(hit))
+    tau = eta = p_g = np.zeros(n_hit)
+    if n_hit:
+        tau = rng.uniform(0.0, delta, n_hit)
+        if policy.gas_flight_window > 0:
+            eta = rng.uniform(-policy.gas_flight_window * delta,
+                              policy.gas_flight_window * delta, n_hit)
+        p_g = tr.sample_collision_partner(p[hit], gas, pair, rng)
+    return hit, tau, eta, p_g
+
+
+class TestThinnedDraw:
+    @pytest.mark.parametrize("alpha", [0.02, 1.0, 5.0])
+    @pytest.mark.parametrize("n", [1, 5000])
+    @pytest.mark.parametrize("window", [1.0, 0.0])
+    def test_matches_full_rate_draw(self, alpha, n, window):
+        # thermal momenta plus one path at 6 thermal momenta, whose rate sets
+        # the bound: rate * delta = 0.09 there, far above most paths' own
+        pair, gas = _pair_and_gas(alpha)
+        policy = tr.JumpPolicy(gas_flight_window=window)
+        thermal = np.sqrt(pair.brownian_mass * gas.kT)
+        for seed in range(4):
+            p = np.random.default_rng(100 + seed).normal(0.0, thermal, n)
+            p[-1] = (-1) ** seed * 6 * thermal
+            delta = 0.09 / float(tr.collision_rate(p[-1], gas, pair))
+            rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            mask, *ref = _full_rate_draw(p, gas, pair, delta, rng_ref, policy)
+            hit, *got = tr._draw_collisions(p, gas, pair, delta, rng, policy)
+            np.testing.assert_array_equal(hit, np.flatnonzero(mask))
+            for name, a, b in zip(("tau", "eta", "p_g"), got, ref):
+                assert a.tobytes() == b.tobytes(), name
+            assert rng.random() == rng_ref.random()   # the same draws were taken
+
+    @pytest.mark.parametrize("alpha", [0.02, 1.0, 5.0])
+    def test_uniforms_at_the_rate_decide_alike(self, alpha):
+        # each path's uniform sits at its own rate * delta (no hit) or one ulp
+        # below it (a hit), the fast path's too, wherever the bound puts it
+        pair, gas = _pair_and_gas(alpha)
+        policy = tr.JumpPolicy()
+        thermal = np.sqrt(pair.brownian_mass * gas.kT)
+        p = np.random.default_rng(8).normal(0.0, thermal, 2001)
+        for far in (6 * thermal, -6 * thermal):
+            p[-1] = far
+            delta = 0.09 / float(tr.collision_rate(far, gas, pair))
+            bar = tr.collision_rate(p, gas, pair) * delta
+            u = np.where(np.arange(p.size) % 2 == 0, np.nextafter(bar, 0.0), bar)
+            mask, *_ = _full_rate_draw(p, gas, pair, delta, _FixedUniforms(u, 9), policy)
+            hit, *_ = tr._draw_collisions(p, gas, pair, delta, _FixedUniforms(u, 9), policy)
+            np.testing.assert_array_equal(hit, np.arange(0, p.size, 2))
+            np.testing.assert_array_equal(hit, np.flatnonzero(mask))
+
+    @pytest.mark.parametrize("alpha", [0.02, 1.0, 5.0])
+    def test_rate_even_and_nondecreasing_in_p(self, alpha):
+        pair, gas = _pair_and_gas(alpha)
+        p = np.linspace(0.0, 60.0, 200001)
+        rate = tr.collision_rate(p, gas, pair)
+        np.testing.assert_array_equal(tr.collision_rate(-p, gas, pair), rate)
+        assert np.all(np.diff(rate) >= 0.0)
+
+    @pytest.mark.parametrize("alpha", [0.02, 1.0])
+    def test_step_too_large_from_one_fast_path(self, alpha):
+        pair, gas = _pair_and_gas(alpha)
+        thermal = np.sqrt(pair.brownian_mass * gas.kT)
+        p = np.random.default_rng(5).normal(0.0, thermal, 1000)
+        p[123] = -8 * thermal
+        bound = 0.1 / float(tr.collision_rate(p[123], gas, pair))
+        x = np.zeros_like(p)
+        tr.step_ensemble(x, p, gas, pair, bound * (1 - 1e-6), np.random.default_rng(6))
+        with pytest.raises(StepTooLarge):
+            tr.step_ensemble(x, p, gas, pair, bound * (1 + 1e-6), np.random.default_rng(6))
+        # without the fast path the same step is well inside the bound
+        tr.step_ensemble(x[:123], p[:123], gas, pair, bound * (1 + 1e-6),
+                         np.random.default_rng(6))
