@@ -28,8 +28,7 @@ import numpy as np
 from numpy.fft import fft, ifft
 from scipy.special import erfcinv
 
-from .errors import (EmptyRegion, EqualMassSingularity, GridTooCoarse, GridTooSmall,
-                     NegativeEigenvalueBeyondTolerance)
+from .errors import EmptyRegion, GridTooCoarse, GridTooSmall, NegativeEigenvalueBeyondTolerance
 from .packets import CollisionPair, GaussianPacket
 from .thermal import ThermalGasSpec, adjusted_temperature, mean_relative_speed
 
@@ -43,7 +42,6 @@ __all__ = [
     "displace_vector",
     "displacement_operator",
     "free_evolve_vector",
-    "smearing_weight",
     "smearing_widths",
     "build_effect_operator",
     "operator_sqrt",
@@ -169,25 +167,11 @@ def free_evolve_vector(grid: SpatialGrid, v: np.ndarray, mass: float, t: float,
 
 
 def smearing_widths(pair: CollisionPair):
-    """Standard deviations (in x and p) of the smearing weight w."""
+    """Standard deviations (in x and p) of the Gaussian phase-space weight w
+    that smears the effect operator's coherent projectors (0 at alpha = 1)."""
     a, s, hb = pair.alpha, pair.brownian_width, pair.hbar
     return (abs(1 - a) * s / (2 * np.sqrt(a)),
             abs(1 - a) * hb / (2 * np.sqrt(a) * s))
-
-
-def smearing_weight(pair: CollisionPair, x, p):
-    """Phase-space weight w(x, p); normalized so its double integral is 1.
-
-    Degenerates to a point mass at alpha = 1, where it raises; the
-    closed-form effect operator needs no such branch.
-    """
-    a, s, hb = pair.alpha, pair.brownian_width, pair.hbar
-    if a == 1.0:
-        raise EqualMassSingularity("w(x,p) is a point mass at alpha = 1")
-    x = np.asarray(x)
-    p = np.asarray(p)
-    pref = 2 * a / (np.pi * hb * (1 - a) ** 2)
-    return pref * np.exp(-2 * a / (1 - a) ** 2 * (x**2 / s**2 + s**2 * p**2 / hb**2))
 
 
 def _check_grid_resolution(pair: CollisionPair, grid: SpatialGrid):

@@ -410,8 +410,8 @@ class TrajectoriesConfig(_Gas):
         pair, gas = self.pair, self.gas
         series = trajectories.run(
             np.zeros(self.n_traj), np.full(self.n_traj, self.p0), gas, pair, self.horizon,
-            self.delta, seed=self.seed + 1, record_every=self.record_every,
-            policy=trajectories.JumpPolicy(gas_flight_window=self.gas_flight_window))
+            self.delta, seed=self.seed + 1, gas_flight_window=self.gas_flight_window,
+            record_every=self.record_every)
         columns = _MOMENTS + ["se_" + c for c in _MOMENTS[1:]]
         files = [emit_csv(self.out_dir / "moments.csv", columns,
                           [[getattr(s, c) for c in columns] for s in series])]
@@ -490,9 +490,9 @@ class DeltaScanConfig(_Gas):
         pair, gas = self.pair, self.gas
 
         def excess_rate(delta, seed):
-            policy = trajectories.JumpPolicy(gas_flight_window=self.gas_flight_window)
             ts, msd = trajectories.excess_position_msd(
-                self.n_traj, gas, pair, delta, self.horizon, seed=seed, policy=policy)
+                self.n_traj, gas, pair, delta, self.horizon, seed=seed,
+                gas_flight_window=self.gas_flight_window)
             return float(np.polyfit(ts, msd, 1)[0])
 
         deltas = sorted(self.deltas)

@@ -24,11 +24,6 @@ class GridTooSmall(QBM1DError):
     """Grid extents truncate the state's support above the allowed mass."""
 
 
-class EqualMassSingularity(QBM1DError):
-    """The phase-space smearing weight degenerates to a point mass at
-    alpha = 1; the closed-form effect operator covers that case."""
-
-
 class NegativeEigenvalueBeyondTolerance(QBM1DError):
     """An operator that should be positive semidefinite has an eigenvalue
     below the permitted grid-noise floor."""

@@ -469,10 +469,3 @@ class LabFrameCollision:
         s = self.reflection
         return (self.pair.brownian_mass * self.boost_velocity
                 + s * brownian_momentum_mean(self.pair, self.com_init, t))
-
-    def brownian_position_mean(self, t: float) -> float:
-        # COM frame: <x'> = <u> + alpha <d>/(1+alpha), and <u> = 0
-        _, _, _, i1 = _density_moments(self.pair, self.com_init, t)
-        a = self.pair.alpha
-        com_mean = a / (1 + a) * float(np.real(_SIGNS @ i1))
-        return self.com_offset + self.boost_velocity * t + self.reflection * com_mean

@@ -1,7 +1,7 @@
 """Deterministic moment dynamics of the collisional master equation.
 
 Linear ODE system for (⟨x⟩, ⟨p⟩, ⟨x²⟩, ⟨{x,p}⟩, ⟨p²⟩) in the slow-particle
-regime |p/m| << sqrt(k_B T / m_g):
+regime sqrt(⟨p⟩²/m² + k_B T/m) << sqrt(k_B T / m_g):
 
     d⟨x⟩/dt    = ⟨p⟩/m
     d⟨p⟩/dt    = -f ⟨p⟩
@@ -95,7 +95,9 @@ class FrictionParams:
                    mass=mass, kT=gas.kT, gas_mass=gas.gas_mass)
 
     def slow_particle_ratio(self, mean_p: float) -> float:
-        return abs(mean_p / self.mass) / math.sqrt(self.kT / self.gas_mass)
+        """sqrt((mean_p/m)^2 + kT/m) / sqrt(kT/m_g), sqrt(alpha) at mean_p = 0."""
+        return math.hypot(mean_p / self.mass, math.sqrt(self.kT / self.mass)) / math.sqrt(
+            self.kT / self.gas_mass)
 
 
 def friction_constant(gas: ThermalGasSpec, mass: float) -> float:

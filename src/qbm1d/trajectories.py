@@ -9,18 +9,18 @@ labels.  Ensemble averages of the packet moments unravel the master
 equation's expectation values.  One seeded rng stream drives the whole
 ensemble, so a seed fixes every path.
 
-Coarse-graining position model
-------------------------------
-Within one coarse step the colliding gas packet's position is known only to
-its flight over the step, so the position-exchange rule is evaluated with a
-gas label displaced by v_g * eta, eta ~ U(-w*delta, +w*delta) (mean-zero:
-an unbiased step-resolution uncertainty).  This injects an excess position
-diffusion proportional to delta^2 - the coarse-graining artifact under
-study.  ``gas_flight_window = 0`` recovers contact collisions (exactly
-continuous trajectories, no artifact).  The collision instant itself is
-uniform in the step.  Each step thins its uniforms against the rate at the
-largest |p| (Lewis & Shedler 1979): only the draws below that bound take
-their own rate, and the hits are those of the full-rate draw.
+The flight offset
+-----------------
+Within a coarse step the gas partner's position is known only up to its
+flight v_g eta, eta ~ U(-w delta, w delta) with w = ``gas_flight_window``.
+The label map is linear, so the flight moves the outgoing label by the
+flight offset -2 alpha/(1 + alpha) v_g eta and leaves its momentum alone.
+The offsets add up to an excess position diffusion ~ delta^2, the
+coarse-graining artifact under study; w = 0 (contact collisions) has none.
+The collision instant is uniform in the step.  Each step thins its uniforms
+against the rate at the largest |p| (Lewis & Shedler 1979): only the draws
+below that bound take their own rate, and the hits are those of the
+full-rate draw.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .packets import CollisionPair, classical_collision_map
 from .thermal import ThermalGasSpec, mean_relative_speed
 
 __all__ = [
-    "JumpPolicy",
     "EnsembleStats",
     "ValidityWarning",
     "collision_rate",
@@ -54,21 +53,6 @@ _SQRT_2PI = np.sqrt(2 * np.pi)
 
 class ValidityWarning(UserWarning):
     """Coarse-graining preconditions are strained (not enforced)."""
-
-
-@dataclass(frozen=True)
-class JumpPolicy:
-    """Collision stepping switches.
-
-    gas_flight_window scales the unresolved gas flight (0 = contact
-    collisions; 1 = one full step).
-    """
-
-    gas_flight_window: float = 1.0
-
-    def __post_init__(self):
-        if self.gas_flight_window < 0:
-            raise ValueError("gas_flight_window must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -192,36 +176,55 @@ def sample_collision_partner(p, gas: ThermalGasSpec, pair: CollisionPair, rng):
     return gas.gas_mass * su * mirror * z
 
 
+def _check_step(gas: ThermalGasSpec, pair: CollisionPair, delta: float, p=None):
+    """StepTooLarge when rate * delta > 0.1, where two collisions in one step
+    are not negligible, for the rate under the thermal laws of both particles
+    (v_g - v is normal with variance (1 + alpha) kT/m_g) or at max |p|."""
+    rates = {"thermal-law": gas.number_density * mean_relative_speed(
+        gas, 0.0, pair.brownian_mass, temperature=gas.temperature * (1 + pair.alpha))}
+    if p is not None:
+        rates["initial-label"] = collision_rate(np.max(np.abs(p)), gas, pair)
+    for law, rate in rates.items():
+        if rate * delta > _MAX_STEP_PROBABILITY:
+            raise StepTooLarge(f"{law} rate*delta = {float(rate * delta):.3f} "
+                               f"> {_MAX_STEP_PROBABILITY}")
+
+
 def _draw_collisions(p, gas: ThermalGasSpec, pair: CollisionPair, delta: float,
-                     rng, policy: JumpPolicy):
+                     rng, gas_flight_window: float = 1.0):
     """Random part of one coarse step: (hit, tau, eta, p_g).
 
     ``hit`` holds the ascending indices of the colliding trajectories; for
     those, tau is the collision instant in the step, eta the unresolved gas
-    flight time (zeros at ``gas_flight_window = 0``, which draws nothing) and
-    p_g the partner's momentum.  Only uniforms below the bound rate(max |p|)
-    * delta (+1e-9 relative, for rounding) take their own rate.  Raises
-    StepTooLarge as ``step_ensemble`` does.
+    flight time, uniform on +-gas_flight_window * delta (zeros at a window of
+    0, which draws nothing), and p_g the partner's momentum.  Only uniforms
+    below the bound rate(max |p|) * delta (+1e-9 relative, for rounding) take
+    their own rate.
     """
-    worst = float(collision_rate(np.max(np.abs(p)), gas, pair) * delta)
-    if worst > _MAX_STEP_PROBABILITY:
-        raise StepTooLarge(f"rate*delta = {worst:.3f} > {_MAX_STEP_PROBABILITY}")
+    if gas_flight_window < 0:
+        raise ValueError("gas_flight_window must be >= 0")
+    bound = float(collision_rate(np.max(np.abs(p)), gas, pair) * delta)
     u = rng.random(p.size)
-    cand = np.flatnonzero(u < worst * (1 + 1e-9))
+    cand = np.flatnonzero(u < bound * (1 + 1e-9))
     hit = cand[u[cand] < collision_rate(p[cand], gas, pair) * delta]
     tau = eta = p_g = np.zeros(hit.size)
     if hit.size:
         tau = rng.uniform(0.0, delta, hit.size)
-        if policy.gas_flight_window > 0:
-            eta = rng.uniform(-policy.gas_flight_window * delta,
-                              policy.gas_flight_window * delta, hit.size)
+        if gas_flight_window > 0:
+            eta = rng.uniform(-gas_flight_window * delta, gas_flight_window * delta,
+                              hit.size)
         p_g = sample_collision_partner(p[hit], gas, pair, rng)
     return hit, tau, eta, p_g
 
 
-def _apply_collisions(x, p, hit, tau, eta, p_g, pair: CollisionPair, delta: float):
-    """New (x, p) after one step: free flight, or drift to contact, the label
-    map against a gas label displaced by its flight over eta, and drift on."""
+def step_ensemble(x, p, gas: ThermalGasSpec, pair: CollisionPair, delta: float,
+                  rng, gas_flight_window: float = 1.0):
+    """Advance every trajectory by one coarse step; returns new (x, p).  A hit
+    drifts to contact, takes the label map against the gas label displaced by
+    its flight, and drifts on."""
+    x = np.asarray(x, dtype=float)
+    p = np.asarray(p, dtype=float)
+    hit, tau, eta, p_g = _draw_collisions(p, gas, pair, delta, rng, gas_flight_window)
     ph = p[hit]
     xh = x[hit] + ph / pair.brownian_mass * tau          # drift to contact
     x_g_label = xh - (p_g / pair.gas_mass) * eta          # unresolved flight
@@ -233,30 +236,19 @@ def _apply_collisions(x, p, hit, tau, eta, p_g, pair: CollisionPair, delta: floa
     return x, p
 
 
-def step_ensemble(x, p, gas: ThermalGasSpec, pair: CollisionPair, delta: float,
-                  rng, policy: JumpPolicy = JumpPolicy()):
-    """Advance every trajectory by one coarse step; returns new (x, p).
-
-    Raises StepTooLarge when any trajectory's rate * delta exceeds 0.1
-    (two-collision events would no longer be negligible).
-    """
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    return _apply_collisions(x, p, *_draw_collisions(p, gas, pair, delta, rng, policy),
-                             pair, delta)
-
-
 def run(x0, p0, gas: ThermalGasSpec, pair: CollisionPair, horizon: float,
-        delta: float, seed, policy: JumpPolicy = JumpPolicy(), record_every: int = 1):
+        delta: float, seed, gas_flight_window: float = 1.0, record_every: int = 1):
     """Evolve an ensemble to the horizon, recording moments every
     ``record_every`` steps.
 
     ``x0``/``p0`` are arrays of initial labels.  One rng stream, the first
     child of ``SeedSequence(seed)``, drives every path, so an identical seed
-    reproduces the results bit for bit.
+    reproduces the results bit for bit.  Raises StepTooLarge, before any
+    step, when rate * delta > 0.1 under the thermal laws or at max |p0|.
     """
     x = np.array(x0, dtype=float)
     p = np.array(p0, dtype=float)
+    _check_step(gas, pair, delta, p)
     n_steps = int(round(horizon / delta))
     t_typ = collision_time(pair, gas.thermal_momentum)
     if delta < 3 * t_typ:
@@ -267,7 +259,7 @@ def run(x0, p0, gas: ThermalGasSpec, pair: CollisionPair, horizon: float,
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     series = [EnsembleStats.from_phase_points(0.0, x, p, pair)]
     for step in range(1, n_steps + 1):
-        x, p = step_ensemble(x, p, gas, pair, delta, rng, policy)
+        x, p = step_ensemble(x, p, gas, pair, delta, rng, gas_flight_window)
         if step % record_every == 0:
             series.append(EnsembleStats.from_phase_points(step * delta, x, p, pair))
     return series
@@ -275,26 +267,26 @@ def run(x0, p0, gas: ThermalGasSpec, pair: CollisionPair, horizon: float,
 
 def excess_position_msd(n: int, gas: ThermalGasSpec, pair: CollisionPair,
                         delta: float, horizon: float, seed,
-                        policy: JumpPolicy = JumpPolicy()):
-    """Mean squared position gap between a run and its contact-collision twin.
+                        gas_flight_window: float = 1.0):
+    """(times, msd): the mean square of the summed flight offsets.
 
-    Both twins share each step's draw and apply the same label map, the
-    contact twin with no gas flight (eta = 0), so their momentum paths are
-    identical and the squared gap isolates exactly the position noise from
-    the unresolved gas flight.  Its slope in time is the excess position
-    diffusion rate at this delta.  Every path starts at x = 0 with a thermal
-    momentum.  Returns (times, msd).
+    A path carries its momentum, moved by the label map at each collision,
+    and the running sum of its flight offsets -2 alpha/(1 + alpha) v_g eta,
+    its position gap from contact collisions under the same draws.  The
+    slope of msd in time is the excess position diffusion rate at this delta.
+    Paths start with thermal momenta.  Raises StepTooLarge, before any step,
+    when rate * delta > 0.1 under the thermal laws.
     """
+    _check_step(gas, pair, delta)
     rng = np.random.default_rng(seed)
     p = rng.normal(0.0, np.sqrt(pair.brownian_mass * gas.kT), n)
-    x_ref = np.zeros(n)
-    x_alt = np.zeros(n)
+    offset = np.zeros(n)
+    share = 2 * pair.alpha / (1 + pair.alpha)
     n_steps = int(round(horizon / delta))
     msd = np.zeros(n_steps + 1)
     for step in range(1, n_steps + 1):
-        hit, tau, eta, p_g = _draw_collisions(p, gas, pair, delta, rng, policy)
-        x_ref, _ = _apply_collisions(x_ref, p, hit, tau, np.zeros_like(eta), p_g,
-                                     pair, delta)
-        x_alt, p = _apply_collisions(x_alt, p, hit, tau, eta, p_g, pair, delta)
-        msd[step] = np.mean((x_alt - x_ref) ** 2)
+        hit, _, eta, p_g = _draw_collisions(p, gas, pair, delta, rng, gas_flight_window)
+        offset[hit] -= share * (p_g / pair.gas_mass) * eta
+        p[hit] = classical_collision_map(pair, 0.0, p_g, 0.0, p[hit])[3]
+        msd[step] = np.mean(offset**2)
     return delta * np.arange(n_steps + 1), msd

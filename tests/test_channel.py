@@ -4,10 +4,27 @@ from scipy import integrate
 from scipy.special import ndtr
 
 from qbm1d import channel as ch
-from qbm1d.errors import (EmptyRegion, EqualMassSingularity, GridTooCoarse,
-                          GridTooSmall, NegativeEigenvalueBeyondTolerance)
+from qbm1d.errors import (EmptyRegion, GridTooCoarse, GridTooSmall,
+                          NegativeEigenvalueBeyondTolerance, QBM1DError)
 from qbm1d.packets import CollisionPair, classical_collision_map, overlap
 from qbm1d.thermal import ThermalGasSpec, adjusted_temperature, mean_relative_speed
+
+
+class EqualMassSingularity(QBM1DError):
+    """The smearing weight degenerates to a point mass at alpha = 1."""
+
+
+def smearing_weight(pair, x, p):
+    """Phase-space weight w(x, p) whose mixture of coherent projectors is the
+    effect operator; its double integral is 1.  At alpha = 1 it is a point
+    mass, where it raises; the closed-form effect operator needs no branch."""
+    a, s, hb = pair.alpha, pair.brownian_width, pair.hbar
+    if a == 1.0:
+        raise EqualMassSingularity("w(x,p) is a point mass at alpha = 1")
+    x = np.asarray(x)
+    p = np.asarray(p)
+    pref = 2 * a / (np.pi * hb * (1 - a) ** 2)
+    return pref * np.exp(-2 * a / (1 - a) ** 2 * (x**2 / s**2 + s**2 * p**2 / hb**2))
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +53,7 @@ class TestSmearingWeight:
         pr = CollisionPair.matched(1.0, alpha, 1.0)
         wx, wp = ch.smearing_widths(pr)
         val, err = integrate.dblquad(
-            lambda p, x: ch.smearing_weight(pr, x, p),
+            lambda p, x: smearing_weight(pr, x, p),
             -8 * wx, 8 * wx, lambda x: -8 * wp, lambda x: 8 * wp,
             epsabs=1e-10)
         assert val == pytest.approx(1.0, abs=1e-8)
@@ -44,7 +61,7 @@ class TestSmearingWeight:
     def test_peak_value(self, pair):
         a, hb = pair.alpha, pair.hbar
         expected = 2 * a / (np.pi * hb * (1 - a) ** 2)
-        assert ch.smearing_weight(pair, 0.0, 0.0) == pytest.approx(expected, rel=1e-14)
+        assert smearing_weight(pair, 0.0, 0.0) == pytest.approx(expected, rel=1e-14)
 
     def test_width_vanishes_at_equal_mass(self):
         for alpha in (0.9, 0.99, 0.999):
@@ -55,7 +72,7 @@ class TestSmearingWeight:
     def test_equal_mass_raises(self):
         pr = CollisionPair.matched(1.0, 1.0, 1.0)
         with pytest.raises(EqualMassSingularity):
-            ch.smearing_weight(pr, 0.0, 0.0)
+            smearing_weight(pr, 0.0, 0.0)
 
 
 class TestGridPacket:
@@ -137,7 +154,7 @@ class TestEffectOperator:
 
         def integrand(p, x):
             shifted = pair.brownian_packet(x_t + x, p_t + p)
-            return (ch.smearing_weight(pair, x, p)
+            return (smearing_weight(pair, x, p)
                     * abs(overlap(probe, shifted)) ** 2 / (2 * np.pi * pair.hbar))
 
         rhs, _ = integrate.dblquad(integrand, -8 * wx, 8 * wx,
@@ -206,7 +223,7 @@ def _mesh_effect_operator(pair, x_t, p_t, grid, points_per_std, span_std):
     mat = np.zeros((grid.n, grid.n), dtype=complex)
     for x in xs:
         cols = ch.grid_packets(grid, pair.brownian_width, pair.hbar, x_t + x, p_t + ps)
-        mat += (cols * (area * ch.smearing_weight(pair, x, ps))) @ cols.conj().T
+        mat += (cols * (area * smearing_weight(pair, x, ps))) @ cols.conj().T
     return mat
 
 

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from qbm1d import cli
+from qbm1d import cli, trajectories
 from qbm1d.errors import ConfigError
 
 # one small config per scenario: seconds in total, every tolerance at its default
@@ -111,6 +111,29 @@ def test_delta_scan_without_flight_window_fails_on_its_slope(tmp_path, capsys):
     assert summary["log_log_slope"] is None
     assert any("slope" in f for f in summary["tolerance_failures"])
     assert "slope" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["trajectories", "delta-scan"])
+def test_thermal_law_step_too_large_exits_before_any_step(kind, tmp_path, capsys, monkeypatch):
+    # at n_g = 2 the thermal-law rate * delta exceeds 0.1 at every default delta
+    def no_step(*args):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(trajectories, "_draw_collisions", no_step)
+    ini = _write_ini(tmp_path / "c.ini", {"number_density": 2.0, "horizon": 20.0})
+    assert cli.main([kind, str(ini), "--out-dir", str(tmp_path)]) == 2
+    assert "thermal-law rate*delta" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_delta_scan_rare_fast_path_passes(tmp_path):
+    # at seed 14 one of the 2e4 thermal paths reached rate * delta = 0.106 at
+    # delta = 1, which stopped the scan while the step check read the
+    # realised largest |p|; it reads the thermal law now
+    ini = _write_ini(tmp_path / "scan.ini", {})
+    assert cli.main(["delta-scan", str(ini), "--seed", "14", "--out-dir", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["tolerance_failures"] == []
 
 
 @pytest.mark.parametrize("cfg", [{}, {"alpha": 0.02, "sigma": 8.0, "x": 30.0, "p": -1.0}],

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from qbm1d import moments as mo
+from qbm1d.packets import CollisionPair
 from qbm1d.thermal import ThermalGasSpec
+from qbm1d.trajectories import EnsembleStats
 
 
 @pytest.fixture(scope="module")
@@ -65,3 +67,20 @@ def test_step_far_beyond_friction_time_is_exact(gas, initial):
     ref = np.array([s.as_vector() for s in mo.closed_form(initial, params,
                                                           [s.t for s in series])])
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("alpha,ratio,ok", [(1.0, 1.0, False), (0.02, np.sqrt(0.02), True)])
+def test_slow_particle_check_includes_thermal_spread(alpha, ratio, ok):
+    # at <p> = 0 only the Brownian thermal speed sqrt(kT/m) counts, against
+    # the gas thermal speed sqrt(kT/m_g): the ratio is sqrt(alpha)
+    pair = CollisionPair.matched(1.0, alpha, 2.0)
+    gas = ThermalGasSpec(temperature=1.0, number_density=0.02, gas_mass=pair.gas_mass,
+                         packet_width=pair.gas_width)
+    params = mo.FrictionParams.from_gas(gas, pair.brownian_mass)
+    assert params.slow_particle_ratio(0.0) == pytest.approx(ratio, rel=1e-15)
+    mc = [EnsembleStats.from_phase_points(0.0, np.zeros(10), np.zeros(10), pair)]
+    ode = [mo.MomentState(mean_x=0.0, mean_p=0.0, mean_x2=mc[0].mean_x2, mean_xp=0.0,
+                          mean_p2=mc[0].mean_p2)]
+    report = mo.compare_to_trajectories(ode, mc, params)
+    assert report.slow_particle_ratio == pytest.approx(ratio, rel=1e-15)
+    assert report.slow_particle_ok is ok

@@ -8,7 +8,7 @@ from scipy.special import ndtr
 
 from qbm1d import trajectories as tr
 from qbm1d.errors import StepTooLarge
-from qbm1d.packets import CollisionPair
+from qbm1d.packets import CollisionPair, classical_collision_map
 from qbm1d.thermal import ThermalGasSpec
 
 
@@ -209,18 +209,65 @@ class TestRun:
             assert s.mean_p2 == pytest.approx(p2, rel=1e-9)
 
 
+def _twin_msd(n, gas, pair, delta, horizon, seed, window):
+    """The excess position by contact twins: both twins take each step's draw
+    and the label map, one against the gas label displaced by its flight and
+    one at contact (eta = 0); msd is their mean squared position gap.
+    Returns (msd, the momenta each step draws from)."""
+    def apply(x, p, hit, tau, eta, p_g):
+        ph = p[hit]
+        xh = x[hit] + ph / pair.brownian_mass * tau
+        x_g_label = xh - (p_g / pair.gas_mass) * eta
+        _, _, x_out, p_out = classical_collision_map(pair, x_g_label, p_g, xh, ph)
+        x = x + p / pair.brownian_mass * delta
+        x[hit] = x_out + p_out / pair.brownian_mass * (delta - tau)
+        p = p.copy()
+        p[hit] = p_out
+        return x, p
+
+    rng = np.random.default_rng(seed)
+    p = rng.normal(0.0, np.sqrt(pair.brownian_mass * gas.kT), n)
+    x_ref, x_alt = np.zeros(n), np.zeros(n)
+    n_steps = int(round(horizon / delta))
+    msd, drawn = np.zeros(n_steps + 1), []
+    for step in range(1, n_steps + 1):
+        drawn.append(p.copy())
+        hit, tau, eta, p_g = tr._draw_collisions(p, gas, pair, delta, rng, window)
+        x_ref, _ = apply(x_ref, p, hit, tau, np.zeros_like(eta), p_g)
+        x_alt, p = apply(x_alt, p, hit, tau, eta, p_g)
+        msd[step] = np.mean((x_alt - x_ref) ** 2)
+    return msd, drawn
+
+
 class TestExcessPositionMSD:
     def test_contact_twins_coincide(self, gas, pair):
-        policy = tr.JumpPolicy(gas_flight_window=0.0)
-        _, msd = tr.excess_position_msd(2000, gas, pair, 0.5, 40.0, seed=4, policy=policy)
-        assert np.all(msd <= 1e-20)
+        _, msd = tr.excess_position_msd(2000, gas, pair, 0.5, 40.0, seed=4,
+                                        gas_flight_window=0.0)
+        assert np.all(msd == 0.0)
 
     def test_flight_window_spreads_twins(self, gas, pair):
         _, msd = tr.excess_position_msd(2000, gas, pair, 0.5, 40.0, seed=4)
         assert msd[0] == 0.0 and msd[-1] > 0.0
 
+    @pytest.mark.parametrize("alpha", [0.02, 1.0, 5.0])
+    @pytest.mark.parametrize("window", [0.0, 1.0])
+    def test_offset_matches_twin_loop(self, alpha, window, monkeypatch):
+        pair, gas = _pair_and_gas(alpha)
+        ref, ref_drawn = _twin_msd(3000, gas, pair, 0.5, 20.0, 9, window)
+        drawn, draw = [], tr._draw_collisions
+        monkeypatch.setattr(tr, "_draw_collisions",
+                            lambda p, *a: drawn.append(p.copy()) or draw(p, *a))
+        ts, msd = tr.excess_position_msd(3000, gas, pair, 0.5, 20.0, 9,
+                                         gas_flight_window=window)
+        np.testing.assert_array_equal(ts, 0.5 * np.arange(41))
+        assert len(drawn) == len(ref_drawn) == 40
+        for got, want in zip(drawn, ref_drawn):
+            assert got.tobytes() == want.tobytes()
+        np.testing.assert_allclose(msd, ref, rtol=1e-12, atol=0)
+        assert (msd[-1] > 0) == (window > 0)
 
-def _full_rate_draw(p, gas, pair, delta, rng, policy):
+
+def _full_rate_draw(p, gas, pair, delta, rng, window=1.0):
     """The unthinned draw: every path's rate, one uniform per path, the hits
     as a boolean mask; the same rng calls in the same order as the thinned
     draw."""
@@ -230,9 +277,8 @@ def _full_rate_draw(p, gas, pair, delta, rng, policy):
     tau = eta = p_g = np.zeros(n_hit)
     if n_hit:
         tau = rng.uniform(0.0, delta, n_hit)
-        if policy.gas_flight_window > 0:
-            eta = rng.uniform(-policy.gas_flight_window * delta,
-                              policy.gas_flight_window * delta, n_hit)
+        if window > 0:
+            eta = rng.uniform(-window * delta, window * delta, n_hit)
         p_g = tr.sample_collision_partner(p[hit], gas, pair, rng)
     return hit, tau, eta, p_g
 
@@ -245,15 +291,14 @@ class TestThinnedDraw:
         # thermal momenta plus one path at 6 thermal momenta, whose rate sets
         # the bound: rate * delta = 0.09 there, far above most paths' own
         pair, gas = _pair_and_gas(alpha)
-        policy = tr.JumpPolicy(gas_flight_window=window)
         thermal = np.sqrt(pair.brownian_mass * gas.kT)
         for seed in range(4):
             p = np.random.default_rng(100 + seed).normal(0.0, thermal, n)
             p[-1] = (-1) ** seed * 6 * thermal
             delta = 0.09 / float(tr.collision_rate(p[-1], gas, pair))
             rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            mask, *ref = _full_rate_draw(p, gas, pair, delta, rng_ref, policy)
-            hit, *got = tr._draw_collisions(p, gas, pair, delta, rng, policy)
+            mask, *ref = _full_rate_draw(p, gas, pair, delta, rng_ref, window)
+            hit, *got = tr._draw_collisions(p, gas, pair, delta, rng, window)
             np.testing.assert_array_equal(hit, np.flatnonzero(mask))
             for name, a, b in zip(("tau", "eta", "p_g"), got, ref):
                 assert a.tobytes() == b.tobytes(), name
@@ -264,7 +309,6 @@ class TestThinnedDraw:
         # each path's uniform sits at its own rate * delta (no hit) or one ulp
         # below it (a hit), the fast path's too, wherever the bound puts it
         pair, gas = _pair_and_gas(alpha)
-        policy = tr.JumpPolicy()
         thermal = np.sqrt(pair.brownian_mass * gas.kT)
         p = np.random.default_rng(8).normal(0.0, thermal, 2001)
         for far in (6 * thermal, -6 * thermal):
@@ -272,8 +316,8 @@ class TestThinnedDraw:
             delta = 0.09 / float(tr.collision_rate(far, gas, pair))
             bar = tr.collision_rate(p, gas, pair) * delta
             u = np.where(np.arange(p.size) % 2 == 0, np.nextafter(bar, 0.0), bar)
-            mask, *_ = _full_rate_draw(p, gas, pair, delta, _FixedUniforms(u, 9), policy)
-            hit, *_ = tr._draw_collisions(p, gas, pair, delta, _FixedUniforms(u, 9), policy)
+            mask, *_ = _full_rate_draw(p, gas, pair, delta, _FixedUniforms(u, 9))
+            hit, *_ = tr._draw_collisions(p, gas, pair, delta, _FixedUniforms(u, 9))
             np.testing.assert_array_equal(hit, np.arange(0, p.size, 2))
             np.testing.assert_array_equal(hit, np.flatnonzero(mask))
 
@@ -285,17 +329,84 @@ class TestThinnedDraw:
         np.testing.assert_array_equal(tr.collision_rate(-p, gas, pair), rate)
         assert np.all(np.diff(rate) >= 0.0)
 
+    @pytest.mark.parametrize("alpha", [0.02, 1.0, 5.0])
+    def test_sampler_normaliser_is_the_rate(self, alpha):
+        # the partner law's total flux mass G_b(b) + G_-b(-b), in gas velocity
+        # units, times n_g sqrt(kT/m_g), against the rate's erf closed form
+        pair, gas = _pair_and_gas(alpha)
+        su = np.sqrt(gas.kT / gas.gas_mass)
+        p = np.sqrt(pair.brownian_mass * gas.kT) * np.linspace(-40.0, 40.0, 8001)
+        b = p / pair.brownian_mass / su
+        total = tr._flux_tail(b, b)[0] + tr._flux_tail(-b, -b)[0]
+        np.testing.assert_allclose(gas.number_density * su * total,
+                                   tr.collision_rate(p, gas, pair), rtol=1e-13, atol=0)
+
     @pytest.mark.parametrize("alpha", [0.02, 1.0])
-    def test_step_too_large_from_one_fast_path(self, alpha):
+    def test_one_fast_path_does_not_stop_a_step(self, alpha):
+        # rate * delta = 0.2 at one path: the step still thins against it
         pair, gas = _pair_and_gas(alpha)
         thermal = np.sqrt(pair.brownian_mass * gas.kT)
         p = np.random.default_rng(5).normal(0.0, thermal, 1000)
         p[123] = -8 * thermal
-        bound = 0.1 / float(tr.collision_rate(p[123], gas, pair))
+        delta = 0.2 / float(tr.collision_rate(p[123], gas, pair))
+        mask, *ref = _full_rate_draw(p, gas, pair, delta, np.random.default_rng(6))
+        hit, *got = tr._draw_collisions(p, gas, pair, delta, np.random.default_rng(6))
+        np.testing.assert_array_equal(hit, np.flatnonzero(mask))
+        for a, b in zip(got, ref):
+            assert a.tobytes() == b.tobytes()
+        x, _ = tr.step_ensemble(np.zeros_like(p), p, gas, pair, delta,
+                                np.random.default_rng(6))
+        assert np.all(np.isfinite(x))
+
+
+def _no_step(*args):
+    raise AssertionError("a step was taken")
+
+
+@pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
+class TestStepCheck:
+    @pytest.mark.parametrize("alpha", [0.02, 1.0, 5.0])
+    def test_thermal_law_rate_checked_before_any_step(self, alpha, monkeypatch):
+        # the thermal-law rate as the thermal mean of the rate, by quadrature
+        pair, gas = _pair_and_gas(alpha)
+        thermal = np.sqrt(pair.brownian_mass * gas.kT)
+        rate = integrate.quad(
+            lambda p: float(tr.collision_rate(p, gas, pair)) * stats.norm.pdf(p, 0, thermal),
+            -12 * thermal, 12 * thermal, epsabs=0, epsrel=1e-12)[0]
+        edge = 0.1 / rate
+        p0 = np.zeros(50)   # rate(0) lies below the thermal-law rate
+        tr.run(p0, p0, gas, pair, edge * (1 - 1e-6), edge * (1 - 1e-6), seed=1)
+        tr.excess_position_msd(50, gas, pair, edge * (1 - 1e-6), edge * (1 - 1e-6), 1)
+        monkeypatch.setattr(tr, "step_ensemble", _no_step)
+        monkeypatch.setattr(tr, "_draw_collisions", _no_step)
+        with pytest.raises(StepTooLarge, match="thermal-law"):
+            tr.run(p0, p0, gas, pair, 10 * edge, edge * (1 + 1e-6), seed=1)
+        with pytest.raises(StepTooLarge, match="thermal-law"):
+            tr.excess_position_msd(50, gas, pair, edge * (1 + 1e-6), 10 * edge, 1)
+
+    @pytest.mark.parametrize("alpha", [0.02, 1.0, 5.0])
+    def test_initial_label_rate_checked_before_any_step(self, alpha, monkeypatch):
+        pair, gas = _pair_and_gas(alpha)
+        thermal = np.sqrt(pair.brownian_mass * gas.kT)
+        p = np.random.default_rng(5).normal(0.0, thermal, 1000)
+        p[123] = -8 * thermal
+        edge = 0.1 / float(tr.collision_rate(p[123], gas, pair))
         x = np.zeros_like(p)
-        tr.step_ensemble(x, p, gas, pair, bound * (1 - 1e-6), np.random.default_rng(6))
-        with pytest.raises(StepTooLarge):
-            tr.step_ensemble(x, p, gas, pair, bound * (1 + 1e-6), np.random.default_rng(6))
-        # without the fast path the same step is well inside the bound
-        tr.step_ensemble(x[:123], p[:123], gas, pair, bound * (1 + 1e-6),
-                         np.random.default_rng(6))
+        tr.run(x, p, gas, pair, edge * (1 - 1e-6), edge * (1 - 1e-6), seed=6)
+        monkeypatch.setattr(tr, "step_ensemble", _no_step)
+        with pytest.raises(StepTooLarge, match="initial-label"):
+            tr.run(x, p, gas, pair, 10 * edge, edge * (1 + 1e-6), seed=6)
+        # without the fast path the same step is well inside both bounds
+        monkeypatch.undo()
+        tr.run(x[:123], p[:123], gas, pair, edge * (1 + 1e-6), edge * (1 + 1e-6), seed=6)
+
+    def test_negative_flight_window_raises(self, gas, pair):
+        p = np.zeros(10)
+        with pytest.raises(ValueError, match="gas_flight_window"):
+            tr._draw_collisions(p, gas, pair, 0.5, np.random.default_rng(0), -0.5)
+        with pytest.raises(ValueError, match="gas_flight_window"):
+            tr.step_ensemble(p, p, gas, pair, 0.5, np.random.default_rng(0), -0.5)
+        with pytest.raises(ValueError, match="gas_flight_window"):
+            tr.run(p, p, gas, pair, 1.0, 0.5, seed=0, gas_flight_window=-0.5)
+        with pytest.raises(ValueError, match="gas_flight_window"):
+            tr.excess_position_msd(10, gas, pair, 0.5, 1.0, 0, gas_flight_window=-0.5)
