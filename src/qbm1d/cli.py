@@ -529,7 +529,7 @@ def run_scenario(cfg: ScenarioConfig) -> int:
     try:
         summary, failures = cfg.run()
     except QBM1DError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     summary["tolerance_failures"] = failures
     config = {"kind": cfg.kind, **{f.name: getattr(cfg, f.name) for f in _keys(cfg)}}

@@ -38,6 +38,10 @@ class StepTooLarge(QBM1DError):
     negligible within one coarse step."""
 
 
+class PartnerNotConverged(QBM1DError):
+    """The collision-partner sampler's Newton solve ran out of steps."""
+
+
 class GridMismatch(QBM1DError):
     """Time series to be compared are not on matching time grids."""
 

@@ -4,10 +4,10 @@ Each trajectory is a Gaussian packet of fixed width sigma (matched widths
 keep collisions Gaussian-preserving), carried by its phase-space label
 (x, p).  Per coarse step delta a trajectory collides with probability
 rate(p) * delta; the collision draws a gas momentum from the flux-weighted
-Maxwell-Boltzmann distribution and applies the elastic collision map to the
-labels.  Ensemble averages of the packet moments unravel the master
-equation's expectation values.  One seeded rng stream drives the whole
-ensemble, so a seed fixes every path.
+Maxwell-Boltzmann distribution (Newton on its CDF from a tabulated quantile)
+and applies the elastic collision map to the labels.  Ensemble averages of
+the packet moments unravel the master equation's expectation values.  One
+seeded rng stream drives the whole ensemble, so a seed fixes every path.
 
 The flight offset
 -----------------
@@ -25,13 +25,14 @@ full-rate draw.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import StepTooLarge
+from .errors import PartnerNotConverged, StepTooLarge
 from .exact_collision import collision_time
 from .packets import CollisionPair, classical_collision_map
 from .thermal import ThermalGasSpec, mean_relative_speed
@@ -49,6 +50,7 @@ __all__ = [
 _MAX_STEP_PROBABILITY = 0.1
 _NEWTON_MAX_STEPS = 100
 _SQRT_2PI = np.sqrt(2 * np.pi)
+_KAPPA_MAX = 6.25              # the start table's top kappa node below the kink
 
 
 class ValidityWarning(UserWarning):
@@ -98,10 +100,11 @@ class EnsembleStats:
         standard errors come from sums of squared deviations from the mean
         (two passes), free of the cancellation in s2/n - mean^2."""
         t, n = float(t), x.size
-        q = np.stack([x, p, x * x, x * (2 * p), p * p])
-        mean = q.mean(axis=1)
-        q -= mean[:, None]
-        se = np.sqrt(np.einsum("ij,ij->i", q, q) / (n - 1) / n) if n > 1 else np.full(5, np.nan)
+        mean, se, q, d = [], [], np.empty(n), np.empty(n)
+        for a, b, k in ((x, 1.0, 1), (p, 1.0, 1), (x, x, 1), (x, p, 2), (p, p, 1)):
+            mean.append(k * np.multiply(a, b, out=q).mean())   # {x, p} = 2 x p, exactly
+            np.subtract(q, mean[-1] / k, out=d)
+            se.append(k * np.sqrt(np.dot(d, d) / (n - 1) / n) if n > 1 else np.nan)
         mx, mp, mx2, mxp, mp2 = map(float, mean)
         s2, hb2, spread = pair.brownian_width**2, pair.hbar**2, t / pair.brownian_mass
         return cls(t, n, mx, mp, mx2 + s2 / 2 + hb2 * spread**2 / (2 * s2),
@@ -121,6 +124,27 @@ def _flux_tail(b, z):
     return b * ndtr(z) + phi, phi
 
 
+@functools.cache
+def _quantile_table():
+    """sample_collision_partner's start table by branch, kink and kappa node;
+    the slope is sqrt(2 G_b(b) / phi(b)) at the kink, kappa = 0."""
+    z = 0.05 * np.arange(-500, 501)
+    cdf, pdf, s = ndtr(z), np.exp(-0.5 * z * z) / _SQRT_2PI, np.arange(341)
+    table = np.empty((2, 161, 121))
+    for branch, sgn in enumerate((1, -1)):
+        k = np.minimum(np.arange(340, 661, 2), 500 if sgn < 0 else 660)[:, None]
+        b, k = z[k], k - sgn * s                       # above the kink b <= 0
+        g = b * cdf[k] + pdf[k]
+        m = g[:, :1]                                   # G_b(b), at s = 0
+        kappa = np.sqrt(np.abs(np.log((1 - sgn) * m + sgn * g) - np.log(m)))
+        kink = np.repeat(np.sqrt(2 * m / pdf[k[:, :1]]), s.size, axis=1)
+        slope = np.divide(0.05 * s, kappa, out=kink, where=kappa > 0)
+        top = _KAPPA_MAX if sgn > 0 else np.sqrt(np.abs(np.log1p(-0.5 * b / m)))
+        for row, nodes in enumerate(np.broadcast_to(top * np.linspace(0, 1, 121), (161, 121))):
+            table[branch, row] = np.interp(nodes, kappa[row], slope[row])
+    return table
+
+
 def sample_collision_partner(p, gas: ThermalGasSpec, pair: CollisionPair, rng):
     """Gas momenta from the flux-weighted density ~ mu(p_g) |v_g - v|.
 
@@ -128,7 +152,7 @@ def sample_collision_partner(p, gas: ThermalGasSpec, pair: CollisionPair, rng):
     velocity units z = v_g / sqrt(kT/m_g) the density is |z - z_v| phi(z),
     zero at the kink z_v = v / sqrt(kT/m_g).  Its CDF is closed form:
     G_{z_v}(z) below the kink, 2 G_{z_v}(z_v) - G_{z_v}(z) above it, out of
-    the total G_{z_v}(z_v) + G_{-z_v}(-z_v), with G_b(z) = b Phi(z) + phi(z).
+    the total 2 G_{z_v}(z_v) - z_v, with G_b(z) = b Phi(z) + phi(z).
 
     Mirrored branch: the density is symmetric under (z, z_v) -> (-z, -z_v),
     so for u > 1/2 the draw is minus the (1 - u)-quantile of the density
@@ -136,12 +160,14 @@ def sample_collision_partner(p, gas: ThermalGasSpec, pair: CollisionPair, rng):
     at most half the total, counted from the lower tail, where the closed
     form keeps its relative precision.
 
-    Newton on log F with F' = |z - b| phi(z), started from the quadratic
-    expansion of F at the kink b.  The bracket is [min(b, 0) - 10, b] when
-    the root lies below the kink and [b, max(b, 0) + 1] above it (the median
-    lies there); a step that leaves the closed bracket falls back to
-    bisection.  Each element stops at a step <= 1e-13 (1 + |z|); the target
-    mass is floored at the bracket's lower end, so u = 0 returns that end.
+    Newton on log F with F' = |z - b| phi(z) from a table of the slope
+    |z - b| / kappa, kappa = sqrt|ln(y / G_b(b))|, finite at the kink: b in
+    [-8, 8] by 0.1, 121 kappa nodes to 6.25 below the kink and to the median
+    above it (b < 0), built on the first call from F_b on a z grid of step
+    0.05, read bilinearly and clamped.  A step that leaves the bracket,
+    [min(b, 0) - 10, b] below the kink or [b, max(b, 0) + 1] above, bisects;
+    u = 0 gives its lower end.  Done at a step <= 1e-13 (1 + |z|) or residual
+    <= 1e-13 F (<= 4 steps at thermal alpha <= 1), else PartnerNotConverged.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     su = np.sqrt(gas.kT / gas.gas_mass)
@@ -149,30 +175,39 @@ def sample_collision_partner(p, gas: ThermalGasSpec, pair: CollisionPair, rng):
     u = rng.random(p.size)
     mirror = np.where(u > 0.5, -1.0, 1.0)
     b = mirror * zv
-    m, phi_b = _flux_tail(b, b)                        # mass below the kink
-    y = np.minimum(u, 1.0 - u) * (m + _flux_tail(-b, -b)[0])
+    m = b * ndtr(b) + np.exp(-0.5 * b * b) / _SQRT_2PI   # mass below the kink
+    y = np.maximum(np.minimum(u, 1.0 - u) * (2 * m - b), 1e-300)
     # F = c + sgn G_b: G_b below the kink, 2 m - G_b above it
     sgn = np.where(y > m, -1.0, 1.0)
     c = (1.0 - sgn) * m
     lo = np.where(sgn < 0, b, np.minimum(b, 0.0) - 10.0)
     hi = np.where(sgn < 0, np.maximum(b, 0.0) + 1.0, b)
-    f_lo = c + sgn * _flux_tail(b, lo)[0]
-    y = np.maximum(y, f_lo)
-    z = np.clip(b - sgn * np.sqrt(2 * np.abs(y - m) / np.maximum(phi_b, 1e-300)), lo, hi)
     log_y = np.log(y)
+    kappa = np.sqrt(np.abs(log_y - np.log(m)))
+    # kappa is read in units of the top node, above the kink kappa at the median m - b/2
+    top = np.where(sgn < 0, np.sqrt(np.maximum(np.log1p(-0.5 * b / m), 1e-300)), _KAPPA_MAX)
+    _, n_b, n_t = _quantile_table().shape
+    fb = np.clip((b + 8.0) * 10.0, 0.0, n_b - 1.000001)
+    ft = np.clip(kappa / top * (n_t - 1), 0.0, n_t - 1.000001)
+    i, j = fb.astype(np.intp), ft.astype(np.intp)
+    k, wt, flat = ((sgn < 0) * n_b + i) * n_t + j, ft - j, _quantile_table().ravel()
+    near, far = ((1 - wt) * flat[k + d] + wt * flat[k + d + 1] for d in (0, n_t))
+    z = np.clip(b - sgn * kappa * (near + (fb - i) * (far - near)), lo, hi)
     for _ in range(_NEWTON_MAX_STEPS):
         g, phi = _flux_tail(b, z)
         f = c + sgn * g
         low = f < y
-        lo = np.where(low, z, lo)
-        hi = np.where(low, hi, z)
-        # F' vanishes at the kink; the guard keeps the step finite there
+        lo, hi = np.where(low, z, lo), np.where(low, hi, z)
+        # F' vanishes at the kink: the guard keeps the step finite, and a residual
+        # of 1e-13 F ends steps that the rounding of F over F' would keep cycling
         new = z + (log_y - np.log(f)) * f / (np.abs(z - b) * phi + 1e-300)
         new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
-        done = np.abs(new - z) <= 1e-13 * (1.0 + np.abs(new))
+        done = (np.abs(new - z) <= 1e-13 * (1.0 + np.abs(new))) | (np.abs(f - y) <= 1e-13 * f)
         z = new
         if done.all():
             break
+    else:
+        raise PartnerNotConverged(f"partner draws not done in {_NEWTON_MAX_STEPS} Newton steps")
     return gas.gas_mass * su * mirror * z
 
 
@@ -203,7 +238,7 @@ def _draw_collisions(p, gas: ThermalGasSpec, pair: CollisionPair, delta: float,
     """
     if gas_flight_window < 0:
         raise ValueError("gas_flight_window must be >= 0")
-    bound = float(collision_rate(np.max(np.abs(p)), gas, pair) * delta)
+    bound = float(collision_rate(max(p.max(), -p.min()), gas, pair) * delta)
     u = rng.random(p.size)
     cand = np.flatnonzero(u < bound * (1 + 1e-9))
     hit = cand[u[cand] < collision_rate(p[cand], gas, pair) * delta]
@@ -229,7 +264,8 @@ def step_ensemble(x, p, gas: ThermalGasSpec, pair: CollisionPair, delta: float,
     xh = x[hit] + ph / pair.brownian_mass * tau          # drift to contact
     x_g_label = xh - (p_g / pair.gas_mass) * eta          # unresolved flight
     _, _, x_out, p_out = classical_collision_map(pair, x_g_label, p_g, xh, ph)
-    x = x + p / pair.brownian_mass * delta               # the hits are overwritten
+    v = p / pair.brownian_mass                           # x + v delta, the hits
+    x = np.add(x, np.multiply(v, delta, out=v), out=v)   # are overwritten
     x[hit] = x_out + p_out / pair.brownian_mass * (delta - tau)
     p = p.copy()
     p[hit] = p_out

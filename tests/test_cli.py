@@ -126,6 +126,15 @@ def test_thermal_law_step_too_large_exits_before_any_step(kind, tmp_path, capsys
     assert not (tmp_path / "summary.json").exists()
 
 
+@pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
+def test_unconverged_partner_draw_exits_2_and_names_the_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(trajectories, "_NEWTON_MAX_STEPS", 1)
+    ini = _write_ini(tmp_path / "c.ini", SMOKE["trajectories"])
+    assert cli.main(["trajectories", str(ini), "--out-dir", str(tmp_path)]) == 2
+    assert "PartnerNotConverged" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_delta_scan_rare_fast_path_passes(tmp_path):
     # at seed 14 one of the 2e4 thermal paths reached rate * delta = 0.106 at
     # delta = 1, which stopped the scan while the step check read the

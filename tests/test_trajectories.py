@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -7,7 +10,7 @@ from scipy import integrate, stats
 from scipy.special import ndtr
 
 from qbm1d import trajectories as tr
-from qbm1d.errors import StepTooLarge
+from qbm1d.errors import PartnerNotConverged, StepTooLarge
 from qbm1d.packets import CollisionPair, classical_collision_map
 from qbm1d.thermal import ThermalGasSpec
 
@@ -139,30 +142,74 @@ class TestCollisionPartner:
 
     def test_matches_bisection_oracle(self):
         pair, gas = _pair_and_gas(1.0)   # z = p_g and z_v = p
-        cases = [(zv, u) for zv in (0.0, 0.14, -0.14, 1.0, -1.0, 4.0, -4.0, 8.0, 12.0)
-                 for u in (0.0, 1e-16, 1.0 - 2.0**-53)]
+        # kinks inside the start table and beyond its edge at |z_v| = 8
+        cases = [(zv, u) for zv in (0.0, 0.14, -0.14, 1.0, -1.0, 4.0, -4.0, 8.0, 12.0,
+                                    -12.0, 9.0, -9.0, 20.0, -20.0)
+                 for u in (0.0, 1e-300, 1e-16, 1.0 - 2.0**-53)]
         for zv in (0.0, 0.14, -0.14, 1.0, -1.0, 4.0, -4.0):
             # 0.1 % of the branch mass either side of the kink, where the
             # density vanishes; nearer than that the quantile of a double u is
             # ill-conditioned beyond 1e-12
             q = _partner_cdf(zv, zv, gas, pair)
             cases += [(zv, q * (1 - 1e-3)), (zv, q + (1 - q) * 1e-3)]
+        # a root 6e-4 below the kink, where F' ~ 2e-4: a step rule alone cycled
+        # between two iterates 2e-13 apart, the rounding of F over F'
+        cases.append((-0.505228735614018, 0.21856835507968375))
         zv, u = np.array(cases).T
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
             z = tr.sample_collision_partner(zv, gas, pair, _FixedUniforms(u))
-        np.testing.assert_allclose(z, _bisect_quantile(zv, u), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(z, _bisect_quantile(zv, u), rtol=0, atol=1e-12)
+            # thermal kinks: z_v = v / sqrt(kT/m_g) is normal with variance alpha
+            for alpha in (0.02, 0.3, 1.0, 5.0):
+                zv = np.random.default_rng(11).normal(0.0, np.sqrt(alpha), 10000)
+                rng, ref = np.random.default_rng(12), np.random.default_rng(12)
+                z = tr.sample_collision_partner(zv, gas, pair, rng)
+                u = ref.random(zv.size)                   # one uniform per draw
+                assert rng.bit_generator.state == ref.bit_generator.state
+                np.testing.assert_allclose(z, _bisect_quantile(zv, u), rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("alpha,worst", [(0.02, 7), (1.0, 9)])
-    def test_newton_iterations_on_thermal_inputs(self, alpha, worst, monkeypatch):
-        # the set-up evaluates _flux_tail three times, each iteration once
+    @pytest.mark.parametrize("alpha,untabled", [(0.02, 7), (0.3, 8), (1.0, 9), (5.0, 9)])
+    def test_newton_iterations_on_thermal_inputs(self, alpha, untabled, monkeypatch):
+        # the set-up evaluates no _flux_tail (nor does the start table), each
+        # iteration one.  ``untabled`` is the worst count from the start at the
+        # kink's quadratic expansion; the table needs at most 4 at alpha <= 1
+        # and, with kinks beyond its edge, no more than before at alpha = 5
+        worst = 4 if alpha <= 1 else untabled
         calls = []
         flux_tail = tr._flux_tail
         monkeypatch.setattr(tr, "_flux_tail", lambda b, z: calls.append(1) or flux_tail(b, z))
         pair, gas = _pair_and_gas(alpha)
         p = np.random.default_rng(3).normal(0.0, np.sqrt(pair.brownian_mass * gas.kT), 20000)
         tr.sample_collision_partner(p, gas, pair, np.random.default_rng(4))
-        assert len(calls) - 3 <= worst
+        assert len(calls) <= worst
+
+    def test_unconverged_draw_raises(self, gas, pair, monkeypatch):
+        monkeypatch.setattr(tr, "_NEWTON_MAX_STEPS", 1)
+        with pytest.raises(PartnerNotConverged, match="1 Newton steps"):
+            tr.sample_collision_partner(np.linspace(-3.0, 3.0, 50), gas, pair,
+                                        np.random.default_rng(0))
+
+    def test_start_table_is_built_on_the_first_draw(self):
+        code = ("from qbm1d import trajectories as tr; import numpy as np; "
+                "from qbm1d.packets import CollisionPair; "
+                "from qbm1d.thermal import ThermalGasSpec; "
+                "pair = CollisionPair.matched(1.0, 0.3, 2.0); "
+                "gas = ThermalGasSpec(1.0, 0.02, pair.gas_mass, pair.gas_width); "
+                "print(tr._quantile_table.cache_info().currsize); "
+                "tr.sample_collision_partner(np.zeros(3), gas, pair, np.random.default_rng(0)); "
+                "tr.sample_collision_partner(np.ones(3), gas, pair, np.random.default_rng(1)); "
+                "print(tr._quantile_table.cache_info())")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True).stdout.split("\n")
+        assert out[0] == "0"
+        assert "misses=1," in out[1]   # built once, then reused
+
+    def test_start_table_is_finite_and_small(self):
+        table = tr._quantile_table()
+        assert table.shape == (2, 161, 121) and table.nbytes < 2**20
+        assert np.all(np.isfinite(table)) and np.all(table > 0)
 
 
 class TestRun:
