@@ -175,17 +175,17 @@ def sample_collision_partner(p, gas: ThermalGasSpec, pair: CollisionPair, rng):
     u = rng.random(p.size)
     mirror = np.where(u > 0.5, -1.0, 1.0)
     b = mirror * zv
-    m = b * ndtr(b) + np.exp(-0.5 * b * b) / _SQRT_2PI   # mass below the kink
+    m = _flux_tail(b, b)[0]                              # mass below the kink
     y = np.maximum(np.minimum(u, 1.0 - u) * (2 * m - b), 1e-300)
     # F = c + sgn G_b: G_b below the kink, 2 m - G_b above it
     sgn = np.where(y > m, -1.0, 1.0)
     c = (1.0 - sgn) * m
     lo = np.where(sgn < 0, b, np.minimum(b, 0.0) - 10.0)
     hi = np.where(sgn < 0, np.maximum(b, 0.0) + 1.0, b)
-    log_y = np.log(y)
-    kappa = np.sqrt(np.abs(log_y - np.log(m)))
-    # kappa is read in units of the top node, above the kink kappa at the median m - b/2
-    top = np.where(sgn < 0, np.sqrt(np.maximum(np.log1p(-0.5 * b / m), 1e-300)), _KAPPA_MAX)
+    # kappa in top-node units (above the kink: at the median m - b/2), m floored for b < -38
+    log_y, mf = np.log(y), np.maximum(m, 1e-300)
+    kappa = np.sqrt(np.abs(log_y - np.log(mf)))
+    top = np.where(sgn < 0, np.sqrt(np.maximum(np.log1p(-0.5 * b / mf), 1e-300)), _KAPPA_MAX)
     _, n_b, n_t = _quantile_table().shape
     fb = np.clip((b + 8.0) * 10.0, 0.0, n_b - 1.000001)
     ft = np.clip(kappa / top * (n_t - 1), 0.0, n_t - 1.000001)

@@ -135,6 +135,17 @@ def test_unconverged_partner_draw_exits_2_and_names_the_error(tmp_path, capsys, 
     assert not (tmp_path / "summary.json").exists()
 
 
+@pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
+def test_cold_gas_partner_draws_at_underflowing_kinks(tmp_path):
+    # at T = 1e-4 every path has z_v = 42: the mass below the mirrored kink
+    # -42 underflows to 0, where the start table's coordinates need a floor
+    ini = _write_ini(tmp_path / "c.ini", {"temperature": 1e-4, "p0": 3.0, "n_traj": 2000,
+                                          "horizon": 20.0})
+    assert cli.main(["trajectories", str(ini), "--out-dir", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["tolerance_failures"] == []
+
+
 def test_delta_scan_rare_fast_path_passes(tmp_path):
     # at seed 14 one of the 2e4 thermal paths reached rate * delta = 0.106 at
     # delta = 1, which stopped the scan while the step check read the

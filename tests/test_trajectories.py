@@ -168,11 +168,19 @@ class TestCollisionPartner:
                 u = ref.random(zv.size)                   # one uniform per draw
                 assert rng.bit_generator.state == ref.bit_generator.state
                 np.testing.assert_allclose(z, _bisect_quantile(zv, u), rtol=0, atol=1e-12)
+        # kinks where the mass below a kink b < -38 underflows to 0 (and phi
+        # with it, hence under="ignore"): the uniforms of a cold run
+        u = np.concatenate([np.random.default_rng(13).random(2000), [1e-16, 1.0 - 2.0**-53]])
+        with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+            warnings.simplefilter("error")
+            for zv in np.full((4, u.size), [[38.0], [-38.0], [40.0], [-40.0]]):
+                z = tr.sample_collision_partner(zv, gas, pair, _FixedUniforms(u))
+                np.testing.assert_allclose(z, _bisect_quantile(zv, u), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("alpha,untabled", [(0.02, 7), (0.3, 8), (1.0, 9), (5.0, 9)])
     def test_newton_iterations_on_thermal_inputs(self, alpha, untabled, monkeypatch):
-        # the set-up evaluates no _flux_tail (nor does the start table), each
-        # iteration one.  ``untabled`` is the worst count from the start at the
+        # the set-up evaluates _flux_tail once (the start table none), each
+        # iteration once.  ``untabled`` is the worst count from the start at the
         # kink's quadratic expansion; the table needs at most 4 at alpha <= 1
         # and, with kinks beyond its edge, no more than before at alpha = 5
         worst = 4 if alpha <= 1 else untabled
@@ -182,7 +190,7 @@ class TestCollisionPartner:
         pair, gas = _pair_and_gas(alpha)
         p = np.random.default_rng(3).normal(0.0, np.sqrt(pair.brownian_mass * gas.kT), 20000)
         tr.sample_collision_partner(p, gas, pair, np.random.default_rng(4))
-        assert len(calls) <= worst
+        assert len(calls) - 1 <= worst
 
     def test_unconverged_draw_raises(self, gas, pair, monkeypatch):
         monkeypatch.setattr(tr, "_NEWTON_MAX_STEPS", 1)
