@@ -187,9 +187,10 @@ class _Marginals(ScenarioConfig):
     n_p: int = _count(241)
     momentum_grid_n: int = _count(1024)  # ignored; the momentum marginal needs no grid
 
-    def _write_marginals(self, t_c, position, momentum):
-        """The table times, and the position and momentum marginal CSVs;
-        ``position(t, xs)`` and ``momentum(t, ps)`` give the densities."""
+    def _write_marginals(self, t_c, position, momentum, rule_nodes):
+        """The table times, the position and momentum marginal CSVs, and the
+        ``numerics`` block; ``position(t, xs)`` and ``momentum(t, ps)`` give
+        the densities, ``rule_nodes(t, ps)`` the momentum rule's node count."""
         times = np.linspace(0.0, self.t_max_collision_units * t_c, self.n_times)
         xs = np.linspace(self.x_lo, self.x_hi, self.n_x)
         ps = np.linspace(self.p_lo, self.p_hi, self.n_p)
@@ -200,7 +201,8 @@ class _Marginals(ScenarioConfig):
         out = self.out_dir
         return times, [
             emit_csv(out / "position_marginal.csv", ["t", "x_prime", "density"], pos_rows),
-            emit_csv(out / "momentum_marginal.csv", ["t", "p_prime", "density"], mom_rows)]
+            emit_csv(out / "momentum_marginal.csv", ["t", "p_prime", "density"], mom_rows)
+        ], {"momentum_rule_nodes": [rule_nodes(t, ps) for t in times]}
 
 
 def emit_csv(path, header, rows):
@@ -233,16 +235,17 @@ class Fig1Config(_ComFrame, _Marginals):
         pair = self.pair
         init = ec.com_condition(pair, self.x, self.p)
         t_c = ec.collision_time(pair, init.p_g)
-        times, files = self._write_marginals(
+        times, files, numerics = self._write_marginals(
             t_c, lambda t, xs: ec.position_marginal(pair, init, t, xs),
-            lambda t, ps: ec.momentum_marginal(pair, init, t, ps))
+            lambda t, ps: ec.momentum_marginal(pair, init, t, ps),
+            lambda t, ps: ec.momentum_rule_nodes(pair, init, t, ps))
         mean_rows = [(float(t), ec.brownian_momentum_mean(pair, init, t)) for t in times]
         files.append(emit_csv(self.out_dir / "momentum_mean.csv", ["t", "mean_p"], mean_rows))
         widths = np.hypot(pair.gas_width, pair.brownian_width)
-        return {"collision_time": t_c, "outputs": [f.name for f in files], "diagnostics": {
-            "overlap_ratio": abs(init.x_g - init.x) / float(widths),
-            "momentum_ratio": abs(init.p_g) * pair.gas_width
-            * float(np.sqrt(1 + pair.alpha)) / pair.hbar}}, []
+        return {"collision_time": t_c, "outputs": [f.name for f in files], "numerics": numerics,
+                "diagnostics": {"overlap_ratio": abs(init.x_g - init.x) / float(widths),
+                                "momentum_ratio": abs(init.p_g) * pair.gas_width
+                                * float(np.sqrt(1 + pair.alpha)) / pair.hbar}}, []
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -273,13 +276,15 @@ class CollideConfig(_Gas, _Marginals):
         lab = ec.LabFrameCollision(pair, self.gas_x, self.gas_p, self.x, self.p)
         init = lab.com_init
         t_c = ec.collision_time(pair, init.p_g)
-        _, files = self._write_marginals(t_c, lab.position_marginal, lab.momentum_marginal)
+        _, files, numerics = self._write_marginals(
+            t_c, lab.position_marginal, lab.momentum_marginal,
+            lambda t, ps: ec.momentum_rule_nodes(pair, init, t, lab.com_momentum(ps)))
         fid_times = self.fidelity_times or [float(v) for v in np.linspace(0.0, 5 * t_c, 11)]
         fid_rows = [(float(t), ec.outgoing_fidelity(pair, init, t)) for t in fid_times]
         files.append(emit_csv(self.out_dir / "fidelity.csv", ["t", "outgoing_fidelity"],
                               fid_rows))
         report = ec.validity_report(pair, init, self.gas, self.delta)
-        return {"collision_time": t_c, "outputs": [f.name for f in files],
+        return {"collision_time": t_c, "outputs": [f.name for f in files], "numerics": numerics,
                 "com_condition": {"x_g": init.x_g, "p_g": init.p_g, "x": init.x, "p": init.p,
                                   "reflection": lab.reflection, "com_offset": lab.com_offset,
                                   "boost_velocity": lab.boost_velocity},

@@ -24,9 +24,10 @@ function), gives the norm, the mean position and momenta and the overlap
 with the outgoing product state in closed form.  Prefactor logarithms are
 folded into its exponent, which keeps it finite at separations of many
 widths.  The position marginal is a sum of four complementary error
-functions in x_g'.  The momentum marginal has no closed form in x_g': the
-transform over x' is exact (the same Faddeeva kernel) and one composite
-Gauss-Legendre rule in x_g' serves all p' at once.
+functions in x_g'.  The momentum marginal is a Gaussian smoothing of |D~|^2,
+D~ the transform of D (two more half-line terms) over the momentum q
+conjugate to d, by one composite Gauss-Legendre rule in q that all p'
+share; the transform of U only contributes the time-independent Gaussian.
 
 Conventions
 -----------
@@ -70,6 +71,7 @@ __all__ = [
     "position_marginal",
     "momentum_marginal",
     "momentum_marginal_profile",
+    "momentum_rule_nodes",
     "outgoing_fidelity",
     "ldht_number",
     "validity_report",
@@ -153,43 +155,6 @@ def wavefunction(pair: CollisionPair, init: COMInitialCondition, t: float, x_g_p
     log_env = -(xb**2 + a * xg**2) / (2 * st) + m0
     out = pref * (np.exp(log_env + d * G) - np.exp(log_env - d * G))
     return np.where(d > 0, out, 0.0)
-
-
-# composite Gauss-Legendre rule of the momentum marginal: nodes per panel, gas
-# position stds covered around each packet, nodes per resolved length, and
-# the most (p', x_g') elements evaluated at once
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_N_STD = 8.0
-_PER_SCALE = 4.0
-_BLOCK = 1 << 18
-
-
-def _gas_nodes(pair: CollisionPair, init: COMInitialCondition, t: float):
-    """(x_g', weight) of a composite Gauss-Legendre rule over the gas packets.
-
-    The incoming and the reflected gas packet sit at -+c/alpha, c the free
-    Brownian centre, with one position std; the rule covers _N_STD stds
-    around each, past which a Gaussian keeps 1e-15 of its mass.  At fixed p'
-    the density in x_g' varies on the scale of that std and oscillates no
-    faster than the total-momentum spread hbar sqrt(1+alpha)/(sqrt(2) sigma)
-    allows, so the node spacing resolves both lengths.
-    """
-    a = pair.alpha
-    s = pair.brownian_width
-    std = abs(s**2 + 1j * pair.hbar * t / pair.brownian_mass) / (s * np.sqrt(2.0 * a))
-    gc = abs(init.x + init.p * t / pair.brownian_mass) / a
-    half = _N_STD * std
-    spans = ([(-gc - half, gc + half)] if gc < half
-             else [(-gc - half, -gc + half), (gc - half, gc + half)])
-    panel = _GL_NODES.size * min(std, s / np.sqrt(1 + a)) / _PER_SCALE
-    xs, ws = [], []
-    for lo, hi in spans:
-        n = math.ceil((hi - lo) / panel)
-        h = (hi - lo) / (2 * n)
-        mids = lo + h * (2 * np.arange(n) + 1)
-        xs.append((mids[:, None] + h * _GL_NODES).ravel())
-        ws.append(np.tile(h * _GL_WEIGHTS, n))
-    return np.concatenate(xs), np.concatenate(ws)
 
 
 # ---------------------------------------------------------------------------
@@ -318,30 +283,77 @@ position_marginal_erf = position_marginal  # former name; the benchmark's accura
 position_marginal_profile_grid = position_marginal  # former name; the benchmark's tracer wraps it
 
 
-def momentum_marginal(pair: CollisionPair, init: COMInitialCondition, t: float, p_prime):
-    """Brownian momentum density at p':  integral dx_g' |F(x_g', p')|^2.
+# q rule of the momentum marginal: nodes per Gauss-Legendre panel; Gaussian
+# stds each p' sums over; |D|^2 stds its reach adds to its centre; the wall
+# distance r, in those stds, below which the spacing follows the reach (the
+# packet's amplitude at the wall, exp(-r^2/4) of its peak, is below rounding
+# from r = 12 on; a rule blind to the wall was off by 1e-9 of the peak
+# density at r = 7.4, by 3e-13 at r = 9.8); the most (p', q) pairs at once
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_N_G, _N_STD, _WALL_R, _BLOCK = 9.0, 8.0, 12.0, 1 << 18
 
-    F is the Fourier transform of psi over x' > x_g' (the wall keeps the
-    lower half empty), exact in terms of the Faddeeva function; the x_g'
-    integral is the Gauss-Legendre rule of ``_gas_nodes``, shared by every
-    p'.  Vectorized over ``p_prime``; returns a float for a scalar.
+
+def _q_rule(pair: CollisionPair, G, A, ps):
+    """(g, q, w, start, width) of the q rule for the 1-D momenta ``ps``: the
+    Gaussian std, the nodes and weights of the union of the panels the p'
+    sum, and per p' the index in q of the first of its ``width`` nodes.
+    |D|^2 is a Gaussian in d of centre |Re G|/A and std 1/sqrt(2A)
+    (``_factorized``), r stds from the wall."""
+    a, hb, s = pair.alpha, pair.hbar, pair.brownian_width
+    g = hb / (s * math.sqrt(2 * (1 + a)))
+    h = min(hb * math.sqrt(a / (2 * (1 + a))) / s, g) / 4
+    r = abs(G.real) * math.sqrt(2 / A)
+    if r < _WALL_R:
+        h = min(h, hb * math.sqrt(2 * A) / (r + _N_STD))
+    H = _GL_NODES.size * h
+    n = math.ceil(2 * _N_G * g / H) + 1
+    k0 = np.floor((ps - _N_G * g) / H).astype(np.int64)
+    panels = np.unique(k0[:, None] + np.arange(n))
+    q = ((panels[:, None] + 0.5 * (_GL_NODES + 1)) * H).ravel()
+    w = np.tile(0.5 * H * _GL_WEIGHTS, panels.size)
+    return g, q, w, np.searchsorted(panels, k0) * _GL_NODES.size, n * _GL_NODES.size
+
+
+def momentum_rule_nodes(pair: CollisionPair, init: COMInitialCondition, t: float, p_prime):
+    """Number of q nodes ``momentum_marginal`` evaluates for ``p_prime``."""
+    _, G, _, A, _ = _factorized(pair, init, t)
+    return _q_rule(pair, G, A, np.ravel(p_prime))[1].size
+
+
+def momentum_marginal(pair: CollisionPair, init: COMInitialCondition, t: float, p_prime):
+    """Brownian momentum density at p', from psi = C U(u) D(d).
+
+    The momenta conjugate to u and d are P = p' + p_g' and q = (alpha p' -
+    p_g')/(1+alpha), so psi~ = C U~(P) D~(q), with |U~(P)|^2 ~ exp(-sigma^2
+    P^2 / ((1+alpha) hbar^2)) at every t.  At fixed p', P = (1+alpha)(p' - q):
+
+        n(p') = |s_t| / (2 pi hbar^2) int dq exp(-(p' - q)^2 / 2 g^2) |D~(q)|^2,
+
+    g = hbar / (sigma sqrt(2 (1+alpha))).  D~ is two half-line transforms,
+    evaluated once per q node for all p'; a (p', node) pair costs one exp.
+    16-node Gauss-Legendre panels sit on an absolute lattice, and each p'
+    sums those within p' +- 9 g, so no density depends on the other momenta
+    asked for.  The node spacing is min(q_std, g)/4, q_std = hbar sqrt(alpha
+    / (2 (1+alpha))) / sigma the width of |D~|^2 of a packet clear of the
+    wall.  Near the wall, wall and packet interfere and |D~|^2 varies on the
+    scale hbar/reach, reach the centre of |D|^2 plus 8 of its stds, which
+    then caps the spacing.  Vectorized over ``p_prime``; returns a float for
+    a scalar.
     """
-    _check_com(pair, init)
-    a = pair.alpha
-    st, G, pref, m0 = _core(pair, init, t)
-    xg, w = _gas_nodes(pair, init, t)
-    A = 1.0 / (2 * st)
-    base = -a * xg**2 / (2 * st) + m0
+    st, G, log_c, A, _ = _factorized(pair, init, t)
     ps = np.asarray(p_prime, dtype=float)
     flat = ps.ravel()
+    g, q, w, start, width = _q_rule(pair, G, A, flat)
+    a_d, k = pair.alpha / (2 * (1 + pair.alpha) * st), 1j * q / pair.hbar
+    f = w * np.abs(_halfline_upper(a_d, G - k, 0.0, log_c)
+                   - _halfline_upper(a_d, -G - k, 0.0, log_c)) ** 2
     out = np.empty(flat.size)
-    rows = max(1, _BLOCK // xg.size)
+    rows = max(1, _BLOCK // width)
     for i in range(0, flat.size, rows):
-        k = 1j * flat[i:i + rows, None] / pair.hbar
-        F = (_halfline_upper(A, G - k, xg, base - G * xg)
-             - _halfline_upper(A, -G - k, xg, base + G * xg))
-        out[i:i + rows] = np.abs(F) ** 2 @ w
-    out = (abs(pref) ** 2 / (2 * np.pi * pair.hbar) * out).reshape(ps.shape)
+        idx = start[i:i + rows, None] + np.arange(width)
+        gauss = np.exp(-(flat[i:i + rows, None] - q[idx]) ** 2 / (2 * g**2))
+        out[i:i + rows] = np.sum(gauss * f[idx], axis=1)
+    out = (abs(st) / (2 * np.pi * pair.hbar**2) * out).reshape(ps.shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -459,11 +471,14 @@ class LabFrameCollision:
         return position_marginal(self.pair, self.com_init, t,
                                  self.reflection * (np.asarray(x_prime, dtype=float) - shift))
 
+    def com_momentum(self, p_prime):
+        """COM-frame Brownian momenta of the lab-frame momenta ``p_prime``."""
+        shift = self.pair.brownian_mass * self.boost_velocity
+        return self.reflection * (np.asarray(p_prime, dtype=float) - shift)
+
     def momentum_marginal(self, t: float, p_prime):
         """Brownian momentum density in the lab frame at time t."""
-        shift = self.pair.brownian_mass * self.boost_velocity
-        return momentum_marginal(self.pair, self.com_init, t,
-                                 self.reflection * (np.asarray(p_prime, dtype=float) - shift))
+        return momentum_marginal(self.pair, self.com_init, t, self.com_momentum(p_prime))
 
     def brownian_momentum_mean(self, t: float) -> float:
         s = self.reflection

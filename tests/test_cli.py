@@ -84,6 +84,18 @@ def test_fig1_far_apart_packets(cfg, tmp_path):
         assert table.size and np.all(np.isfinite(table)), name
 
 
+@pytest.mark.parametrize("kind", ["fig1", "collide"])
+def test_summary_reports_momentum_rule_nodes(kind, tmp_path):
+    # one q-node count per table time, each a whole number of 16-node panels
+    ini = _write_ini(tmp_path / f"{kind}.ini", {**SMOKE[kind], "n_times": 3})
+    assert cli.main([kind, str(ini), "--out-dir", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    nodes = summary["numerics"]["momentum_rule_nodes"]
+    table = np.loadtxt(tmp_path / "momentum_marginal.csv", delimiter=",", skiprows=1)
+    assert len(nodes) == np.unique(table[:, 0]).size == 3
+    assert all(isinstance(n, int) and n > 0 and n % 16 == 0 for n in nodes)
+
+
 @pytest.mark.parametrize("labels,field", [
     ({"gas_x": -10.0, "gas_p": -1.0, "x": 3.0, "p": 1.0}, "scenario.p"),
     ({"gas_x": 10.0, "gas_p": 1.0, "x": 3.0, "p": -1.0}, "scenario.p"),

@@ -145,6 +145,57 @@ def _quad_momentum_marginal(pair, init, t, p_prime):
     return val
 
 
+# the x_g' rule, the former production route of the momentum marginal: gas
+# position stds covered around each packet, nodes per resolved length, and
+# the most (p', x_g') elements evaluated at once
+_N_STD = 8.0
+_PER_SCALE = 4.0
+_BLOCK = 1 << 18
+
+
+def _gas_nodes(pair, init, t):
+    """(x_g', weight) of a composite Gauss-Legendre rule over the gas packets.
+
+    The incoming and the reflected gas packet sit at -+c/alpha, c the free
+    Brownian centre, with one position std; the rule covers _N_STD stds
+    around each, past which a Gaussian keeps 1e-15 of its mass.  At fixed p'
+    the density in x_g' varies on the scale of that std and oscillates no
+    faster than the total-momentum spread hbar sqrt(1+alpha)/(sqrt(2) sigma)
+    allows, so the node spacing resolves both lengths.
+    """
+    a = pair.alpha
+    s = pair.brownian_width
+    std = abs(s**2 + 1j * pair.hbar * t / pair.brownian_mass) / (s * np.sqrt(2.0 * a))
+    gc = abs(init.x + init.p * t / pair.brownian_mass) / a
+    half = _N_STD * std
+    spans = ([(-gc - half, gc + half)] if gc < half
+             else [(-gc - half, -gc + half), (gc - half, gc + half)])
+    xs, ws = [], []
+    for lo, hi in spans:
+        x, w = _gl_rule(lo, hi, 16 * min(std, s / np.sqrt(1 + a)) / _PER_SCALE)
+        xs.append(x)
+        ws.append(w)
+    return np.concatenate(xs), np.concatenate(ws)
+
+
+def _xg_rule_momentum_marginal(pair, init, t, ps):
+    """Momentum density as the x_g' integral of |F(x_g', p')|^2, F the exact
+    half-line transform of psi over x' > x_g', on the rule of _gas_nodes."""
+    a = pair.alpha
+    st, G, pref, m0 = ec._core(pair, init, t)
+    xg, w = _gas_nodes(pair, init, t)
+    A = 1.0 / (2 * st)
+    base = -a * xg**2 / (2 * st) + m0
+    out = np.empty(ps.size)
+    rows = max(1, _BLOCK // xg.size)
+    for i in range(0, ps.size, rows):
+        k = 1j * ps[i:i + rows, None] / pair.hbar
+        F = (ec._halfline_upper(A, G - k, xg, base - G * xg)
+             - ec._halfline_upper(A, -G - k, xg, base + G * xg))
+        out[i:i + rows] = np.abs(F) ** 2 @ w
+    return abs(pref) ** 2 / (2 * np.pi * pair.hbar) * out
+
+
 def _gl_rule(lo, hi, panel, n=16):
     """Composite Gauss-Legendre (nodes, weights) on [lo, hi], panels <= panel."""
     k = int(np.ceil((hi - lo) / panel))
@@ -367,6 +418,38 @@ class TestMomentumMarginal:
         nodes, w = _gl_rule(-abs(p) - 12 / sigma, abs(p) + 12 / sigma, 1 / sigma, n=8)
         mean = (ec.momentum_marginal(pair, init, t, nodes) * nodes) @ w
         assert mean == pytest.approx(ec.brownian_momentum_mean(pair, init, t), abs=1e-6)
+
+    @pytest.mark.parametrize("alpha,sigma,x,p,units,n", [
+        *[(*cfg, units, 41) for cfg in MOMENTUM_CONFIGS for units in (0.0, 0.5, 1.0, 1.5, 3.0)],
+        # the quantum regime at the meeting time: p sigma / hbar = 0.3, and 1
+        # with packets 60 widths apart, where a fixed rule over P failed
+        (0.3, 1.0, 5.0, -0.3, 1.0, 11), (0.3, 1.0, 60.0, -1.0, 1.0, 11)])
+    def test_matches_xg_rule(self, alpha, sigma, x, p, units, n):
+        pair = CollisionPair.matched(1.0, alpha, sigma)
+        init = ec.com_condition(pair, x, p)
+        t = units * abs(x / p)
+        ps = np.linspace(-abs(p) - 3 / sigma, abs(p) + 3 / sigma, n)
+        ref = _xg_rule_momentum_marginal(pair, init, t, ps)
+        np.testing.assert_allclose(ec.momentum_marginal(pair, init, t, ps), ref,
+                                   rtol=0, atol=1e-11 * ref.max())
+
+    def test_empty_momenta(self, pair, init):
+        assert ec.momentum_marginal(pair, init, 5.0, np.array([])).shape == (0,)
+        assert ec.momentum_rule_nodes(pair, init, 5.0, []) == 0
+
+    def test_density_independent_of_the_other_momenta(self):
+        # packets 60 widths apart, past the meeting, where the spacing follows
+        # the reach of D: densities of a table, computed alone, bit for bit
+        pair = CollisionPair.matched(1.0, 0.3, 1.0)
+        init = ec.com_condition(pair, 60.0, -2.0)
+        _, G, _, A, _ = ec._factorized(pair, init, 90.0)
+        assert abs(G.real) * np.sqrt(2 / A) < ec._WALL_R
+        ps = np.linspace(-4.0, 4.0, 241)
+        table = ec.momentum_marginal(pair, init, 90.0, ps)
+        alone = [ec.momentum_marginal(pair, init, 90.0, v) for v in ps[::4]]
+        assert np.array_equal(table[::4], alone)
+        assert ec.momentum_rule_nodes(pair, init, 90.0, ps) > ec.momentum_rule_nodes(
+            pair, init, 90.0, ps[:1])
 
     @pytest.mark.parametrize("alpha,sigma,x,p", [(0.3, 4.0, 10.0, -2.0),
                                                  (0.3, 1.0, 60.0, -2.0)])
