@@ -9,11 +9,10 @@ l2-normalized grid vectors.
 
 Closed forms come first: the effect operator is a Gaussian kernel for every
 mass ratio, and the rate operator is diagonal in momentum with a closed-form
-symbol.  The remaining phase-space sums are array operations, not node
-loops: the projection and the completeness check share one blocked coherent
-sum, whose columns ``grid_packets`` builds a block at a time, and
-``apply_collision_channel`` batches its pointer mesh one x_t row at a time,
-with one matrix product and three FFT passes per row.
+symbol.  The projection and the completeness check integrate coherent
+projectors over x in closed form and over p on a Gauss-Legendre rule, in
+one matrix product; ``apply_collision_channel`` batches its pointer mesh
+one x_t row at a time, with one matrix product and three FFT passes per row.
 
 This module certifies algebraic structure on modest grids (N <= 512); the
 trajectory unraveling carries production dynamics.
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.fft import fft, ifft
-from scipy.special import erfcinv
+from scipy.special import erf, erfcinv
 
 from .errors import EmptyRegion, GridTooCoarse, GridTooSmall, NegativeEigenvalueBeyondTolerance
 from .packets import CollisionPair, GaussianPacket
@@ -40,7 +39,6 @@ __all__ = [
     "grid_packet",
     "grid_packets",
     "displace_vector",
-    "displacement_operator",
     "free_evolve_vector",
     "smearing_widths",
     "build_effect_operator",
@@ -110,6 +108,8 @@ class PhaseSpaceMesh:
 
 # largest packet mass that grid_packets lets fall off the grid
 _PACKET_MASS_TOL = 1e-6
+# grid noise in the eigenvalues that operator_sqrt clamps to zero
+_CLAMP_TOL = 1e-6
 
 
 def grid_packets(grid: SpatialGrid, width: float, hbar: float, xs, ps) -> np.ndarray:
@@ -153,12 +153,6 @@ def displace_vector(grid: SpatialGrid, v: np.ndarray, a: float, b: float,
     """
     phase = np.exp(-1j * a * b / (2 * hbar)) * np.exp(1j * b * grid.x / hbar)
     return phase * _shift(grid, v, a)
-
-
-def displacement_operator(grid: SpatialGrid, a: float, b: float,
-                          hbar: float = 1.0) -> np.ndarray:
-    # row j of the displaced identity is the displaced basis vector e_j
-    return displace_vector(grid, np.eye(grid.n), a, b, hbar).T
 
 
 def free_evolve_vector(grid: SpatialGrid, v: np.ndarray, mass: float, t: float,
@@ -212,17 +206,15 @@ def build_effect_operator(pair: CollisionPair, x_t: float, p_t: float,
     return OperatorGrid(mat, grid)
 
 
-def operator_sqrt(op: OperatorGrid, clamp_tol: float = 1e-6) -> OperatorGrid:
-    """Positive square root by Hermitian eigendecomposition.
-
-    Eigenvalues in [-clamp_tol, 0) are grid noise and are clamped to zero;
-    anything lower raises NegativeEigenvalueBeyondTolerance.
-    """
+def operator_sqrt(op: OperatorGrid) -> OperatorGrid:
+    """Positive square root by Hermitian eigendecomposition: eigenvalues in
+    [-_CLAMP_TOL, 0) are clamped to zero, lower ones raise
+    NegativeEigenvalueBeyondTolerance."""
     h = 0.5 * (op.matrix + op.matrix.conj().T)
     ev, U = np.linalg.eigh(h)
-    if ev[0] < -clamp_tol:
+    if ev[0] < -_CLAMP_TOL:
         raise NegativeEigenvalueBeyondTolerance(
-            f"eigenvalue {ev[0]:.3e} below -{clamp_tol:.1e}")
+            f"eigenvalue {ev[0]:.3e} below -{_CLAMP_TOL:.1e}")
     root = (U * np.sqrt(np.clip(ev, 0.0, None))) @ U.conj().T
     return OperatorGrid(root, op.grid)
 
@@ -248,17 +240,18 @@ def build_kraus(pair: CollisionPair, gas_state, x_t: float, p_t: float,
     """Collision Kraus operator: displacement composed with sqrt(effect).
 
     ``sqrt_effect_center`` may carry a cached sqrt of the origin-centered
-    effect operator; displacement covariance supplies every other (x_t, p_t).
-    ``mesh`` has no effect (see build_effect_operator).
+    effect operator; displacement covariance supplies every other (x_t, p_t)
+    as D(da, db) D(x_t, p_t) sqrt(C_0) D(x_t, p_t)^dagger, applied with
+    displace_vector along rows and columns.  ``mesh`` has no effect (see
+    build_effect_operator).
     """
     hb = pair.hbar
     if sqrt_effect_center is None:
         sqrt_effect_center = _sqrt_effect_center(pair, grid)
     da, db = kraus_displacement(pair, gas_state, x_t, p_t)
-    D_shift = displacement_operator(grid, da, db, hb)
-    D_center = displacement_operator(grid, x_t, p_t, hb)
-    root = D_center @ sqrt_effect_center @ D_center.conj().T
-    return OperatorGrid(D_shift @ root, grid)
+    root = displace_vector(grid, sqrt_effect_center.conj(), x_t, p_t, hb).conj()
+    cols = displace_vector(grid, displace_vector(grid, root.T, x_t, p_t, hb), da, db, hb)
+    return OperatorGrid(cols.T, grid)
 
 
 def _state_moments(rho: OperatorGrid, hbar: float):
@@ -352,24 +345,38 @@ def apply_collision_channel(rho: OperatorGrid, pair: CollisionPair, gas_state,
 
 
 # ---------------------------------------------------------------------------
-# coherent phase-space sums and the collision rate
+# coherent phase-space integrals and the collision rate
 # ---------------------------------------------------------------------------
 
-# coherent-sum mesh: nodes per packet width in x and p; momentum half-span
-_SUM_PER_STD = 6.0
+# momentum half-span of the coherent integrals, in packet momentum widths
 _SUM_P_SPAN_STD = 6.0
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
-def _coherent_sum(grid: SpatialGrid, width: float, hbar: float, xs, ps,
-                  cell: float) -> np.ndarray:
-    """cell / (2 pi hbar) * sum_j |x_j, p_j><x_j, p_j| over the nodes (xs, ps),
-    in blocks of 1024 columns that bound the transient memory (~13 MB at N = 256)."""
-    mat = np.zeros((grid.n, grid.n), dtype=complex)
-    for j in range(0, xs.size, 1024):
-        cols = grid_packets(grid, width, hbar, xs[j:j + 1024], ps[j:j + 1024])
-        mat += cols @ cols.conj().T
-    mat *= cell / (2 * np.pi * hbar)
-    return mat
+def _panel_rule(edges, width: float):
+    """(nodes, weights): 16-node Gauss-Legendre panels at most ``width`` wide
+    between consecutive breakpoints ``edges`` (increasing)."""
+    cuts = np.concatenate([edges[:1], *(np.linspace(a, b, int(np.ceil((b - a) / width)) + 1)[1:]
+                                        for a, b in zip(edges[:-1], edges[1:]))])
+    mid, half = (cuts[1:] + cuts[:-1])[:, None] / 2, np.diff(cuts)[:, None] / 2
+    return (mid + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
+
+
+def _coherent_integral(grid: SpatialGrid, width: float, hbar: float, ps, weights,
+                       x_lo, x_hi) -> np.ndarray:
+    """sum_j weights[j] int_{x_lo[j]}^{x_hi[j]} dx |x, p_j><x, p_j| / (2 pi hbar).
+
+    In s = (y + y')/2 and d = y - y' the x-integral is exp(-d^2/(4 width^2)
+    + i p d/hbar) (erf((x_hi - s)/width) - erf((x_lo - s)/width))/2: a product
+    over the momenta, lags d >= 0 by the 2N - 1 values of s, gathered into
+    N x N and mirrored to d < 0."""
+    d = grid.dx * np.arange(grid.n)
+    s = grid.x[0] + grid.dx / 2 * np.arange(2 * grid.n - 1)
+    phase = weights * np.exp(1j * np.outer(d, ps) / hbar - (d[:, None] / (2 * width)) ** 2)
+    mass = erf((x_hi[:, None] - s) / width) - erf((x_lo[:, None] - s) / width)
+    i, j = np.ogrid[:grid.n, :grid.n]
+    mat = ((phase @ mass) * (grid.dx / (4 * np.pi * hbar)))[abs(i - j), i + j]
+    return np.where(i >= j, mat, mat.conj())
 
 
 @dataclass(frozen=True)
@@ -386,60 +393,46 @@ class PhaseSpaceRegion:
     def relative_velocity(self, p):
         return self.p_g / self.gas_mass - np.asarray(p) / self.brownian_mass
 
-    def contains(self, x, p):
-        dv = self.relative_velocity(p)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tau = (np.asarray(x) - self.x_g) / dv
-        return (dv != 0) & (tau > 0) & (tau < self.delta)
-
 
 def build_projection(region: PhaseSpaceRegion, pair: CollisionPair,
                      grid: SpatialGrid) -> OperatorGrid:
     """Approximate projection onto the region: coherent integral over S.
 
-    The mesh has _SUM_PER_STD nodes per packet width in x and in p.  Its
-    momentum window is 0 +- (_SUM_P_SPAN_STD packet momentum widths
-    + m |p_g| / m_g).  Positions cover the region's own extent, x_g to
-    x_g + delta * v_rel over that momentum window, clipped only where a
-    packet centre would lose more than grid_packet's mass tolerance off the
-    grid.  Raises EmptyRegion when no mesh node lands inside S.
+    At momentum p, S is the x-interval from x_g to x_g + delta v_rel(p),
+    clipped where a packet centre would lose more than grid_packet's mass
+    tolerance off the grid; _coherent_integral integrates it in closed form.
+    Momenta 0 +- (_SUM_P_SPAN_STD packet momentum widths + m |p_g| / m_g)
+    take 16-node Gauss-Legendre panels at most one such width wide, split at
+    the kinks: v_rel = 0 and where the moving end meets a clipping bound.
+    Raises EmptyRegion when no clipped interval has length, as at delta <= 0.
     """
-    hb = pair.hbar
-    sig = pair.brownian_width
-    step_x = sig / _SUM_PER_STD
-    step_p = hb / sig / _SUM_PER_STD
-    p_half = _SUM_P_SPAN_STD * hb / sig + abs(region.p_g / region.gas_mass) * pair.brownian_mass
-    ps = np.arange(-p_half, p_half + step_p / 2, step_p)
-    reach = region.delta * region.relative_velocity(ps[[0, -1]])
-    # a centre this far inside the end nodes leaves one tail of mass
-    # _PACKET_MASS_TOL off the grid (3.36 sigma at 1e-6)
-    margin = sig * erfcinv(2 * _PACKET_MASS_TOL)
-    x_lo = max(region.x_g + min(0.0, reach.min()), grid.x[0] + margin)
-    x_hi = min(region.x_g + max(0.0, reach.max()), grid.x[-1] - margin)
-    xs = np.arange(x_lo, x_hi + step_x / 2, step_x)
-    XX, PP = np.meshgrid(xs, ps, indexing="ij")
-    inside = region.contains(XX, PP)
-    if not inside.any():
-        raise EmptyRegion("no phase-space mesh nodes inside the region")
-    mat = _coherent_sum(grid, sig, hb, XX[inside], PP[inside], step_x * step_p)
-    return OperatorGrid(0.5 * (mat + mat.conj().T), grid)
+    if region.delta <= 0:
+        raise EmptyRegion(f"delta = {region.delta:.4g}: the wedge is empty")
+    hb, sig, m = pair.hbar, pair.brownian_width, region.brownian_mass
+    p_stop = region.p_g / region.gas_mass * m  # v_rel = 0
+    p_half = _SUM_P_SPAN_STD * hb / sig + abs(p_stop)
+    # a centre this far inside a grid end loses _PACKET_MASS_TOL off it (3.36 sigma)
+    bounds = grid.x[[0, -1]] + np.array([1, -1]) * sig * erfcinv(2 * _PACKET_MASS_TOL)
+    kinks = p_stop - m * (bounds - region.x_g) / region.delta
+    edges = np.unique(np.clip(np.r_[-p_half, p_stop, kinks, p_half], -p_half, p_half))
+    ps, w = _panel_rule(edges, hb / sig)
+    reach = region.x_g + region.delta * region.relative_velocity(ps)
+    x_lo, x_hi = (np.clip(f(region.x_g, reach), *bounds) for f in (np.minimum, np.maximum))
+    if not np.any(x_hi > x_lo):
+        raise EmptyRegion("the region has no area inside the grid's clipped window")
+    return OperatorGrid(_coherent_integral(grid, sig, hb, ps, w, x_lo, x_hi), grid)
 
 
 def completeness_residual(pair: CollisionPair, grid: SpatialGrid) -> float:
-    """Operator-norm residual of the coherent completeness sum, over the
-    central 55 % of the grid, on nine interior test packets."""
-    hb = pair.hbar
-    sig = pair.brownian_width
-    step_x = sig / _SUM_PER_STD
-    step_p = hb / sig / _SUM_PER_STD
-    half = 0.55 * grid.length / 2
-    xs = np.arange(-half, half + step_x / 2, step_x)
-    p_half = _SUM_P_SPAN_STD * hb / sig
-    ps = np.arange(-p_half, p_half + step_p / 2, step_p)
-    XX, PP = np.meshgrid(xs, ps, indexing="ij")
-    M = _coherent_sum(grid, sig, hb, XX.ravel(), PP.ravel(), step_x * step_p)
-    TX, TP = np.meshgrid([-half / 3, 0.0, half / 3], [-p_half / 4, 0.0, p_half / 4])
-    tests = grid_packets(grid, sig, hb, TX.ravel(), TP.ravel())
+    """Operator-norm residual, on nine interior test packets, of the coherent
+    completeness integral over the central 55 % of the grid and momenta
+    0 +- _SUM_P_SPAN_STD packet momentum widths, by build_projection's route."""
+    hb, sig = pair.hbar, pair.brownian_width
+    half, p_half = 0.55 * grid.length / 2, _SUM_P_SPAN_STD * hb / sig
+    ps, w = _panel_rule(np.array([-p_half, p_half]), hb / sig)
+    M = _coherent_integral(grid, sig, hb, ps, w, np.full(ps.size, -half), np.full(ps.size, half))
+    tests = grid_packets(grid, sig, hb, np.repeat([-half / 3, 0.0, half / 3], 3),
+                         np.tile([-p_half / 4, 0.0, p_half / 4], 3))
     return float(np.max(np.linalg.norm(M @ tests - tests, axis=0)))
 
 

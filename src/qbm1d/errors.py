@@ -30,7 +30,7 @@ class NegativeEigenvalueBeyondTolerance(QBM1DError):
 
 
 class EmptyRegion(QBM1DError):
-    """Phase-space region contains no quadrature nodes on this grid."""
+    """Phase-space region has no area where packet centres fit on this grid."""
 
 
 class StepTooLarge(QBM1DError):

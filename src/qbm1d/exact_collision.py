@@ -171,19 +171,20 @@ def _exponents(G):
     return np.array([2 * G.real, -2 * G.real, 2j * G.imag, -2j * G.imag])
 
 
-def _halfline_upper(A, B, c, extra_log):
+def _halfline_upper(A, B, c, extra_log, full_log=None):
     """exp(extra_log) * integral_c^inf exp(-A u^2 + B u) du, stable form.
 
     Uses erfc(z) = exp(-z^2) wofz(iz).  Vectorized: each element takes the
     branch that cannot overflow; where Re z < 0 the complementary branch
-    routes the growth through the full-line value exp(B^2/4A).
+    routes the growth through the full-line value exp(full_log = B^2/4A + extra_log).
     """
     sqA = np.sqrt(A)
     z = (2 * A * c - B) / (2 * sqA)
     upper = np.real(z) >= 0
     tail = (0.5 * np.sqrt(np.pi / A) * np.exp(-A * c**2 + B * c + extra_log)
             * wofz(1j * np.where(upper, z, -z)))
-    full = np.sqrt(np.pi / A) * np.exp(np.where(upper, -np.inf, B**2 / (4 * A) + extra_log))
+    full_log = B**2 / (4 * A) + extra_log if full_log is None else full_log
+    full = np.sqrt(np.pi / A) * np.exp(np.where(upper, -np.inf, full_log))
     return np.where(upper, tail, full - tail)
 
 
@@ -344,9 +345,14 @@ def momentum_marginal(pair: CollisionPair, init: COMInitialCondition, t: float, 
     ps = np.asarray(p_prime, dtype=float)
     flat = ps.ravel()
     g, q, w, start, width = _q_rule(pair, G, A, flat)
-    a_d, k = pair.alpha / (2 * (1 + pair.alpha) * st), 1j * q / pair.hbar
-    f = w * np.abs(_halfline_upper(a_d, G - k, 0.0, log_c)
-                   - _halfline_upper(a_d, -G - k, 0.0, log_c)) ** 2
+    a_d, k = pair.alpha / (2 * (1 + pair.alpha) * st), q / pair.hbar
+    # full-line exponents in closed form: B^2/4A + log C sums two parts of
+    # ~(1+alpha) x^2/(2 alpha sigma^2) each that cancel
+    X = init.x + 1j * init.p * pair.brownian_width**2 / pair.hbar
+    full = np.log(_core(pair, init, t)[2]) + (1 + pair.alpha) / (2 * pair.alpha) * (
+        1j * X * (init.p / pair.hbar - np.array([[2.0], [-2.0]]) * k) - k**2 * st)
+    f = w * np.abs(_halfline_upper(a_d, G - 1j * k, 0.0, log_c, full[0])
+                   - _halfline_upper(a_d, -G - 1j * k, 0.0, log_c, full[1])) ** 2
     out = np.empty(flat.size)
     rows = max(1, _BLOCK // width)
     for i in range(0, flat.size, rows):

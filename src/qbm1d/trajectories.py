@@ -254,9 +254,10 @@ def _draw_collisions(p, gas: ThermalGasSpec, pair: CollisionPair, delta: float,
 
 def step_ensemble(x, p, gas: ThermalGasSpec, pair: CollisionPair, delta: float,
                   rng, gas_flight_window: float = 1.0):
-    """Advance every trajectory by one coarse step; returns new (x, p).  A hit
+    """Advance every trajectory by one coarse step; returns (x, p).  A hit
     drifts to contact, takes the label map against the gas label displaced by
-    its flight, and drifts on."""
+    its flight, and drifts on.  The hits are written into a float ``p`` in
+    place, which is returned; ``x`` is not modified."""
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     hit, tau, eta, p_g = _draw_collisions(p, gas, pair, delta, rng, gas_flight_window)
@@ -267,7 +268,6 @@ def step_ensemble(x, p, gas: ThermalGasSpec, pair: CollisionPair, delta: float,
     v = p / pair.brownian_mass                           # x + v delta, the hits
     x = np.add(x, np.multiply(v, delta, out=v), out=v)   # are overwritten
     x[hit] = x_out + p_out / pair.brownian_mass * (delta - tau)
-    p = p.copy()
     p[hit] = p_out
     return x, p
 
@@ -277,9 +277,9 @@ def run(x0, p0, gas: ThermalGasSpec, pair: CollisionPair, horizon: float,
     """Evolve an ensemble to the horizon, recording moments every
     ``record_every`` steps.
 
-    ``x0``/``p0`` are arrays of initial labels.  One rng stream, the first
-    child of ``SeedSequence(seed)``, drives every path, so an identical seed
-    reproduces the results bit for bit.  Raises StepTooLarge, before any
+    ``x0``/``p0``, arrays of initial labels, are copied.  One rng stream, the
+    first child of ``SeedSequence(seed)``, drives every path, so an identical
+    seed reproduces the results bit for bit.  Raises StepTooLarge, before any
     step, when rate * delta > 0.1 under the thermal laws or at max |p0|.
     """
     x = np.array(x0, dtype=float)

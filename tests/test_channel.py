@@ -257,6 +257,21 @@ class TestKraus:
         ktk = K.matrix.conj().T @ K.matrix
         assert np.max(np.abs(ktk - eff.matrix)) < 1e-6
 
+    def test_matches_dense_displacements(self, pair, grid, sqrt_effect0):
+        # K = D(da, db) D(x_t, p_t) sqrt(C_0) D(x_t, p_t)^dagger with every
+        # displacement a dense matrix, column j the displaced basis vector e_j
+        x_t, p_t, gas_state = 0.8, -0.6, (-2.0, 1.5)
+
+        def dense(a, b):
+            return ch.displace_vector(grid, np.eye(grid.n), a, b, pair.hbar).T
+
+        da, db = ch.kraus_displacement(pair, gas_state, x_t, p_t)
+        D = dense(x_t, p_t)
+        ref = dense(da, db) @ D @ sqrt_effect0.matrix @ D.conj().T
+        K = ch.build_kraus(pair, gas_state, x_t, p_t, grid,
+                           sqrt_effect_center=sqrt_effect0.matrix)
+        np.testing.assert_allclose(K.matrix, ref, rtol=0, atol=1e-14)
+
     def test_negative_eigenvalue_guard(self, grid):
         mat = -1e-3 * np.eye(grid.n)
         with pytest.raises(NegativeEigenvalueBeyondTolerance):
@@ -371,15 +386,6 @@ class TestProjection:
     def gamma(self, region, pair, grid):
         return ch.build_projection(region, pair, grid)
 
-    def test_membership_predicate(self, region):
-        # gas at -2 moving right at v_g = 4; brownian at rest at 0 collides
-        # after tau = 0.5 < delta
-        assert region.contains(0.0, 0.0)
-        assert not region.contains(-3.0, 0.0)      # behind the gas packet
-        assert not region.contains(30.0, 0.0)      # too far to reach in delta
-        assert not region.contains(0.0, region.p_g * region.brownian_mass
-                                   / region.gas_mass)  # co-moving: empty
-
     def test_eigenvalue_window(self, gamma):
         lo, hi = gamma.eigenvalue_range()
         assert lo >= -1e-8
@@ -406,6 +412,28 @@ class TestProjection:
         lo, _ = integrate.quad(integrand, -np.inf, p_stop, epsabs=1e-13)
         hi, _ = integrate.quad(integrand, p_stop, np.inf, epsabs=1e-13)
         return lo + hi
+
+    @pytest.mark.parametrize("x0,p0", [(0.0, 0.0), (1.0, 2.0), (2.0, 4.0),
+                                       (-1.0, 3.5), (0.5, 4.5)])
+    def test_husimi_mass(self, pair, grid, gamma, region, x0, p0):
+        # the x-integral is exact and the p rule splits at the kink p = 4
+        # (v_rel = 0), so only rounding and the far tails remain; a uniform
+        # rule with a cell edge at the kink is off by 7.9e-4 at (-1, 3.5)
+        v = ch.grid_packet(grid, pair.brownian_packet(x0, p0))
+        expected = self.husimi_mass(region, pair, x0, p0)
+        assert gamma.expectation(v) == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("x0,p0", [(0.0, 0.0), (1.0, 2.0), (-1.0, 3.5)])
+    def test_husimi_mass_long_step(self, pair, grid, x0, p0):
+        # at delta = 20 the moving end of the interval meets the clipping
+        # bounds at p = 3.47 and 4.33, beside the v_rel = 0 kink; a rule not
+        # split there is off by up to 4e-6
+        region = ch.PhaseSpaceRegion(x_g=-2.0, p_g=1.2, delta=20.0,
+                                     brownian_mass=pair.brownian_mass,
+                                     gas_mass=pair.gas_mass)
+        v = ch.grid_packet(grid, pair.brownian_packet(x0, p0))
+        got = ch.build_projection(region, pair, grid).expectation(v)
+        assert got == pytest.approx(self.husimi_mass(region, pair, x0, p0), abs=1e-9)
 
     def test_far_outside_state(self, pair, grid, gamma, region):
         # behind the gas packet, 6 sigma from the region; (-9, -3) would not
@@ -434,6 +462,14 @@ class TestProjection:
 
     def test_empty_region_raises(self, pair, grid):
         region = ch.PhaseSpaceRegion(x_g=500.0, p_g=1.0, delta=1e-6,
+                                     brownian_mass=1.0, gas_mass=0.3)
+        with pytest.raises(EmptyRegion):
+            ch.build_projection(region, pair, grid)
+
+
+    @pytest.mark.parametrize("delta", [0.0, -1.0])
+    def test_nonpositive_delta_is_empty(self, pair, grid, delta):
+        region = ch.PhaseSpaceRegion(x_g=-2.0, p_g=1.2, delta=delta,
                                      brownian_mass=1.0, gas_mass=0.3)
         with pytest.raises(EmptyRegion):
             ch.build_projection(region, pair, grid)

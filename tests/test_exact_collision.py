@@ -381,6 +381,19 @@ class TestMomentumMarginal:
         ref = np.exp(-(ps + 2.0) ** 2 / (2 * var)) / np.sqrt(2 * np.pi * var)
         assert np.max(np.abs(dens - ref)) < 1e-5
 
+    @pytest.mark.parametrize("p", [-1.0, -2.0])
+    def test_initial_gaussian_far_apart(self, p):
+        # packets 60 widths apart: the full-line exponent of D~ is formed in
+        # closed form, not as B^2/4A + log C, two parts of ~7,800 that
+        # cancel and left 1.6e-12 of the peak
+        pair = CollisionPair.matched(1.0, 0.3, 1.0)
+        init = ec.com_condition(pair, 60.0, p)
+        std = pair.hbar / (np.sqrt(2) * pair.brownian_width)
+        ps = np.linspace(p - 6 * std, p + 6 * std, 97)
+        ref = np.exp(-((ps - p) / std) ** 2 / 2) / (np.sqrt(2 * np.pi) * std)
+        dens = ec.momentum_marginal(pair, init, 0.0, ps)
+        assert np.max(np.abs(dens - ref)) <= 1e-14 * ref.max()
+
     def test_late_time_reflected(self, pair, init, t_c):
         ps = np.linspace(0.8, 3.2, 49)
         dens = ec.momentum_marginal(pair, init, 5 * t_c, ps)

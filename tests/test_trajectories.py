@@ -234,6 +234,20 @@ class TestRun:
             dataclasses.astuple(s) for s in second]
         assert first[-1].mean_p2 != first[0].mean_p2  # collisions happened
 
+    @pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
+    def test_leaves_initial_labels_untouched(self, gas, pair):
+        # step_ensemble writes the hits into its momentum array; run steps a copy
+        p0 = np.random.default_rng(1).normal(0.0, 1.0, 500)
+        x0 = np.zeros(500)
+        kept = p0.copy()
+        series = tr.run(x0, p0, gas, pair, horizon=20.0, delta=0.5, seed=11)
+        assert series[-1].mean_p2 != series[0].mean_p2  # collisions happened
+        np.testing.assert_array_equal(p0, kept)
+        assert not x0.any()
+        p = p0.copy()
+        x, p_next = tr.step_ensemble(x0, p, gas, pair, 20.0, np.random.default_rng(0))
+        assert p_next is p and not np.array_equal(p, p0) and not x0.any()
+
     def test_two_pass_standard_errors(self, pair):
         # a mean far above the spread: a variance taken as s2/n - mean^2 from
         # raw sums puts se_mean_x 1 % off here.  At t = 0 the floors of
