@@ -227,6 +227,16 @@ def _sqrt_effect_center(pair: CollisionPair, grid: SpatialGrid) -> np.ndarray:
     return root
 
 
+def _with_parity(pair: CollisionPair, root: np.ndarray) -> np.ndarray:
+    """Pi root for alpha > 1, else root; Pi: x -> -x on the periodic grid.
+
+    The label map scales the deviation from the pointer by c = (1 - alpha)/(1 + alpha),
+    and only Pi reverses it where c < 0.  Pi commutes with the even sqrt(C_0),
+    so K^dagger K is unchanged.
+    """
+    return root[-np.arange(len(root)) % len(root)] if pair.alpha > 1 else root
+
+
 def kraus_displacement(pair: CollisionPair, gas_state, x_t: float, p_t: float):
     """Displacement arguments of the collision Kraus operator."""
     a = pair.alpha
@@ -242,14 +252,17 @@ def build_kraus(pair: CollisionPair, gas_state, x_t: float, p_t: float,
     ``sqrt_effect_center`` may carry a cached sqrt of the origin-centered
     effect operator; displacement covariance supplies every other (x_t, p_t)
     as D(da, db) D(x_t, p_t) sqrt(C_0) D(x_t, p_t)^dagger, applied with
-    displace_vector along rows and columns.  ``mesh`` has no effect (see
+    displace_vector along rows and columns.  For alpha > 1, where the label
+    map's c = (1 - alpha)/(1 + alpha) < 0, sqrt(C_0) is preceded by the
+    parity Pi: x -> -x (_with_parity).  ``mesh`` has no effect (see
     build_effect_operator).
     """
     hb = pair.hbar
     if sqrt_effect_center is None:
         sqrt_effect_center = _sqrt_effect_center(pair, grid)
     da, db = kraus_displacement(pair, gas_state, x_t, p_t)
-    root = displace_vector(grid, sqrt_effect_center.conj(), x_t, p_t, hb).conj()
+    root = _with_parity(pair, sqrt_effect_center)
+    root = displace_vector(grid, root.conj(), x_t, p_t, hb).conj()
     cols = displace_vector(grid, displace_vector(grid, root.T, x_t, p_t, hb), da, db, hb)
     return OperatorGrid(cols.T, grid)
 
@@ -298,7 +311,8 @@ def apply_collision_channel(rho: OperatorGrid, pair: CollisionPair, gas_state,
 
     Sums area * K rho K^dagger over the pointer mesh (_pointer_nodes), with
     K = D(da, db) D(x_t, p_t) sqrt(C) D(x_t, p_t)^dagger as in build_kraus
-    and rho = sum_j v_j v_j^dagger over its kept eigenvectors.  Trace is
+    (with the parity Pi sqrt(C) for alpha > 1, where c < 0) and
+    rho = sum_j v_j v_j^dagger over its kept eigenvectors.  Trace is
     preserved up to the pointer mesh truncation (~1e-3 budget).  ``mesh``
     has no effect (see build_effect_operator); ``pointer_mesh`` sets the
     pointer nodes.
@@ -319,7 +333,7 @@ def apply_collision_channel(rho: OperatorGrid, pair: CollisionPair, gas_state,
     keep = ev > max(1e-12, 1e-12 * ev[-1])
     vecs_f = fft((U[:, keep] * np.sqrt(ev[keep])).T, axis=-1)  # (r, n)
 
-    sqrt_c = _sqrt_effect_center(pair, grid)
+    sqrt_c = _with_parity(pair, _sqrt_effect_center(pair, grid))
     root_area = np.sqrt((xts[1] - xts[0]) * (pts[1] - pts[0]))
     das, dbs = kraus_displacement(pair, gas_state, xts, pts)
     # the x-dependent boost factors do not depend on the row

@@ -17,7 +17,8 @@ path.  Exit codes: 0 success, 2 configuration/validation failure,
 
 Every run writes a ``summary.json`` whose ``config`` block holds every key
 with its resolved value, plus ``kind``; identical config and seed give
-byte-identical outputs.
+byte-identical outputs.  ``trajectories`` and ``moments`` write their rows at
+the same times t = k delta, k = 0, ..., round(horizon / delta).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import ClassVar
@@ -93,7 +94,6 @@ class ScenarioConfig:
     kind: ClassVar[str]
     out_dir: Path = Path(".")
     hbar: float = _positive(1.0)
-    boltzmann_k: float = _positive(1.0)
     seed: int = _nonnegative(0)
     mass: float = _positive(1.0)
     alpha: float = _positive()
@@ -152,6 +152,7 @@ class ScenarioConfig:
 class _Gas(ScenarioConfig):
     """Keys of the thermal gas the Brownian particle moves in."""
 
+    boltzmann_k: float = _positive(1.0)
     temperature: float = _positive(1.0)
     number_density: float = _positive(0.02)
 
@@ -301,9 +302,6 @@ class OracleVerifyConfig(_ComFrame):
         "need one or more grid sizes, each >= 8")
     times_collision_units: tuple[float, ...] = _key(
         (0.0, 1.0, 3.0), _times_ok, "need one or more times, each >= 0")
-    # 0 derives the grid extents from the packet supports
-    r_length: float = _key(0.0, lambda v: v >= 0, "must be >= 0 (0 derives it)")
-    R_halfwidth: float = _key(0.0, lambda v: v >= 0, "must be >= 0 (0 derives it)")
     tolerance: float = _positive(1e-3)
 
     def run(self):
@@ -313,11 +311,9 @@ class OracleVerifyConfig(_ComFrame):
         times = [u * t_c for u in self.times_collision_units]
         finest = max(self.grid_sizes)
         base = grid_oracle.default_grid(pair, init, finest, t_max=max(times))
-        r_len = self.r_length or base.r_length
-        R_half = self.R_halfwidth or base.R_halfwidth
         rows = []
         for n in sorted(self.grid_sizes):
-            params = grid_oracle.GridParams(n_R=n, n_r=n, R_halfwidth=R_half, r_length=r_len)
+            params = replace(base, n_R=n, n_r=n)
             for t in times:
                 err = grid_oracle.compare_to_analytic(pair, init, t, params, validate=False)
                 rows.append((n, float(t), float(err)))
@@ -330,7 +326,8 @@ class OracleVerifyConfig(_ComFrame):
             failures.append(f"finest-grid L2 error {worst_finest:.3e} exceeds tolerance "
                             f"{self.tolerance:.1e}")
         return {"collision_time": t_c, "outputs": [f.name for f in files],
-                "grid": {"r_length": float(r_len), "R_halfwidth": float(R_half)},
+                "grid": {"r_length": float(base.r_length),
+                         "R_halfwidth": float(base.R_halfwidth)},
                 "worst_error_at_finest": worst_finest if np.isfinite(worst_finest) else None,
                 "requested_tolerance": self.tolerance}, failures
 
@@ -349,10 +346,6 @@ class ChannelVerifyConfig(ScenarioConfig):
     gas_x: float = _key(-2.0)
     gas_p: float = _key(1.5)
     time: float = _nonnegative(0.5)  # 0 is a collision with no free flight
-    # a gate threshold at or below 0 can never pass
-    fidelity_min: float = _key(0.95, lambda v: 0 < v <= 1, "must lie in (0, 1]")
-    trace_tol: float = _positive(1e-3)
-    completeness_tol: float = _positive(1e-3)
 
     def run(self):
         pair = self.pair
@@ -369,15 +362,14 @@ class ChannelVerifyConfig(ScenarioConfig):
                                             pair.hbar)
         fidelity = out.expectation(target) / trace
         eff = channel.build_effect_operator(pair, 0.0, 0.0, grid)
-        root = channel.operator_sqrt(eff)
-        ktk_residual = float(np.max(np.abs(root.matrix @ root.matrix - eff.matrix)))
+        root = channel._sqrt_effect_center(pair, grid)  # the root the channel applied
+        ktk_residual = float(np.max(np.abs(root @ root - eff.matrix)))
         completeness = channel.completeness_residual(pair, grid)
         lo, hi = eff.eigenvalue_range()
         rows = [
-            ("pointer_fidelity", fidelity, self.fidelity_min, fidelity >= self.fidelity_min),
-            ("trace_error", trace_error, self.trace_tol, trace_error <= self.trace_tol),
-            ("completeness_residual", completeness, self.completeness_tol,
-             completeness <= self.completeness_tol),
+            ("pointer_fidelity", fidelity, 0.95, fidelity >= 0.95),
+            ("trace_error", trace_error, 1e-3, trace_error <= 1e-3),
+            ("completeness_residual", completeness, 1e-3, completeness <= 1e-3),
             ("kraus_ktk_residual", ktk_residual, 1e-8, ktk_residual <= 1e-8),
             ("effect_min_eigenvalue", lo, -1e-8, lo >= -1e-8),
         ]
@@ -403,20 +395,16 @@ class TrajectoriesConfig(_Gas):
     horizon: float = _positive(250.0)
     p0: float = _key(0.0)
     gas_flight_window: float = _nonnegative(1.0)
-    record_every: int = _count(1)
 
     def check(self):
-        # trajectories.run takes round(horizon / delta) steps, recording every record_every-th
+        # trajectories.run takes round(horizon / delta) steps
         _require(self.horizon >= self.delta, "horizon", "must be >= delta, or no step is taken")
-        _require(round(self.horizon / self.delta) % self.record_every == 0, "record_every",
-                 "must divide round(horizon / delta), or the horizon row is not written")
 
     def run(self):
         pair, gas = self.pair, self.gas
         series = trajectories.run(
             np.zeros(self.n_traj), np.full(self.n_traj, self.p0), gas, pair, self.horizon,
-            self.delta, seed=self.seed + 1, gas_flight_window=self.gas_flight_window,
-            record_every=self.record_every)
+            self.delta, seed=self.seed + 1, gas_flight_window=self.gas_flight_window)
         columns = _MOMENTS + ["se_" + c for c in _MOMENTS[1:]]
         files = [emit_csv(self.out_dir / "moments.csv", columns,
                           [[getattr(s, c) for c in columns] for s in series])]
@@ -432,41 +420,34 @@ class TrajectoriesConfig(_Gas):
 
 @dataclass(frozen=True, kw_only=True)
 class MomentsConfig(_Gas):
-    """The moment ODE of the coarse-grained master equation."""
+    """The moment ODE of the coarse-grained master equation from x = 0, p = p0,
+    with rows at t = k delta, the times of the ``trajectories`` rows."""
 
     kind: ClassVar[str] = "moments"
     alpha: float = _positive(0.02)
     sigma: float = _positive(8.0)
     delta: float = _positive(0.5)
     include_artifact: bool = _key(True)
-    x0: float = _key(0.0)
     p0: float = _key(0.0)
-    dt: float = _nonnegative(0.0)  # 0 = 0.001/f
     horizon: float = _positive(250.0)
 
-    @property
-    def step(self) -> float:  # dt, with dt = 0 resolved to 0.001/f
-        return self.dt or 0.001 / moments.friction_constant(self.gas, self.pair.brownian_mass)
-
     def check(self):
-        # moments.integrate takes round(horizon / dt) steps
-        _require(self.step <= self.horizon, "dt",
-                 f"resolves to {self.step:.4g}, must be <= horizon, or no step is taken")
+        # moments.integrate takes round(horizon / delta) steps
+        _require(self.horizon >= self.delta, "horizon", "must be >= delta, or no step is taken")
 
     def run(self):
         pair = self.pair
         params = moments.FrictionParams.from_gas(self.gas, pair.brownian_mass, self.delta,
                                                  include_artifact=self.include_artifact)
         s2 = pair.brownian_width**2
-        x0, p0 = self.x0, self.p0
-        initial = moments.MomentState(
-            mean_x=x0, mean_p=p0, mean_x2=x0**2 + s2 / 2, mean_xp=2 * x0 * p0,
-            mean_p2=p0**2 + pair.hbar**2 / (2 * s2))
-        series = moments.integrate(initial, params, self.horizon, self.step)
+        p0 = self.p0
+        initial = moments.MomentState(mean_x=0.0, mean_p=p0, mean_x2=s2 / 2, mean_xp=0.0,
+                                      mean_p2=p0**2 + pair.hbar**2 / (2 * s2))
+        series = moments.integrate(initial, params, self.horizon, self.delta)
         files = [emit_csv(self.out_dir / "moments_ode.csv", _MOMENTS,
                           [[getattr(s, c) for c in _MOMENTS] for s in series])]
         return {"friction_constant": params.f, "artifact_rate": params.artifact_rate,
-                "dt": self.step, "slow_particle_ratio": params.slow_particle_ratio(p0),
+                "slow_particle_ratio": params.slow_particle_ratio(p0),
                 "outputs": [f.name for f in files]}, []
 
 

@@ -273,9 +273,9 @@ def step_ensemble(x, p, gas: ThermalGasSpec, pair: CollisionPair, delta: float,
 
 
 def run(x0, p0, gas: ThermalGasSpec, pair: CollisionPair, horizon: float,
-        delta: float, seed, gas_flight_window: float = 1.0, record_every: int = 1):
-    """Evolve an ensemble to the horizon, recording moments every
-    ``record_every`` steps.
+        delta: float, seed, gas_flight_window: float = 1.0):
+    """Evolve an ensemble to the horizon, recording moments at every step,
+    t = k delta for k = 0, ..., round(horizon / delta).
 
     ``x0``/``p0``, arrays of initial labels, are copied.  One rng stream, the
     first child of ``SeedSequence(seed)``, drives every path, so an identical
@@ -296,8 +296,7 @@ def run(x0, p0, gas: ThermalGasSpec, pair: CollisionPair, horizon: float,
     series = [EnsembleStats.from_phase_points(0.0, x, p, pair)]
     for step in range(1, n_steps + 1):
         x, p = step_ensemble(x, p, gas, pair, delta, rng, gas_flight_window)
-        if step % record_every == 0:
-            series.append(EnsembleStats.from_phase_points(step * delta, x, p, pair))
+        series.append(EnsembleStats.from_phase_points(step * delta, x, p, pair))
     return series
 
 

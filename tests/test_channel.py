@@ -6,7 +6,7 @@ from scipy.special import ndtr
 from qbm1d import channel as ch
 from qbm1d.errors import (EmptyRegion, GridTooCoarse, GridTooSmall,
                           NegativeEigenvalueBeyondTolerance, QBM1DError)
-from qbm1d.packets import CollisionPair, classical_collision_map, overlap
+from qbm1d.packets import CollisionPair, GaussianPacket, classical_collision_map, overlap
 from qbm1d.thermal import ThermalGasSpec, adjusted_temperature, mean_relative_speed
 
 
@@ -272,6 +272,27 @@ class TestKraus:
                            sqrt_effect_center=sqrt_effect0.matrix)
         np.testing.assert_allclose(K.matrix, ref, rtol=0, atol=1e-14)
 
+    def test_matches_dense_displacements_with_parity(self, grid):
+        # alpha > 1: K = D(da, db) D(x_t, p_t) Pi sqrt(C_0) D(x_t, p_t)^dagger,
+        # Pi the permutation x -> -x of the periodic grid
+        pr = CollisionPair.matched(1.0, 3.0, 1.0)
+        x_t, p_t, gas_state = 0.8, -0.6, (-2.0, 1.5)
+        root = ch.operator_sqrt(ch.build_effect_operator(pr, 0.0, 0.0, grid)).matrix
+
+        def dense(a, b):
+            return ch.displace_vector(grid, np.eye(grid.n), a, b, pr.hbar).T
+
+        parity = np.eye(grid.n)[-np.arange(grid.n) % grid.n]
+        np.testing.assert_allclose((parity @ grid.x)[1:], -grid.x[1:], rtol=0, atol=1e-12)
+        da, db = ch.kraus_displacement(pr, gas_state, x_t, p_t)
+        D = dense(x_t, p_t)
+        ref = dense(da, db) @ D @ parity @ root @ D.conj().T
+        K = ch.build_kraus(pr, gas_state, x_t, p_t, grid)
+        np.testing.assert_allclose(K.matrix, ref, rtol=0, atol=1e-14)
+        ktk = K.matrix.conj().T @ K.matrix
+        eff = ch.build_effect_operator(pr, x_t, p_t, grid)
+        assert np.max(np.abs(ktk - eff.matrix)) < 1e-6
+
     def test_negative_eigenvalue_guard(self, grid):
         mat = -1e-3 * np.eye(grid.n)
         with pytest.raises(NegativeEigenvalueBeyondTolerance):
@@ -313,6 +334,80 @@ class TestChannel:
         assert fid >= 0.95
         assert fid == pytest.approx(1.0, abs=1e-3)
 
+    @pytest.mark.parametrize("alpha,loss", [(1.5, 1e-14), (3.0, 1e-10), (5.0, 5e-6)])
+    def test_pointer_fidelity_heavy_gas(self, grid, alpha, loss):
+        # c = (1 - alpha)/(1 + alpha) < 0: without the parity the output was a
+        # Gaussian of variance 1/2 + 4 w^2, fidelity 0.857, 0.429 and 0.238
+        pr = CollisionPair.matched(1.0, alpha, 1.0)
+        psi = ch.grid_packet(grid, pr.brownian_packet(1.0, 0.5))
+        rho = ch.OperatorGrid(np.outer(psi, psi.conj()), grid)
+        out = ch.apply_collision_channel(rho, pr, (-2.0, 1.5), t=0.5)
+        _, _, x_o, p_o = classical_collision_map(pr, -2.0, 1.5, 1.0, 0.5)
+        tgt = ch.grid_packet(grid, pr.brownian_packet(x_o, p_o))
+        tgt = ch.free_evolve_vector(grid, tgt, pr.brownian_mass, 0.5, pr.hbar)
+        assert 1 - out.expectation(tgt) / out.trace() <= loss
+
+
+def _grid_moments(rho: ch.OperatorGrid, hbar):
+    """Means (x, p) and symmetric covariance of rho from the exact grid
+    operators x and p = F^-1 hbar k F, normalized by the trace."""
+    g = rho.grid
+    X = np.diag(g.x)
+    P = np.fft.ifft(hbar * g.k[:, None] * np.fft.fft(np.eye(g.n), axis=0), axis=0)
+    tr = np.trace(rho.matrix).real
+
+    def ev(op):
+        return np.trace(rho.matrix @ op).real / tr
+
+    mean = np.array([ev(X), ev(P)])
+    cov = np.array([[ev(X @ X), ev(X @ P + P @ X) / 2],
+                    [ev(X @ P + P @ X) / 2, ev(P @ P)]]) - np.outer(mean, mean)
+    return mean, cov
+
+
+class TestGaussianAttenuator:
+    """The collision is a Gaussian attenuator: with c = (1 - alpha)/(1 + alpha),
+    <x> -> c <x> + (1 - c) x_g, <p> -> c <p> + (1 + c) p_g and
+    Sigma -> c^2 Sigma + (1 - c^2) diag(sigma^2/2, hbar^2/(2 sigma^2)), then U(t)
+    maps Sigma -> S Sigma S^T with S = [[1, t/m], [0, 1]], for any input."""
+
+    GAS, T = (-2.0, 1.5), 0.5
+
+    @staticmethod
+    def state(pair, grid, kind):
+        if kind == "mixture":
+            return _mixture(pair, grid, [(0.5, 1.0, 0.5), (0.3, 0.6, 0.1), (0.2, 1.4, 0.9)])
+        width = {"squeezed": 0.6, "wide": 1.7}[kind] * pair.brownian_width
+        psi = ch.grid_packet(grid, GaussianPacket(1.0, 0.5, width, pair.brownian_mass,
+                                                  pair.hbar))
+        return ch.OperatorGrid(np.outer(psi, psi.conj()), grid)
+
+    @pytest.mark.parametrize("kind", ["squeezed", "wide", "mixture"])
+    @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0, 3.0])
+    def test_moments(self, grid, alpha, kind):
+        pr = CollisionPair.matched(1.0, alpha, 1.0)
+        hb, sig, m = pr.hbar, pr.brownian_width, pr.brownian_mass
+        rho = self.state(pr, grid, kind)
+        mean, cov = _grid_moments(rho, hb)
+        out_mean, out_cov = _grid_moments(
+            ch.apply_collision_channel(rho, pr, self.GAS, self.T), hb)
+        c = (1 - alpha) / (1 + alpha)
+        S = np.array([[1.0, self.T / m], [0.0, 1.0]])
+        want_mean = S @ (c * mean + np.array([1 - c, 1 + c]) * self.GAS)
+        want_cov = S @ (c**2 * cov + (1 - c**2) * np.diag([sig**2 / 2, hb**2 / (2 * sig**2)])
+                        ) @ S.T
+        np.testing.assert_allclose(out_mean, want_mean, rtol=0, atol=5e-6)
+        np.testing.assert_allclose(out_cov, want_cov, rtol=0, atol=5e-5)
+
+
+def _mixture(pair, grid, parts):
+    """sum_j w_j |x_j, p_j><x_j, p_j| over the parts (w_j, x_j, p_j)."""
+    mat = np.zeros((grid.n, grid.n), dtype=complex)
+    for w, x, p in parts:
+        v = ch.grid_packet(grid, pair.brownian_packet(x, p))
+        mat += w * np.outer(v, v.conj())
+    return ch.OperatorGrid(mat, grid)
+
 
 def _per_node_channel(rho, pair, gas_state, t, pointer_mesh):
     """Reference route for apply_collision_channel: for every pointer node
@@ -352,20 +447,12 @@ class TestChannelAgainstPerNodeLoop:
     def small_grid(self):
         return ch.SpatialGrid(n=128, length=16.0)
 
-    @staticmethod
-    def mixture(pair, grid, parts):
-        mat = np.zeros((grid.n, grid.n), dtype=complex)
-        for w, x, p in parts:
-            v = ch.grid_packet(grid, pair.brownian_packet(x, p))
-            mat += w * np.outer(v, v.conj())
-        return ch.OperatorGrid(mat, grid)
-
     @pytest.mark.parametrize("parts", [
         [(1.0, 1.0, 0.5)],
         [(0.5, 1.0, 0.5), (0.3, 0.6, 0.2), (0.2, 1.4, 0.8)],
     ], ids=["pure", "rank3"])
     def test_matches_loop(self, pair, small_grid, parts):
-        rho = self.mixture(pair, small_grid, parts)
+        rho = _mixture(pair, small_grid, parts)
         ev = np.linalg.eigvalsh(rho.matrix)
         assert np.sum(ev > 1e-12) == len(parts)
         got = ch.apply_collision_channel(rho, pair, self.GAS, 0.5, mesh=self.MESH,
@@ -373,6 +460,21 @@ class TestChannelAgainstPerNodeLoop:
         ref = _per_node_channel(rho, pair, self.GAS, 0.5, self.MESH)
         np.testing.assert_allclose(got.matrix, ref, rtol=0, atol=1e-12)
         assert got.trace() == pytest.approx(rho.trace(), abs=1e-3)
+
+    def test_matches_kraus_sum_heavy_gas(self, small_grid):
+        # alpha = 3, where both routes carry the parity: area * K rho K^dagger
+        # summed with build_kraus's K over the pointer nodes, then U(t)
+        pr = CollisionPair.matched(1.0, 3.0, 1.0)
+        mesh = ch.PhaseSpaceMesh(1.5, 3.0)
+        rho = _mixture(pr, small_grid, [(1.0, 1.0, 0.5)])
+        xts, pts = ch._pointer_nodes(rho, pr, mesh)
+        ref = sum(K @ rho.matrix @ K.conj().T for K in (
+            ch.build_kraus(pr, self.GAS, x_t, p_t, small_grid).matrix
+            for x_t in xts for p_t in pts))
+        ref *= (xts[1] - xts[0]) * (pts[1] - pts[0])
+        U = ch.free_evolve_vector(small_grid, np.eye(small_grid.n), 1.0, 0.5).T
+        got = ch.apply_collision_channel(rho, pr, self.GAS, 0.5, pointer_mesh=mesh)
+        np.testing.assert_allclose(got.matrix, U @ ref @ U.conj().T, rtol=0, atol=1e-12)
 
 
 class TestProjection:

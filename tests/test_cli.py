@@ -54,6 +54,7 @@ def test_scenario_runs_and_reruns_identically(kind, tmp_path):
 
 
 def test_negative_dt_rejected(tmp_path, capsys):
+    # dt is no longer a key (the ODE steps by delta), so any dt is rejected
     ini = _write_ini(tmp_path / "moments.ini", {"dt": -0.01, "horizon": 1.0})
     with pytest.raises(ConfigError) as exc:
         cli.ScenarioConfig.load("moments", str(ini))
@@ -61,6 +62,19 @@ def test_negative_dt_rejected(tmp_path, capsys):
     assert cli.main(["moments", str(ini), "--out-dir", str(tmp_path / "out")]) == 2
     assert "scenario.dt" in capsys.readouterr().err
     assert not (tmp_path / "out" / "moments_ode.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
+def test_moment_rows_fall_on_the_trajectory_times(tmp_path):
+    # both write t = k delta, k = 0, ..., round(horizon / delta), bit for bit
+    ini = _write_ini(tmp_path / "c.ini", {"horizon": 20.0, "delta": 0.3})
+    tables = []
+    for kind, name in (("trajectories", "moments.csv"), ("moments", "moments_ode.csv")):
+        assert cli.main([kind, str(ini), "--out-dir", str(tmp_path / kind)]) == 0
+        lines = (tmp_path / kind / name).read_text().splitlines()
+        tables.append([line.split(",")[0] for line in lines])
+    assert tables[0] == tables[1]
+    assert len(tables[0]) == 1 + 1 + round(20.0 / 0.3)
 
 
 def test_emit_csv_numpy_scalars_read_back(tmp_path):
@@ -227,13 +241,15 @@ def test_oracle_verify_fails_on_a_non_finite_error(tmp_path, capsys, monkeypatch
     ("channel-verify", {"fidelity_min": 1.5}, None, "scenario.fidelity_min"),
     ("trajectories", {"horizon": 1.0, "delta": 2.0}, None, "scenario.horizon"),
     ("moments", {"horizon": 1.0, "dt": 5.0}, None, "scenario.dt"),
-    # dt = 0 resolves to 0.001/f = 0.111 at the defaults
-    ("moments", {"horizon": 0.05}, None, "scenario.dt"),
+    # the ODE's step is delta, 0.5 at the defaults
+    ("moments", {"horizon": 0.05}, None, "scenario.horizon"),
     ("trajectories", {"record_every": 1000, "horizon": 20.0}, None, "scenario.record_every"),
     ("fig1", {"kind": "fig1"}, None, "scenario.kind"),
     ("trajectories", {"timing": "midpoint"}, None, "scenario.timing"),
     ("delta-scan", {"timing": "uniform"}, None, "scenario.timing"),
     ("trajectories", {"thermal_start": "false"}, None, "scenario.thermal_start"),
+    ("fig1", {"boltzmann_k": 1.0}, None, "scenario.boltzmann_k"),
+    ("moments", {"x0": 0.0}, None, "scenario.x0"),
 ], ids=["no-grid-sizes", "no-times", "duplicate-deltas", "delta-beyond-horizon",
         "negative-fidelity-time", "no-fidelity-times", "oracle-x-not-positive",
         "oracle-p-not-negative", "negative-r-length", "negative-R-halfwidth",
@@ -243,12 +259,17 @@ def test_oracle_verify_fails_on_a_non_finite_error(tmp_path, capsys, monkeypatch
         "zero-fidelity-min", "fidelity-min-above-1", "horizon-below-delta",
         "dt-beyond-horizon", "resolved-dt-beyond-horizon",
         "record-every-skips-horizon", "removed-kind-key", "removed-timing-key",
-        "removed-scan-timing-key", "removed-thermal-start-key"])
+        "removed-scan-timing-key", "removed-thermal-start-key",
+        "removed-boltzmann-k-key", "removed-x0-key"])
 def test_input_that_would_escape_validation_rejected(kind, cfg, seed, field, tmp_path, capsys):
     ini = _write_ini(tmp_path / "bad.ini", cfg)
     with pytest.raises(ConfigError) as exc:
         cli.ScenarioConfig.load(kind, str(ini), seed=seed)
     assert exc.value.field == field
+    # a removed key (r_length, R_halfwidth, trace_tol, completeness_tol,
+    # fidelity_min, dt, record_every, ...) is rejected as unknown whatever its value
+    removed = field.removeprefix("scenario.") not in {f.name for f in _keys(kind)}
+    assert str(exc.value).endswith("unknown key") == removed
     argv = [] if seed is None else ["--seed", str(seed)]
     assert cli.main([kind, str(ini), *argv, "--out-dir", str(tmp_path / "out")]) == 2
     assert field in capsys.readouterr().err
@@ -276,9 +297,12 @@ def test_every_schema_error_names_its_field(kind, tmp_path):
 
 
 def test_mixed_case_key_is_read(tmp_path):
-    # INI keys used to be lower-cased, so R_halfwidth could not be set at all
-    ini = _write_ini(tmp_path / "oracle.ini", {**SMOKE["oracle-verify"], "R_halfwidth": 30.0})
-    assert cli.ScenarioConfig.load("oracle-verify", str(ini)).R_halfwidth == 30.0
+    # INI keys used to be lower-cased; Alpha is now read as written, an unknown key
+    ini = _write_ini(tmp_path / "oracle.ini", {**SMOKE["oracle-verify"], "Alpha": 0.5})
+    with pytest.raises(ConfigError) as exc:
+        cli.ScenarioConfig.load("oracle-verify", str(ini))
+    assert exc.value.field == "scenario.Alpha"
+    assert str(exc.value).endswith("unknown key")
 
 
 @pytest.mark.parametrize("kind", sorted(SMOKE))
