@@ -51,13 +51,19 @@ def _bool(s):
     raise ValueError(f"not a boolean: {s!r}")
 
 
+def _finite(s):
+    if not np.isfinite(v := float(s)):
+        raise ValueError(f"not a finite number: {s!r}")
+    return v
+
+
 def _tuple_of(cast):
     return lambda s: tuple(cast(v) for v in str(s).replace(",", " ").split())
 
 
 # a field's annotation -> the cast of its INI text
-_CASTS = {"float": float, "int": int, "bool": _bool, "tuple[int, ...]": _tuple_of(int),
-          "tuple[float, ...]": _tuple_of(float), "tuple[float, ...] | None": _tuple_of(float)}
+_CASTS = {"float": _finite, "int": int, "bool": _bool, "tuple[int, ...]": _tuple_of(int),
+          "tuple[float, ...]": _tuple_of(_finite), "tuple[float, ...] | None": _tuple_of(_finite)}
 # the moment columns of the moments CSVs, named as the series' attributes
 _MOMENTS = ["t", "mean_x", "mean_p", "mean_x2", "mean_xp", "mean_p2"]
 
@@ -500,7 +506,6 @@ class DeltaScanConfig(_Gas):
             failures.append(f"mean ratio {mean_ratio:.3f} outside factor {self.ratio_factor}")
         return {"log_log_slope": slope if np.isfinite(slope) else None,
                 "mean_ratio_to_printed": mean_ratio,
-                "uniform_timing_rate_at_largest_delta": rates[-1],
                 "outputs": [f.name for f in files]}, failures
 
 

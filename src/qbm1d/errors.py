@@ -39,7 +39,7 @@ class StepTooLarge(QBM1DError):
 
 
 class PartnerNotConverged(QBM1DError):
-    """The collision-partner sampler's Newton solve ran out of steps."""
+    """The partner sampler's rejection rounds ran out (a non-finite momentum)."""
 
 
 class GridMismatch(QBM1DError):

@@ -4,7 +4,7 @@ Each trajectory is a Gaussian packet of fixed width sigma (matched widths
 keep collisions Gaussian-preserving), carried by its phase-space label
 (x, p).  Per coarse step delta a trajectory collides with probability
 rate(p) * delta; the collision draws a gas momentum from the flux-weighted
-Maxwell-Boltzmann distribution (Newton on its CDF from a tabulated quantile)
+Maxwell-Boltzmann distribution (exact rejection from a two-part envelope)
 and applies the elastic collision map to the labels.  Ensemble averages of
 the packet moments unravel the master equation's expectation values.  One
 seeded rng stream drives the whole ensemble, so a seed fixes every path.
@@ -25,12 +25,10 @@ full-rate draw.
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import PartnerNotConverged, StepTooLarge
 from .exact_collision import collision_time
@@ -48,9 +46,8 @@ __all__ = [
 ]
 
 _MAX_STEP_PROBABILITY = 0.1
-_NEWTON_MAX_STEPS = 100
-_SQRT_2PI = np.sqrt(2 * np.pi)
-_KAPPA_MAX = 6.25              # the start table's top kappa node below the kink
+_MAX_ROUNDS = 64
+_RAYLEIGH_MASS = np.sqrt(2 / np.pi)   # E|z|, the envelope's signed Rayleigh part
 
 
 class ValidityWarning(UserWarning):
@@ -117,98 +114,35 @@ def collision_rate(p, gas: ThermalGasSpec, pair: CollisionPair):
     return gas.number_density * mean_relative_speed(gas, p, pair.brownian_mass)
 
 
-def _flux_tail(b, z):
-    """G_b(z) = b Phi(z) + phi(z), the flux mass below z <= b of the density
-    |t - b| phi(t), and phi(z); G_b' = (b - z) phi."""
-    phi = np.exp(-0.5 * z * z) / _SQRT_2PI
-    return b * ndtr(z) + phi, phi
-
-
-@functools.cache
-def _quantile_table():
-    """sample_collision_partner's start table by branch, kink and kappa node;
-    the slope is sqrt(2 G_b(b) / phi(b)) at the kink, kappa = 0."""
-    z = 0.05 * np.arange(-500, 501)
-    cdf, pdf, s = ndtr(z), np.exp(-0.5 * z * z) / _SQRT_2PI, np.arange(341)
-    table = np.empty((2, 161, 121))
-    for branch, sgn in enumerate((1, -1)):
-        k = np.minimum(np.arange(340, 661, 2), 500 if sgn < 0 else 660)[:, None]
-        b, k = z[k], k - sgn * s                       # above the kink b <= 0
-        g = b * cdf[k] + pdf[k]
-        m = g[:, :1]                                   # G_b(b), at s = 0
-        kappa = np.sqrt(np.abs(np.log((1 - sgn) * m + sgn * g) - np.log(m)))
-        kink = np.repeat(np.sqrt(2 * m / pdf[k[:, :1]]), s.size, axis=1)
-        slope = np.divide(0.05 * s, kappa, out=kink, where=kappa > 0)
-        top = _KAPPA_MAX if sgn > 0 else np.sqrt(np.abs(np.log1p(-0.5 * b / m)))
-        for row, nodes in enumerate(np.broadcast_to(top * np.linspace(0, 1, 121), (161, 121))):
-            table[branch, row] = np.interp(nodes, kappa[row], slope[row])
-    return table
-
-
 def sample_collision_partner(p, gas: ThermalGasSpec, pair: CollisionPair, rng):
     """Gas momenta from the flux-weighted density ~ mu(p_g) |v_g - v|.
 
-    Exact inverse-transform sampling of one uniform u per momentum.  In gas
-    velocity units z = v_g / sqrt(kT/m_g) the density is |z - z_v| phi(z),
-    zero at the kink z_v = v / sqrt(kT/m_g).  Its CDF is closed form:
-    G_{z_v}(z) below the kink, 2 G_{z_v}(z_v) - G_{z_v}(z) above it, out of
-    the total 2 G_{z_v}(z_v) - z_v, with G_b(z) = b Phi(z) + phi(z).
-
-    Mirrored branch: the density is symmetric under (z, z_v) -> (-z, -z_v),
-    so for u > 1/2 the draw is minus the (1 - u)-quantile of the density
-    with kink -z_v.  Every inversion then solves F_b(z) = y for a mass y of
-    at most half the total, counted from the lower tail, where the closed
-    form keeps its relative precision.
-
-    Newton on log F with F' = |z - b| phi(z) from a table of the slope
-    |z - b| / kappa, kappa = sqrt|ln(y / G_b(b))|, finite at the kink: b in
-    [-8, 8] by 0.1, 121 kappa nodes to 6.25 below the kink and to the median
-    above it (b < 0), built on the first call from F_b on a z grid of step
-    0.05, read bilinearly and clamped.  A step that leaves the bracket,
-    [min(b, 0) - 10, b] below the kink or [b, max(b, 0) + 1] above, bisects;
-    u = 0 gives its lower end.  Done at a step <= 1e-13 (1 + |z|) or residual
-    <= 1e-13 F (<= 4 steps at thermal alpha <= 1), else PartnerNotConverged.
+    Exact von Neumann rejection in gas velocity units z = v_g / sqrt(kT/m_g),
+    b = v / sqrt(kT/m_g): the density |z - b| phi(z) lies under (|z| + |b|)
+    phi(z), a signed Rayleigh of mass sqrt(2/pi) mixed with a standard normal
+    of mass |b|.  Each round draws u, v and normals n0, n1 for the pending
+    draws; the candidate is sign(n0) hypot(n0, n1) when u (sqrt(2/pi) + |b|)
+    < sqrt(2/pi), else n1, kept when v (|z| + |b|) <= |z - b|.  The acceptance
+    E|z - b| / (sqrt(2/pi) + |b|) is at least 0.648, so only a non-finite
+    momentum outlasts _MAX_ROUNDS rounds: PartnerNotConverged.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     su = np.sqrt(gas.kT / gas.gas_mass)
-    zv = (p / pair.brownian_mass) / su
-    u = rng.random(p.size)
-    mirror = np.where(u > 0.5, -1.0, 1.0)
-    b = mirror * zv
-    m = _flux_tail(b, b)[0]                              # mass below the kink
-    y = np.maximum(np.minimum(u, 1.0 - u) * (2 * m - b), 1e-300)
-    # F = c + sgn G_b: G_b below the kink, 2 m - G_b above it
-    sgn = np.where(y > m, -1.0, 1.0)
-    c = (1.0 - sgn) * m
-    lo = np.where(sgn < 0, b, np.minimum(b, 0.0) - 10.0)
-    hi = np.where(sgn < 0, np.maximum(b, 0.0) + 1.0, b)
-    # kappa in top-node units (above the kink: at the median m - b/2), m floored for b < -38
-    log_y, mf = np.log(y), np.maximum(m, 1e-300)
-    kappa = np.sqrt(np.abs(log_y - np.log(mf)))
-    top = np.where(sgn < 0, np.sqrt(np.maximum(np.log1p(-0.5 * b / mf), 1e-300)), _KAPPA_MAX)
-    _, n_b, n_t = _quantile_table().shape
-    fb = np.clip((b + 8.0) * 10.0, 0.0, n_b - 1.000001)
-    ft = np.clip(kappa / top * (n_t - 1), 0.0, n_t - 1.000001)
-    i, j = fb.astype(np.intp), ft.astype(np.intp)
-    k, wt, flat = ((sgn < 0) * n_b + i) * n_t + j, ft - j, _quantile_table().ravel()
-    near, far = ((1 - wt) * flat[k + d] + wt * flat[k + d + 1] for d in (0, n_t))
-    z = np.clip(b - sgn * kappa * (near + (fb - i) * (far - near)), lo, hi)
-    for _ in range(_NEWTON_MAX_STEPS):
-        g, phi = _flux_tail(b, z)
-        f = c + sgn * g
-        low = f < y
-        lo, hi = np.where(low, z, lo), np.where(low, hi, z)
-        # F' vanishes at the kink: the guard keeps the step finite, and a residual
-        # of 1e-13 F ends steps that the rounding of F over F' would keep cycling
-        new = z + (log_y - np.log(f)) * f / (np.abs(z - b) * phi + 1e-300)
-        new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
-        done = (np.abs(new - z) <= 1e-13 * (1.0 + np.abs(new))) | (np.abs(f - y) <= 1e-13 * f)
-        z = new
-        if done.all():
-            break
-    else:
-        raise PartnerNotConverged(f"partner draws not done in {_NEWTON_MAX_STEPS} Newton steps")
-    return gas.gas_mass * su * mirror * z
+    b = ((p / pair.brownian_mass) / su).ravel()
+    z, pending = np.empty(b.size), np.arange(b.size)
+    for _ in range(_MAX_ROUNDS):
+        k, bk = pending.size, b[pending]
+        u, v, n = rng.random(k), rng.random(k), rng.standard_normal((2, k))
+        a = np.abs(bk)
+        cand = np.where(u * (_RAYLEIGH_MASS + a) < _RAYLEIGH_MASS,
+                        np.copysign(np.hypot(n[0], n[1]), n[0]), n[1])
+        keep = v * (np.abs(cand) + a) <= np.abs(cand - bk)
+        z[pending[keep]] = cand[keep]
+        pending = pending[~keep]
+        if not pending.size:
+            return gas.gas_mass * su * z.reshape(p.shape)
+    raise PartnerNotConverged(f"{pending.size} partner draws not accepted in "
+                              f"{_MAX_ROUNDS} rejection rounds")
 
 
 def _check_step(gas: ThermalGasSpec, pair: CollisionPair, delta: float, p=None):

@@ -154,7 +154,7 @@ def test_thermal_law_step_too_large_exits_before_any_step(kind, tmp_path, capsys
 
 @pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
 def test_unconverged_partner_draw_exits_2_and_names_the_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(trajectories, "_NEWTON_MAX_STEPS", 1)
+    monkeypatch.setattr(trajectories, "_MAX_ROUNDS", 1)
     ini = _write_ini(tmp_path / "c.ini", SMOKE["trajectories"])
     assert cli.main(["trajectories", str(ini), "--out-dir", str(tmp_path)]) == 2
     assert "PartnerNotConverged" in capsys.readouterr().err
@@ -163,8 +163,8 @@ def test_unconverged_partner_draw_exits_2_and_names_the_error(tmp_path, capsys, 
 
 @pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
 def test_cold_gas_partner_draws_at_underflowing_kinks(tmp_path):
-    # at T = 1e-4 every path has z_v = 42: the mass below the mirrored kink
-    # -42 underflows to 0, where the start table's coordinates need a floor
+    # at T = 1e-4 every path has z_v = 42, where phi and the flux mass below
+    # the kink underflow to 0: the envelope is almost all normal part
     ini = _write_ini(tmp_path / "c.ini", {"temperature": 1e-4, "p0": 3.0, "n_traj": 2000,
                                           "horizon": 20.0})
     assert cli.main(["trajectories", str(ini), "--out-dir", str(tmp_path)]) == 0
@@ -250,6 +250,10 @@ def test_oracle_verify_fails_on_a_non_finite_error(tmp_path, capsys, monkeypatch
     ("trajectories", {"thermal_start": "false"}, None, "scenario.thermal_start"),
     ("fig1", {"boltzmann_k": 1.0}, None, "scenario.boltzmann_k"),
     ("moments", {"x0": 0.0}, None, "scenario.x0"),
+    ("trajectories", {"p0": "nan"}, None, "scenario.p0"),
+    ("fig1", {"x_lo": "nan"}, None, "scenario.x_lo"),
+    ("channel-verify", {"state_x": "inf"}, None, "scenario.state_x"),
+    ("delta-scan", {"deltas": "0.25 -inf"}, None, "scenario.deltas"),
 ], ids=["no-grid-sizes", "no-times", "duplicate-deltas", "delta-beyond-horizon",
         "negative-fidelity-time", "no-fidelity-times", "oracle-x-not-positive",
         "oracle-p-not-negative", "negative-r-length", "negative-R-halfwidth",
@@ -260,7 +264,8 @@ def test_oracle_verify_fails_on_a_non_finite_error(tmp_path, capsys, monkeypatch
         "dt-beyond-horizon", "resolved-dt-beyond-horizon",
         "record-every-skips-horizon", "removed-kind-key", "removed-timing-key",
         "removed-scan-timing-key", "removed-thermal-start-key",
-        "removed-boltzmann-k-key", "removed-x0-key"])
+        "removed-boltzmann-k-key", "removed-x0-key", "nan-p0", "nan-x-lo",
+        "infinite-state-x", "infinite-delta"])
 def test_input_that_would_escape_validation_rejected(kind, cfg, seed, field, tmp_path, capsys):
     ini = _write_ini(tmp_path / "bad.ini", cfg)
     with pytest.raises(ConfigError) as exc:

@@ -1,7 +1,4 @@
 import dataclasses
-import os
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -47,37 +44,6 @@ def _pair_and_gas(alpha):
                                 gas_mass=pair.gas_mass, packet_width=pair.gas_width)
 
 
-def _bisect_quantile(zv, u):
-    """Partner quantile in z units by bisection over [min(z_v, 0) - 10,
-    max(z_v, 0) + 10], outside which lies less than 1e-22 of the mass.  The
-    mass below z is matched for u <= 1/2 and the mass above z otherwise, each
-    written directly from the density |z - z_v| phi(z), so neither tail is
-    lost to cancellation against the total."""
-    phi = lambda v: np.exp(-v**2 / 2) / np.sqrt(2 * np.pi)  # noqa: E731
-    m_lo = zv * ndtr(zv) + phi(zv)
-    m_hi = phi(zv) - zv * ndtr(-zv)
-
-    def mass_below(v):
-        return np.where(v <= zv, zv * ndtr(v) + phi(v),
-                        m_lo + phi(zv) - phi(v) - zv * (ndtr(v) - ndtr(zv)))
-
-    def mass_above(v):
-        return np.where(v >= zv, phi(v) - zv * ndtr(-v),
-                        m_hi + zv * (ndtr(-v) - ndtr(-zv)) - phi(v) + phi(zv))
-
-    total = m_lo + m_hi
-    lower = u <= 0.5
-    lo = np.minimum(zv, 0.0) - 10.0
-    hi = np.maximum(zv, 0.0) + 10.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        left = np.where(lower, mass_below(mid) < u * total,
-                        mass_above(mid) > (1 - u) * total)
-        lo = np.where(left, mid, lo)
-        hi = np.where(left, hi, mid)
-    return 0.5 * (lo + hi)
-
-
 class _FixedUniforms:
     """The given uniforms on the first ``random`` call, then a seeded stream."""
 
@@ -94,6 +60,9 @@ class _FixedUniforms:
 
     def uniform(self, lo, hi, size):
         return self.rng.uniform(lo, hi, size)
+
+    def standard_normal(self, size):
+        return self.rng.standard_normal(size)
 
 
 def _free_packet_moments(pair, p0, t):
@@ -132,92 +101,37 @@ class TestCollisionPartner:
         pytest.param(0.3, -4.0, id="-4.0"),
         # z_v = 8, 12 and 6.7: a fixed bracket z_v +- 9 cuts off the gas mass
         pytest.param(1.0, 8.0, id="alpha1-8.0"), pytest.param(1.0, 12.0, id="alpha1-12.0"),
-        pytest.param(5.0, 3.0, id="alpha5-3.0")])
+        pytest.param(5.0, 3.0, id="alpha5-3.0"),
+        # z_v = +-20 and +-40: at +-40 phi and the mass below the kink underflow
+        # to 0, the kinks of a cold gas (hence under="ignore")
+        pytest.param(1.0, 20.0, id="alpha1-20.0"), pytest.param(1.0, -20.0, id="alpha1--20.0"),
+        pytest.param(1.0, 40.0, id="alpha1-40.0"), pytest.param(1.0, -40.0, id="alpha1--40.0"),
+        # thermal kinks, z_v normal with variance alpha: each draw against its own CDF
+        pytest.param(0.02, None, id="alpha0.02-thermal")])
     def test_ks_against_closed_form_cdf(self, alpha, p):
         pair, gas = _pair_and_gas(alpha)
         rng = np.random.default_rng(7)
-        draws = tr.sample_collision_partner(np.full(20000, p), gas, pair, rng)
-        res = stats.kstest(draws, lambda v: _partner_cdf(v, p, gas, pair))
-        assert res.pvalue > 1e-3
-
-    def test_matches_bisection_oracle(self):
-        pair, gas = _pair_and_gas(1.0)   # z = p_g and z_v = p
-        # kinks inside the start table and beyond its edge at |z_v| = 8
-        cases = [(zv, u) for zv in (0.0, 0.14, -0.14, 1.0, -1.0, 4.0, -4.0, 8.0, 12.0,
-                                    -12.0, 9.0, -9.0, 20.0, -20.0)
-                 for u in (0.0, 1e-300, 1e-16, 1.0 - 2.0**-53)]
-        for zv in (0.0, 0.14, -0.14, 1.0, -1.0, 4.0, -4.0):
-            # 0.1 % of the branch mass either side of the kink, where the
-            # density vanishes; nearer than that the quantile of a double u is
-            # ill-conditioned beyond 1e-12
-            q = _partner_cdf(zv, zv, gas, pair)
-            cases += [(zv, q * (1 - 1e-3)), (zv, q + (1 - q) * 1e-3)]
-        # a root 6e-4 below the kink, where F' ~ 2e-4: a step rule alone cycled
-        # between two iterates 2e-13 apart, the rounding of F over F'
-        cases.append((-0.505228735614018, 0.21856835507968375))
-        zv, u = np.array(cases).T
-        with warnings.catch_warnings(), np.errstate(all="raise"):
-            warnings.simplefilter("error")
-            z = tr.sample_collision_partner(zv, gas, pair, _FixedUniforms(u))
-            np.testing.assert_allclose(z, _bisect_quantile(zv, u), rtol=0, atol=1e-12)
-            # thermal kinks: z_v = v / sqrt(kT/m_g) is normal with variance alpha
-            for alpha in (0.02, 0.3, 1.0, 5.0):
-                zv = np.random.default_rng(11).normal(0.0, np.sqrt(alpha), 10000)
-                rng, ref = np.random.default_rng(12), np.random.default_rng(12)
-                z = tr.sample_collision_partner(zv, gas, pair, rng)
-                u = ref.random(zv.size)                   # one uniform per draw
-                assert rng.bit_generator.state == ref.bit_generator.state
-                np.testing.assert_allclose(z, _bisect_quantile(zv, u), rtol=0, atol=1e-12)
-        # kinks where the mass below a kink b < -38 underflows to 0 (and phi
-        # with it, hence under="ignore"): the uniforms of a cold run
-        u = np.concatenate([np.random.default_rng(13).random(2000), [1e-16, 1.0 - 2.0**-53]])
+        if p is None:
+            p = rng.normal(0.0, np.sqrt(pair.brownian_mass * gas.kT), 20000)
+        p = np.broadcast_to(p, 20000)
         with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
             warnings.simplefilter("error")
-            for zv in np.full((4, u.size), [[38.0], [-38.0], [40.0], [-40.0]]):
-                z = tr.sample_collision_partner(zv, gas, pair, _FixedUniforms(u))
-                np.testing.assert_allclose(z, _bisect_quantile(zv, u), rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("alpha,untabled", [(0.02, 7), (0.3, 8), (1.0, 9), (5.0, 9)])
-    def test_newton_iterations_on_thermal_inputs(self, alpha, untabled, monkeypatch):
-        # the set-up evaluates _flux_tail once (the start table none), each
-        # iteration once.  ``untabled`` is the worst count from the start at the
-        # kink's quadratic expansion; the table needs at most 4 at alpha <= 1
-        # and, with kinks beyond its edge, no more than before at alpha = 5
-        worst = 4 if alpha <= 1 else untabled
-        calls = []
-        flux_tail = tr._flux_tail
-        monkeypatch.setattr(tr, "_flux_tail", lambda b, z: calls.append(1) or flux_tail(b, z))
-        pair, gas = _pair_and_gas(alpha)
-        p = np.random.default_rng(3).normal(0.0, np.sqrt(pair.brownian_mass * gas.kT), 20000)
-        tr.sample_collision_partner(p, gas, pair, np.random.default_rng(4))
-        assert len(calls) - 1 <= worst
+            draws = tr.sample_collision_partner(p, gas, pair, rng)
+            res = stats.kstest(_partner_cdf(draws, p, gas, pair), "uniform")
+        assert res.pvalue > 1e-3
 
     def test_unconverged_draw_raises(self, gas, pair, monkeypatch):
-        monkeypatch.setattr(tr, "_NEWTON_MAX_STEPS", 1)
-        with pytest.raises(PartnerNotConverged, match="1 Newton steps"):
+        monkeypatch.setattr(tr, "_MAX_ROUNDS", 1)
+        with pytest.raises(PartnerNotConverged, match="in 1 rejection rounds"):
             tr.sample_collision_partner(np.linspace(-3.0, 3.0, 50), gas, pair,
                                         np.random.default_rng(0))
 
-    def test_start_table_is_built_on_the_first_draw(self):
-        code = ("from qbm1d import trajectories as tr; import numpy as np; "
-                "from qbm1d.packets import CollisionPair; "
-                "from qbm1d.thermal import ThermalGasSpec; "
-                "pair = CollisionPair.matched(1.0, 0.3, 2.0); "
-                "gas = ThermalGasSpec(1.0, 0.02, pair.gas_mass, pair.gas_width); "
-                "print(tr._quantile_table.cache_info().currsize); "
-                "tr.sample_collision_partner(np.zeros(3), gas, pair, np.random.default_rng(0)); "
-                "tr.sample_collision_partner(np.ones(3), gas, pair, np.random.default_rng(1)); "
-                "print(tr._quantile_table.cache_info())")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=env, check=True).stdout.split("\n")
-        assert out[0] == "0"
-        assert "misses=1," in out[1]   # built once, then reused
-
-    def test_start_table_is_finite_and_small(self):
-        table = tr._quantile_table()
-        assert table.shape == (2, 161, 121) and table.nbytes < 2**20
-        assert np.all(np.isfinite(table)) and np.all(table > 0)
+    def test_nan_momentum_raises(self, gas, pair):
+        # no candidate is ever kept against a NaN kink; without the cap the
+        # rounds would never end
+        with pytest.raises(PartnerNotConverged, match="1 partner draws"):
+            tr.sample_collision_partner(np.array([0.0, np.nan, 1.0]), gas, pair,
+                                        np.random.default_rng(0))
 
 
 class TestRun:
@@ -401,12 +315,16 @@ class TestThinnedDraw:
     @pytest.mark.parametrize("alpha", [0.02, 1.0, 5.0])
     def test_sampler_normaliser_is_the_rate(self, alpha):
         # the partner law's total flux mass G_b(b) + G_-b(-b), in gas velocity
-        # units, times n_g sqrt(kT/m_g), against the rate's erf closed form
+        # units, times n_g sqrt(kT/m_g), against the rate's erf closed form;
+        # G_b(b) = b Phi(b) + phi(b) is the mass of |z - b| phi(z) below z = b
+        def below_kink(b):
+            return b * ndtr(b) + np.exp(-0.5 * b * b) / np.sqrt(2 * np.pi)
+
         pair, gas = _pair_and_gas(alpha)
         su = np.sqrt(gas.kT / gas.gas_mass)
         p = np.sqrt(pair.brownian_mass * gas.kT) * np.linspace(-40.0, 40.0, 8001)
         b = p / pair.brownian_mass / su
-        total = tr._flux_tail(b, b)[0] + tr._flux_tail(-b, -b)[0]
+        total = below_kink(b) + below_kink(-b)
         np.testing.assert_allclose(gas.number_density * su * total,
                                    tr.collision_rate(p, gas, pair), rtol=1e-13, atol=0)
 
