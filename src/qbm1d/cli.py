@@ -17,8 +17,10 @@ path.  Exit codes: 0 success, 2 configuration/validation failure,
 
 Every run writes a ``summary.json`` whose ``config`` block holds every key
 with its resolved value, plus ``kind``; identical config and seed give
-byte-identical outputs.  ``trajectories`` and ``moments`` write their rows at
-the same times t = k delta, k = 0, ..., round(horizon / delta).
+byte-identical outputs.  Its ``numerics.validity_warnings`` lists the text
+of every ``ValidityWarning`` the scenario raised, which still go to stderr.
+``trajectories`` and ``moments`` write their rows at the same times
+t = k delta, k = 0, ..., round(horizon / delta).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import argparse
 import configparser
 import json
 import sys
+import warnings
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
@@ -517,11 +520,21 @@ SCENARIOS = {c.kind: c for c in (Fig1Config, CollideConfig, OracleVerifyConfig,
 def run_scenario(cfg: ScenarioConfig) -> int:
     """Run one validated scenario; writes artifacts, returns the exit code."""
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        summary, failures = cfg.run()
-    except QBM1DError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", trajectories.ValidityWarning)
+        try:
+            summary, failures = cfg.run()
+        except QBM1DError as exc:
+            error = exc
+        else:
+            error = None
+    for w in caught:                     # on to stderr, under the caller's filters
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
+    if error is not None:
+        print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
         return 2
+    summary.setdefault("numerics", {})["validity_warnings"] = [
+        str(w.message) for w in caught if issubclass(w.category, trajectories.ValidityWarning)]
     summary["tolerance_failures"] = failures
     config = {"kind": cfg.kind, **{f.name: getattr(cfg, f.name) for f in _keys(cfg)}}
     path = cfg.out_dir / "summary.json"

@@ -21,10 +21,25 @@ The collision instant is uniform in the step.  Each step thins its uniforms
 against the rate at the largest |p| (Lewis & Shedler 1979): only the draws
 below that bound take their own rate, and the hits are those of the
 full-rate draw.
+
+Free-flight intercepts
+----------------------
+Between collisions a label flies freely, x = a + p t/m, so ``run`` carries
+each path's intercept a = x - p t/m with its momentum.  A step touches only
+its hits: each flies to contact at a + p (t + tau)/m, takes the label map
+and gets a new intercept.  The moments come from running sums of the
+monomials alpha^i pi^j (1 <= i + j <= 4) of the deviations alpha = a - a_c,
+pi = p - p_c from the initial mean labels (a_c, p_c); a hit swaps its old
+terms for its new ones, so a step costs O(hits) beyond its one uniform per
+path.  The deviation of x from the mean labels' free flight a_c + p_c t/m
+is alpha + pi t/m, so the moments at time t are polynomials in t/m of the
+sums.  Centred sums keep the cancellation at rounding; identical initial
+labels all deviate alike from their rounded mean, so their SEs are exactly 0.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -75,7 +90,9 @@ class EnsembleStats:
     positions and velocities, so in those coordinates it is one orthogonal
     map: it moves the centres and keeps the isotropic shape.  The outgoing
     packet is therefore again a free packet of age t.  The standard errors
-    are those of the label moments; the floors carry none.
+    are those of the label moments; the floors carry none.  ``run`` takes
+    both from the centred running sums of its free-flight intercepts and
+    momenta (see the module docstring), as central moments up to order 4.
     """
 
     t: float
@@ -92,20 +109,80 @@ class EnsembleStats:
     se_mean_p2: float
 
     @classmethod
-    def from_phase_points(cls, t, x, p, pair: CollisionPair) -> "EnsembleStats":
-        """Moments of the labels (x, p) at time t plus their floors.  The
-        standard errors come from sums of squared deviations from the mean
-        (two passes), free of the cancellation in s2/n - mean^2."""
-        t, n = float(t), x.size
-        mean, se, q, d = [], [], np.empty(n), np.empty(n)
-        for a, b, k in ((x, 1.0, 1), (p, 1.0, 1), (x, x, 1), (x, p, 2), (p, p, 1)):
-            mean.append(k * np.multiply(a, b, out=q).mean())   # {x, p} = 2 x p, exactly
-            np.subtract(q, mean[-1] / k, out=d)
-            se.append(k * np.sqrt(np.dot(d, d) / (n - 1) / n) if n > 1 else np.nan)
+    def from_label_moments(cls, t, n, mean, se, pair: CollisionPair) -> "EnsembleStats":
+        """The label moments ``mean`` of x, p, x^2, {x, p} = 2 x p and p^2 at
+        time t, with their standard errors ``se``, plus the floors."""
         mx, mp, mx2, mxp, mp2 = map(float, mean)
         s2, hb2, spread = pair.brownian_width**2, pair.hbar**2, t / pair.brownian_mass
-        return cls(t, n, mx, mp, mx2 + s2 / 2 + hb2 * spread**2 / (2 * s2),
+        return cls(float(t), int(n), mx, mp, mx2 + s2 / 2 + hb2 * spread**2 / (2 * s2),
                    mxp + hb2 * spread / s2, mp2 + hb2 / (2 * s2), *map(float, se))
+
+
+_I, _J = np.array([(i, j) for i in range(5) for j in range(5 - i)]).T   # orders i + j <= 4
+_BINOM = np.array([[math.comb(i, k) for k in range(5)] for i in range(5)], dtype=float)
+_POWER = np.subtract.outer(np.arange(5), np.arange(5)).clip(0)
+_BLOCK = 4096
+
+
+def _pascal(m):
+    """[i, k] = C(i, k) m^(i - k) for k <= i: maps the moments E[u^k] to
+    E[(u + m)^i]."""
+    return np.tril(_BINOM * m ** _POWER)
+
+
+class _LabelSums:
+    """Running sums of alpha^i pi^j over the paths, alpha = a - a_c and
+    pi = p - p_c the deviations of intercept and momentum from the initial
+    mean labels (a_c, p_c)."""
+
+    def __init__(self, a, p):
+        self.n, self.a_c, self.p_c = a.size, np.mean(a), np.mean(p)
+        self.sums = self._power_sums(a, p)
+
+    def _power_sums(self, a, p):
+        """[i, j] = sum of alpha^i pi^j, i, j <= 4, in blocks of _BLOCK paths
+        (the powers of a block take 80 bytes a path); orders above 4 are
+        never read."""
+        sums = np.zeros((5, 5))
+        for start in range(0, a.size, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            powers = np.empty((2, 5, a[block].size))
+            powers[:, 0] = 1.0
+            powers[:, 1] = a[block] - self.a_c, p[block] - self.p_c
+            for k in range(2, 5):
+                np.multiply(powers[:, k - 1], powers[:, 1], out=powers[:, k])
+            sums += powers[0] @ powers[1].T
+        return sums
+
+    def move(self, old, new):
+        """Swap the terms of the labels ``old`` = (a, p) for those of ``new``."""
+        self.sums += self._power_sums(*new) - self._power_sums(*old)
+
+    def stats(self, t, pair: CollisionPair) -> EnsembleStats:
+        """EnsembleStats at time t.  The central moments c of (alpha, pi) are
+        sheared to those of (x, p) by x - E x = u + w t/m, u = alpha - E alpha,
+        w = pi - E pi: E[(u + s w)^i w^j] sums C(i, k) s^(i-k) c[k, i + j - k],
+        one Pascal product along each order i + j.  The variance of each label
+        moment expands about the means X, P, e.g. Var x^2 = mu40 - mu20^2 +
+        4 X mu30 + 4 X^2 mu20; rounding may take a zero variance below 0."""
+        n, s = self.n, t / pair.brownian_mass
+        raw = self.sums / n
+        ma, mp = raw[1, 0], raw[0, 1]
+        c = _pascal(-ma) @ raw @ _pascal(-mp).T
+        by_order = np.zeros((5, 5))
+        by_order[_I, _I + _J] = c[_I, _J]
+        mu = np.zeros((5, 5))
+        mu[_I, _J] = (_pascal(s) @ by_order)[_I, _I + _J]
+        x = self.a_c + self.p_c * s + ma + mp * s
+        p = self.p_c + mp
+        mean = (x, p, x * x + mu[2, 0], 2 * (x * p + mu[1, 1]), p * p + mu[0, 2])
+        var = (mu[2, 0], mu[0, 2],
+               mu[4, 0] - mu[2, 0]**2 + 4 * x * mu[3, 0] + 4 * x * x * mu[2, 0],
+               4 * (mu[2, 2] - mu[1, 1]**2 + x * x * mu[0, 2] + p * p * mu[2, 0]
+                    + 2 * x * mu[1, 2] + 2 * p * mu[2, 1] + 2 * x * p * mu[1, 1]),
+               mu[0, 4] - mu[0, 2]**2 + 4 * p * mu[0, 3] + 4 * p * p * mu[0, 2])
+        se = [np.sqrt(max(v, 0.0) / (n - 1)) if n > 1 else np.nan for v in var]
+        return EnsembleStats.from_label_moments(t, n, mean, se, pair)
 
 
 def collision_rate(p, gas: ThermalGasSpec, pair: CollisionPair):
@@ -186,24 +263,30 @@ def _draw_collisions(p, gas: ThermalGasSpec, pair: CollisionPair, delta: float,
     return hit, tau, eta, p_g
 
 
+def _collide(a, p, t, draws, pair: CollisionPair):
+    """Apply a step's draws (hit, tau, eta, p_g) at the step start t to the
+    intercepts a = x - p t/m and momenta p, in place.  A hit flies to contact,
+    takes the label map against the gas label displaced by its flight and
+    gets the intercept of its outgoing label."""
+    hit, tau, eta, p_g = draws
+    ph, t_hit = p[hit], t + tau
+    xh = a[hit] + ph / pair.brownian_mass * t_hit           # contact position
+    x_g_label = xh - (p_g / pair.gas_mass) * eta             # unresolved flight
+    _, _, x_out, p_out = classical_collision_map(pair, x_g_label, p_g, xh, ph)
+    a[hit] = x_out - p_out / pair.brownian_mass * t_hit
+    p[hit] = p_out
+
+
 def step_ensemble(x, p, gas: ThermalGasSpec, pair: CollisionPair, delta: float,
                   rng, gas_flight_window: float = 1.0):
-    """Advance every trajectory by one coarse step; returns (x, p).  A hit
-    drifts to contact, takes the label map against the gas label displaced by
-    its flight, and drifts on.  The hits are written into a float ``p`` in
-    place, which is returned; ``x`` is not modified."""
-    x = np.asarray(x, dtype=float)
+    """Advance every trajectory by one coarse step; returns (x, p).  At the
+    step start the intercepts are the positions: the hits take ``run``'s
+    collision kernel, then every path flies for delta.  The hits are written
+    into a float ``p`` in place, which is returned; ``x`` is not modified."""
+    a = np.array(x, dtype=float)
     p = np.asarray(p, dtype=float)
-    hit, tau, eta, p_g = _draw_collisions(p, gas, pair, delta, rng, gas_flight_window)
-    ph = p[hit]
-    xh = x[hit] + ph / pair.brownian_mass * tau          # drift to contact
-    x_g_label = xh - (p_g / pair.gas_mass) * eta          # unresolved flight
-    _, _, x_out, p_out = classical_collision_map(pair, x_g_label, p_g, xh, ph)
-    v = p / pair.brownian_mass                           # x + v delta, the hits
-    x = np.add(x, np.multiply(v, delta, out=v), out=v)   # are overwritten
-    x[hit] = x_out + p_out / pair.brownian_mass * (delta - tau)
-    p[hit] = p_out
-    return x, p
+    _collide(a, p, 0.0, _draw_collisions(p, gas, pair, delta, rng, gas_flight_window), pair)
+    return a + p / pair.brownian_mass * delta, p
 
 
 def run(x0, p0, gas: ThermalGasSpec, pair: CollisionPair, horizon: float,
@@ -213,10 +296,12 @@ def run(x0, p0, gas: ThermalGasSpec, pair: CollisionPair, horizon: float,
 
     ``x0``/``p0``, arrays of initial labels, are copied.  One rng stream, the
     first child of ``SeedSequence(seed)``, drives every path, so an identical
-    seed reproduces the results bit for bit.  Raises StepTooLarge, before any
+    seed reproduces the results bit for bit.  The paths carry free-flight
+    intercepts and the moments come from running sums (module docstring), so
+    a step costs O(hits) beyond its uniforms.  Raises StepTooLarge, before any
     step, when rate * delta > 0.1 under the thermal laws or at max |p0|.
     """
-    x = np.array(x0, dtype=float)
+    a = np.array(x0, dtype=float)          # intercepts a = x - p t/m, x at t = 0
     p = np.array(p0, dtype=float)
     _check_step(gas, pair, delta, p)
     n_steps = int(round(horizon / delta))
@@ -227,10 +312,15 @@ def run(x0, p0, gas: ThermalGasSpec, pair: CollisionPair, horizon: float,
             f"typical collision time {t_typ:.3g}; the instantaneous-collision "
             "picture is strained", ValidityWarning, stacklevel=2)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    series = [EnsembleStats.from_phase_points(0.0, x, p, pair)]
+    sums = _LabelSums(a, p)
+    series = [sums.stats(0.0, pair)]
     for step in range(1, n_steps + 1):
-        x, p = step_ensemble(x, p, gas, pair, delta, rng, gas_flight_window)
-        series.append(EnsembleStats.from_phase_points(step * delta, x, p, pair))
+        draws = _draw_collisions(p, gas, pair, delta, rng, gas_flight_window)
+        hit = draws[0]
+        old = a[hit], p[hit]
+        _collide(a, p, (step - 1) * delta, draws, pair)
+        sums.move(old, (a[hit], p[hit]))
+        series.append(sums.stats(step * delta, pair))
     return series
 
 
@@ -252,10 +342,13 @@ def excess_position_msd(n: int, gas: ThermalGasSpec, pair: CollisionPair,
     offset = np.zeros(n)
     share = 2 * pair.alpha / (1 + pair.alpha)
     n_steps = int(round(horizon / delta))
-    msd = np.zeros(n_steps + 1)
+    msd, square_sum = np.zeros(n_steps + 1), 0.0
     for step in range(1, n_steps + 1):
         hit, _, eta, p_g = _draw_collisions(p, gas, pair, delta, rng, gas_flight_window)
-        offset[hit] -= share * (p_g / pair.gas_mass) * eta
+        old = offset[hit]
+        new = old - share * (p_g / pair.gas_mass) * eta
+        offset[hit] = new
+        square_sum += np.sum(new * new - old * old)     # only the hits move
         p[hit] = classical_collision_map(pair, 0.0, p_g, 0.0, p[hit])[3]
-        msd[step] = np.mean(offset**2)
+        msd[step] = square_sum / n
     return delta * np.arange(n_steps + 1), msd

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +52,22 @@ def test_scenario_runs_and_reruns_identically(kind, tmp_path):
     assert files == sorted(p.name for p in runs[1].iterdir())
     for name in files:
         assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("kind,listed", [("trajectories", 1), ("moments", 0)])
+def test_summary_lists_validity_warnings(kind, listed, tmp_path):
+    # the trajectories defaults take delta below 3 typical collision times;
+    # the warning is listed and still shown
+    ini = _write_ini(tmp_path / f"{kind}.ini", SMOKE[kind])
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always")
+        assert cli.main([kind, str(ini), "--out-dir", str(tmp_path)]) == 0
+    listed_texts = json.loads((tmp_path / "summary.json").read_text())[
+        "numerics"]["validity_warnings"]
+    assert listed_texts == [str(w.message) for w in shown
+                            if issubclass(w.category, trajectories.ValidityWarning)]
+    assert len(listed_texts) == listed
+    assert all("typical collision time" in text for text in listed_texts)
 
 
 def test_negative_dt_rejected(tmp_path, capsys):

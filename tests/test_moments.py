@@ -78,7 +78,7 @@ def test_slow_particle_check_includes_thermal_spread(alpha, ratio, ok):
                          packet_width=pair.gas_width)
     params = mo.FrictionParams.from_gas(gas, pair.brownian_mass)
     assert params.slow_particle_ratio(0.0) == pytest.approx(ratio, rel=1e-15)
-    mc = [EnsembleStats.from_phase_points(0.0, np.zeros(10), np.zeros(10), pair)]
+    mc = [EnsembleStats.from_label_moments(0.0, 10, [0.0] * 5, [0.0] * 5, pair)]
     ode = [mo.MomentState(mean_x=0.0, mean_p=0.0, mean_x2=mc[0].mean_x2, mean_xp=0.0,
                           mean_p2=mc[0].mean_p2)]
     report = mo.compare_to_trajectories(ode, mc, params)

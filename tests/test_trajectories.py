@@ -6,6 +6,7 @@ import pytest
 from scipy import integrate, stats
 from scipy.special import ndtr
 
+from qbm1d import moments
 from qbm1d import trajectories as tr
 from qbm1d.errors import PartnerNotConverged, StepTooLarge
 from qbm1d.packets import CollisionPair, classical_collision_map
@@ -134,6 +135,78 @@ class TestCollisionPartner:
                                         np.random.default_rng(0))
 
 
+def _step_positions(x, p, hit, tau, eta, p_g, pair, delta):
+    """One coarse step on the positions, the O(n) oracle: a hit drifts to
+    contact, takes the label map against the gas label displaced by its
+    flight and drifts on; every other path drifts for delta."""
+    ph = p[hit]
+    xh = x[hit] + ph / pair.brownian_mass * tau
+    x_g_label = xh - (p_g / pair.gas_mass) * eta
+    _, _, x_out, p_out = classical_collision_map(pair, x_g_label, p_g, xh, ph)
+    x = x + p / pair.brownian_mass * delta
+    x[hit] = x_out + p_out / pair.brownian_mass * (delta - tau)
+    p = p.copy()
+    p[hit] = p_out
+    return x, p
+
+
+def _two_pass_stats(t, x, p, pair):
+    """The oracle's EnsembleStats: label moments with standard errors from
+    sums of squared deviations from the mean (two passes over the paths)."""
+    n, mean, se = x.size, [], []
+    for q in (x, p, x * x, 2 * x * p, p * p):
+        mean.append(q.mean())
+        d = q - mean[-1]
+        se.append(np.sqrt(np.dot(d, d) / (n - 1) / n) if n > 1 else np.nan)
+    return tr.EnsembleStats.from_label_moments(t, n, mean, se, pair)
+
+
+def _positions_run(x0, p0, gas, pair, horizon, delta, seed, window=1.0):
+    """``run`` by the positions loop: (series, the momenta each step draws
+    from)."""
+    x, p = np.array(x0, dtype=float), np.array(p0, dtype=float)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    series, drawn = [_two_pass_stats(0.0, x, p, pair)], []
+    for step in range(1, int(round(horizon / delta)) + 1):
+        drawn.append(p.copy())
+        hit, tau, eta, p_g = tr._draw_collisions(p, gas, pair, delta, rng, window)
+        x, p = _step_positions(x, p, hit, tau, eta, p_g, pair, delta)
+        series.append(_two_pass_stats(step * delta, x, p, pair))
+    return series, drawn
+
+
+_MOMENTS = ("mean_x", "mean_p", "mean_x2", "mean_xp", "mean_p2")
+
+
+def _run_against_positions_loop(x0, p0, gas, pair, horizon, delta, seed, monkeypatch,
+                                mean_rel=0.0):
+    """Run ``run`` and the positions loop on the same labels and seed; assert
+    that every step draws from bitwise equal momenta, that the means agree
+    within 1e-9 SE (or ``mean_rel`` relative, if larger) and the SEs within
+    1e-9 relative.  Returns run's series."""
+    ref, ref_drawn = _positions_run(x0, p0, gas, pair, horizon, delta, seed)
+    drawn, draw = [], tr._draw_collisions
+    monkeypatch.setattr(tr, "_draw_collisions",
+                        lambda p, *a: drawn.append(p.copy()) or draw(p, *a))
+    series = tr.run(x0, p0, gas, pair, horizon, delta, seed)
+    monkeypatch.undo()
+    assert len(drawn) == len(ref_drawn) == len(series) - 1
+    for got, want in zip(drawn, ref_drawn):
+        assert got.tobytes() == want.tobytes()
+    for got, want in zip(series, ref):
+        assert (got.t, got.n) == (want.t, want.n)
+        for name in _MOMENTS:
+            se, want_se = getattr(got, "se_" + name), getattr(want, "se_" + name)
+            if want.n == 1:
+                assert np.isnan(se) and np.isnan(want_se), name
+                tol = 1e-12 * (1 + abs(getattr(want, name)))
+            else:
+                assert se == pytest.approx(want_se, rel=1e-9), (got.t, name)
+                tol = max(1e-9 * want_se, mean_rel * abs(getattr(want, name)))
+            assert abs(getattr(got, name) - getattr(want, name)) <= tol, (got.t, name)
+    return series
+
+
 class TestRun:
     @pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
     def test_reproducible_for_fixed_seed(self, gas, pair):
@@ -150,7 +223,8 @@ class TestRun:
 
     @pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
     def test_leaves_initial_labels_untouched(self, gas, pair):
-        # step_ensemble writes the hits into its momentum array; run steps a copy
+        # run steps copies of the labels; step_ensemble writes the hits into
+        # its momentum array and leaves x alone
         p0 = np.random.default_rng(1).normal(0.0, 1.0, 500)
         x0 = np.zeros(500)
         kept = p0.copy()
@@ -162,20 +236,81 @@ class TestRun:
         x, p_next = tr.step_ensemble(x0, p, gas, pair, 20.0, np.random.default_rng(0))
         assert p_next is p and not np.array_equal(p, p0) and not x0.any()
 
-    def test_two_pass_standard_errors(self, pair):
+    @pytest.mark.parametrize("alpha", [0.02, 1.0, 5.0])
+    def test_step_ensemble_matches_positions_step(self, alpha):
+        # one step of thermal labels, delta at rate * delta = 0.09 for the
+        # one path at 6 thermal momenta
+        pair, gas = _pair_and_gas(alpha)
+        rng = np.random.default_rng(7)
+        thermal = np.sqrt(pair.brownian_mass * gas.kT)
+        x0, p0 = rng.normal(0.0, 3.0, 5000), rng.normal(0.0, thermal, 5000)
+        p0[-1] = 6 * thermal
+        delta = 0.09 / float(tr.collision_rate(p0[-1], gas, pair))
+        draws = tr._draw_collisions(p0, gas, pair, delta, np.random.default_rng(8))
+        want_x, want_p = _step_positions(x0, p0, *draws, pair, delta)
+        x, p = tr.step_ensemble(x0, p0.copy(), gas, pair, delta, np.random.default_rng(8))
+        assert p.tobytes() == want_p.tobytes() and draws[0].size > 0
+        np.testing.assert_allclose(x, want_x, rtol=1e-13, atol=1e-13 * np.abs(x0).max())
+
+    @pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
+    @pytest.mark.parametrize("alpha", [0.02, 1.0, 5.0])
+    @pytest.mark.parametrize("p0", [0.0, 3.0])
+    @pytest.mark.parametrize("n", [1, 2, 500])
+    def test_matches_positions_loop(self, alpha, p0, n, monkeypatch):
+        # thermal labels about (0, p0): run's intercepts and running sums
+        # against every position stepped and two-pass moments
+        pair, gas = _pair_and_gas(alpha)
+        rng = np.random.default_rng(3)
+        x0 = rng.normal(0.0, pair.brownian_width, n)
+        p = p0 + rng.normal(0.0, np.sqrt(pair.brownian_mass * gas.kT), n)
+        series = _run_against_positions_loop(x0, p, gas, pair, 20.0, 0.5, 4, monkeypatch)
+        if n == 500:
+            assert series[-1].mean_p2 != series[0].mean_p2  # collisions happened
+
+    @pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
+    @pytest.mark.parametrize("alpha", [1.0, 5.0])
+    def test_matches_positions_loop_past_fifty_friction_times(self, alpha, monkeypatch):
+        # a drifting ensemble long after it came to rest: the intercepts grow
+        # like p t/m and the mean x leaves the initial labels' free flight
+        pair, gas = _pair_and_gas(alpha)
+        rng = np.random.default_rng(3)
+        x0 = rng.normal(0.0, 1.0, 500)
+        p = 3.0 + rng.normal(0.0, np.sqrt(pair.brownian_mass * gas.kT), 500)
+        delta = 0.09 / float(tr.collision_rate(np.max(np.abs(p)), gas, pair))
+        f = moments.friction_constant(gas, pair.brownian_mass)
+        horizon = np.ceil(50 / (f * delta)) * delta
+        assert f * horizon >= 50
+        series = _run_against_positions_loop(x0, p, gas, pair, horizon, delta, 4, monkeypatch)
+        # at rest, far short of the free flight 3 t/m
+        assert abs(series[-1].mean_p) < 0.2 and series[-1].mean_x < 0.1 * 3.0 * horizon
+
+    @pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
+    def test_two_pass_standard_errors(self, gas, pair, monkeypatch):
         # a mean far above the spread: a variance taken as s2/n - mean^2 from
         # raw sums puts se_mean_x 1 % off here.  At t = 0 the floors of
-        # <x> and <{x,p}> are 0 and that of <x^2> is sigma^2/2.
+        # <x> and <{x,p}> are 0 and that of <x^2> is sigma^2/2.  The oracle's
+        # own means round at 1e-16 of 1e4, far above 1e-9 SE at t = 0.
         rng = np.random.default_rng(2)
         x = 1e4 + rng.normal(0.0, 1e-3, 1001)
         p = rng.normal(-1.0, 0.5, 1001)
-        stats = tr.EnsembleStats.from_phase_points(0.0, x, p, pair)
+        series = _run_against_positions_loop(x, p, gas, pair, 2.0, 0.5, 1, monkeypatch,
+                                             mean_rel=1e-14)
         floors = {"x": 0.0, "x2": pair.brownian_width**2 / 2, "xp": 0.0}
         for name, values in (("x", x), ("x2", x**2), ("xp", 2 * x * p)):
-            assert getattr(stats, "mean_" + name) - floors[name] == pytest.approx(
+            assert getattr(series[0], "mean_" + name) - floors[name] == pytest.approx(
                 np.mean(values), rel=1e-12), name
-            assert getattr(stats, "se_mean_" + name) == pytest.approx(
+            assert getattr(series[0], "se_mean_" + name) == pytest.approx(
                 np.std(values, ddof=1) / np.sqrt(x.size), rel=1e-9), name
+
+    @pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
+    def test_identical_labels_have_zero_standard_errors(self, gas, pair):
+        # compare_to_trajectories skips SEs of 0, but would divide by rounding
+        # noise; 1000 copies of 0.1 or of 0.7 do not sum to 1000 times them
+        series = tr.run(np.full(1000, 0.1), np.full(1000, 0.7), gas, pair, 1.0, 0.5, 1)
+        first = series[0]
+        assert [getattr(first, "se_" + name) for name in _MOMENTS] == [0.0] * 5
+        assert (first.mean_x, first.mean_p) == (0.1, 0.7)
+        assert series[-1].se_mean_p > 0.0   # collisions happened
 
     @pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
     def test_collision_free_ensemble_spreads_like_a_free_packet(self, pair):
@@ -197,17 +332,6 @@ def _twin_msd(n, gas, pair, delta, horizon, seed, window):
     and the label map, one against the gas label displaced by its flight and
     one at contact (eta = 0); msd is their mean squared position gap.
     Returns (msd, the momenta each step draws from)."""
-    def apply(x, p, hit, tau, eta, p_g):
-        ph = p[hit]
-        xh = x[hit] + ph / pair.brownian_mass * tau
-        x_g_label = xh - (p_g / pair.gas_mass) * eta
-        _, _, x_out, p_out = classical_collision_map(pair, x_g_label, p_g, xh, ph)
-        x = x + p / pair.brownian_mass * delta
-        x[hit] = x_out + p_out / pair.brownian_mass * (delta - tau)
-        p = p.copy()
-        p[hit] = p_out
-        return x, p
-
     rng = np.random.default_rng(seed)
     p = rng.normal(0.0, np.sqrt(pair.brownian_mass * gas.kT), n)
     x_ref, x_alt = np.zeros(n), np.zeros(n)
@@ -216,8 +340,8 @@ def _twin_msd(n, gas, pair, delta, horizon, seed, window):
     for step in range(1, n_steps + 1):
         drawn.append(p.copy())
         hit, tau, eta, p_g = tr._draw_collisions(p, gas, pair, delta, rng, window)
-        x_ref, _ = apply(x_ref, p, hit, tau, np.zeros_like(eta), p_g)
-        x_alt, p = apply(x_alt, p, hit, tau, eta, p_g)
+        x_ref, _ = _step_positions(x_ref, p, hit, tau, np.zeros_like(eta), p_g, pair, delta)
+        x_alt, p = _step_positions(x_alt, p, hit, tau, eta, p_g, pair, delta)
         msd[step] = np.mean((x_alt - x_ref) ** 2)
     return msd, drawn
 
@@ -364,8 +488,8 @@ class TestStepCheck:
         p0 = np.zeros(50)   # rate(0) lies below the thermal-law rate
         tr.run(p0, p0, gas, pair, edge * (1 - 1e-6), edge * (1 - 1e-6), seed=1)
         tr.excess_position_msd(50, gas, pair, edge * (1 - 1e-6), edge * (1 - 1e-6), 1)
-        monkeypatch.setattr(tr, "step_ensemble", _no_step)
         monkeypatch.setattr(tr, "_draw_collisions", _no_step)
+        monkeypatch.setattr(tr, "_collide", _no_step)
         with pytest.raises(StepTooLarge, match="thermal-law"):
             tr.run(p0, p0, gas, pair, 10 * edge, edge * (1 + 1e-6), seed=1)
         with pytest.raises(StepTooLarge, match="thermal-law"):
@@ -380,7 +504,8 @@ class TestStepCheck:
         edge = 0.1 / float(tr.collision_rate(p[123], gas, pair))
         x = np.zeros_like(p)
         tr.run(x, p, gas, pair, edge * (1 - 1e-6), edge * (1 - 1e-6), seed=6)
-        monkeypatch.setattr(tr, "step_ensemble", _no_step)
+        monkeypatch.setattr(tr, "_draw_collisions", _no_step)
+        monkeypatch.setattr(tr, "_collide", _no_step)
         with pytest.raises(StepTooLarge, match="initial-label"):
             tr.run(x, p, gas, pair, 10 * edge, edge * (1 + 1e-6), seed=6)
         # without the fast path the same step is well inside both bounds
