@@ -2,12 +2,22 @@
 
 Each trajectory is a Gaussian packet of fixed width sigma (matched widths
 keep collisions Gaussian-preserving), carried by its phase-space label
-(x, p).  Per coarse step delta a trajectory collides with probability
-rate(p) * delta; the collision draws a gas momentum from the flux-weighted
-Maxwell-Boltzmann distribution (exact rejection from a two-part envelope)
-and applies the elastic collision map to the labels.  Ensemble averages of
-the packet moments unravel the master equation's expectation values.  One
-seeded rng stream drives the whole ensemble, so a seed fixes every path.
+(x, p).  Per coarse step delta a trajectory collides at most once, with
+probability min(rate(p) delta, 1), at an instant uniform in the step; the
+collision draws a gas momentum from the flux-weighted Maxwell-Boltzmann
+distribution (exact rejection from a two-part envelope) and applies the
+elastic collision map to the labels.  Ensemble averages of the packet
+moments unravel the master equation's expectation values.  One seeded rng
+stream drives the whole ensemble, so a seed fixes every path.
+
+Geometric gaps
+--------------
+Between collisions p does not change, so the steps to a path's next
+collision are Geometric(min(rate(p) delta, 1)), the law of a Bernoulli draw
+per step at a draw per collision.  The collision kernel keeps a pool of up
+to _BLOCK paths with a collision step k in the horizon: each round tops it
+up with the next paths in index order, draws one collision of each path in
+it, and then the next gaps from the outgoing momenta.
 
 The flight offset
 -----------------
@@ -17,24 +27,18 @@ The label map is linear, so the flight moves the outgoing label by the
 flight offset -2 alpha/(1 + alpha) v_g eta and leaves its momentum alone.
 The offsets add up to an excess position diffusion ~ delta^2, the
 coarse-graining artifact under study; w = 0 (contact collisions) has none.
-The collision instant is uniform in the step.  Each step thins its uniforms
-against the rate at the largest |p| (Lewis & Shedler 1979): only the draws
-below that bound take their own rate, and the hits are those of the
-full-rate draw.
 
 Free-flight intercepts
 ----------------------
 Between collisions a label flies freely, x = a + p t/m, so ``run`` carries
-each path's intercept a = x - p t/m with its momentum.  A step touches only
-its hits: each flies to contact at a + p (t + tau)/m, takes the label map
-and gets a new intercept.  The moments come from running sums of the
-monomials alpha^i pi^j (1 <= i + j <= 4) of the deviations alpha = a - a_c,
-pi = p - p_c from the initial mean labels (a_c, p_c); a hit swaps its old
-terms for its new ones, so a step costs O(hits) beyond its one uniform per
-path.  The deviation of x from the mean labels' free flight a_c + p_c t/m
-is alpha + pi t/m, so the moments at time t are polynomials in t/m of the
-sums.  Centred sums keep the cancellation at rounding; identical initial
-labels all deviate alike from their rounded mean, so their SEs are exactly 0.
+each path's intercept a = x - p t/m; a collision in step k flies to contact
+at a + p ((k - 1) delta + tau)/m and gets a new intercept.  The moments come
+from sums of alpha^i pi^j (1 <= i + j <= 4), alpha = a - a_c, pi = p - p_c
+the deviations from the initial mean labels; each collision's change of its
+path's terms is binned by step, so a run costs O(collisions) beyond a row
+per step.  As x - a_c - p_c t/m = alpha + pi t/m, the moments are
+polynomials in t/m of the sums.  Centred sums keep the cancellation at
+rounding: identical initial labels have SEs of exactly 0.
 """
 
 from __future__ import annotations
@@ -91,8 +95,7 @@ class EnsembleStats:
     map: it moves the centres and keeps the isotropic shape.  The outgoing
     packet is therefore again a free packet of age t.  The standard errors
     are those of the label moments; the floors carry none.  ``run`` takes
-    both from the centred running sums of its free-flight intercepts and
-    momenta (see the module docstring), as central moments up to order 4.
+    both from the centred sums of its intercepts and momenta (module docstring).
     """
 
     t: float
@@ -121,6 +124,7 @@ class EnsembleStats:
 _I, _J = np.array([(i, j) for i in range(5) for j in range(5 - i)]).T   # orders i + j <= 4
 _BINOM = np.array([[math.comb(i, k) for k in range(5)] for i in range(5)], dtype=float)
 _POWER = np.subtract.outer(np.arange(5), np.arange(5)).clip(0)
+_AT = np.searchsorted(_I, np.arange(5))      # the first row of each order in alpha
 _BLOCK = 4096
 
 
@@ -131,42 +135,38 @@ def _pascal(m):
 
 
 class _LabelSums:
-    """Running sums of alpha^i pi^j over the paths, alpha = a - a_c and
-    pi = p - p_c the deviations of intercept and momentum from the initial
-    mean labels (a_c, p_c)."""
+    """Sums of alpha^i pi^j over the paths, flat over (_I, _J), of the labels'
+    deviations alpha = a - a_c, pi = p - p_c from their means at t = 0.  Blocks
+    of up to _BLOCK paths reuse one workspace, sparing fresh arrays' page faults."""
 
     def __init__(self, a, p):
         self.n, self.a_c, self.p_c = a.size, np.mean(a), np.mean(p)
-        self.sums = self._power_sums(a, p)
+        self.work = np.ones((2 * _I.size + 10, _BLOCK))   # 2 terms slots, powers; 0th stay 1
+        self.initial = sum((self.terms(a[s:s + _BLOCK], p[s:s + _BLOCK]).sum(axis=1)
+                            for s in range(0, a.size, _BLOCK)), np.zeros(_I.size))
 
-    def _power_sums(self, a, p):
-        """[i, j] = sum of alpha^i pi^j, i, j <= 4, in blocks of _BLOCK paths
-        (the powers of a block take 80 bytes a path); orders above 4 are
-        never read."""
-        sums = np.zeros((5, 5))
-        for start in range(0, a.size, _BLOCK):
-            block = slice(start, start + _BLOCK)
-            powers = np.empty((2, 5, a[block].size))
-            powers[:, 0] = 1.0
-            powers[:, 1] = a[block] - self.a_c, p[block] - self.p_c
-            for k in range(2, 5):
-                np.multiply(powers[:, k - 1], powers[:, 1], out=powers[:, k])
-            sums += powers[0] @ powers[1].T
-        return sums
+    def terms(self, a, p, slot=0):
+        """[m, path] = alpha^_I[m] pi^_J[m] of (a, p), in the workspace's ``slot``."""
+        powers = self.work[-10:, :a.size].reshape(2, 5, -1)
+        terms = self.work[slot * _I.size:(slot + 1) * _I.size, :a.size]
+        powers[:, 1] = a - self.a_c, p - self.p_c
+        for k in range(2, 5):
+            np.multiply(powers[:, k - 1], powers[:, 1], out=powers[:, k])
+        for i, at in enumerate(_AT):         # the rows of order i in alpha
+            np.multiply(powers[0, i], powers[1, :5 - i], out=terms[at:at + 5 - i])
+        return terms
 
-    def move(self, old, new):
-        """Swap the terms of the labels ``old`` = (a, p) for those of ``new``."""
-        self.sums += self._power_sums(*new) - self._power_sums(*old)
-
-    def stats(self, t, pair: CollisionPair) -> EnsembleStats:
-        """EnsembleStats at time t.  The central moments c of (alpha, pi) are
-        sheared to those of (x, p) by x - E x = u + w t/m, u = alpha - E alpha,
-        w = pi - E pi: E[(u + s w)^i w^j] sums C(i, k) s^(i-k) c[k, i + j - k],
-        one Pascal product along each order i + j.  The variance of each label
-        moment expands about the means X, P, e.g. Var x^2 = mu40 - mu20^2 +
-        4 X mu30 + 4 X^2 mu20; rounding may take a zero variance below 0."""
+    def stats(self, t, sums, pair: CollisionPair) -> EnsembleStats:
+        """EnsembleStats at time t from the ``sums`` then.  The central moments
+        c of (alpha, pi) are sheared to those of (x, p) by x - E x = u + w t/m,
+        u = alpha - E alpha, w = pi - E pi: E[(u + s w)^i w^j] sums C(i, k)
+        s^(i-k) c[k, i + j - k], one Pascal product along each order i + j.
+        The variance of each label moment expands about the means X, P, e.g.
+        Var x^2 = mu40 - mu20^2 + 4 X mu30 + 4 X^2 mu20; rounding may take a
+        zero variance below 0."""
         n, s = self.n, t / pair.brownian_mass
-        raw = self.sums / n
+        raw = np.zeros((5, 5))
+        raw[_I, _J] = sums / n
         ma, mp = raw[1, 0], raw[0, 1]
         c = _pascal(-ma) @ raw @ _pascal(-mp).T
         by_order = np.zeros((5, 5))
@@ -236,56 +236,61 @@ def _check_step(gas: ThermalGasSpec, pair: CollisionPair, delta: float, p=None):
                                f"> {_MAX_STEP_PROBABILITY}")
 
 
-def _draw_collisions(p, gas: ThermalGasSpec, pair: CollisionPair, delta: float,
-                     rng, gas_flight_window: float = 1.0):
-    """Random part of one coarse step: (hit, tau, eta, p_g).
+def _gaps(p, gas: ThermalGasSpec, pair: CollisionPair, delta: float, cap: int, rng):
+    """Steps to each path's next collision, Geometric(min(rate(p) delta, 1)),
+    capped at ``cap``: a NaN rate collides at once (its partner draw raises
+    PartnerNotConverged); a rate of 0, which rng.geometric refuses, and tiny
+    ones, whose gaps reach 2^63 - 1 and would wrap k + gap, take the cap."""
+    q = np.fmin(collision_rate(p, gas, pair) * delta, 1.0)
+    gap = np.full(p.size, cap)
+    gap[q > 0] = np.minimum(rng.geometric(q[q > 0]), cap)
+    return gap
 
-    ``hit`` holds the ascending indices of the colliding trajectories; for
-    those, tau is the collision instant in the step, eta the unresolved gas
-    flight time, uniform on +-gas_flight_window * delta (zeros at a window of
-    0, which draws nothing), and p_g the partner's momentum.  Only uniforms
-    below the bound rate(max |p|) * delta (+1e-9 relative, for rounding) take
-    their own rate.
-    """
+
+def _collisions(p, gas, pair, delta, n_steps, rng, gas_flight_window):
+    """The collision kernel (module docstring): rounds (hit, k, eta, p_g) in
+    steps 1, ..., n_steps of distinct paths ``hit``, their steps, flights
+    eta ~ U(-w delta, w delta), w = gas_flight_window (0 at w = 0, drawing
+    nothing), and partners; the caller writes the outgoing p[hit] back."""
     if gas_flight_window < 0:
         raise ValueError("gas_flight_window must be >= 0")
-    bound = float(collision_rate(max(p.max(), -p.min()), gas, pair) * delta)
-    u = rng.random(p.size)
-    cand = np.flatnonzero(u < bound * (1 + 1e-9))
-    hit = cand[u[cand] < collision_rate(p[cand], gas, pair) * delta]
-    tau = eta = p_g = np.zeros(hit.size)
-    if hit.size:
-        tau = rng.uniform(0.0, delta, hit.size)
-        if gas_flight_window > 0:
-            eta = rng.uniform(-gas_flight_window * delta, gas_flight_window * delta,
-                              hit.size)
-        p_g = sample_collision_partner(p[hit], gas, pair, rng)
-    return hit, tau, eta, p_g
+    flight = gas_flight_window * delta
+    k, hit, start = np.zeros(p.size, dtype=int), np.zeros(0, dtype=int), 0
+    while hit.size or start < p.size:
+        new = np.arange(start, min(start + _BLOCK - hit.size, p.size))
+        start += new.size
+        k[new] = _gaps(p[new], gas, pair, delta, n_steps + 1, rng)
+        hit = np.concatenate([hit, new[k[new] <= n_steps]])
+        if hit.size:
+            p_g = sample_collision_partner(p[hit], gas, pair, rng)
+            eta = rng.uniform(-flight, flight, hit.size) if flight else np.zeros(hit.size)
+            yield hit, k[hit], eta, p_g
+            k[hit] += _gaps(p[hit], gas, pair, delta, n_steps + 1, rng)
+            hit = hit[k[hit] <= n_steps]
 
 
-def _collide(a, p, t, draws, pair: CollisionPair):
-    """Apply a step's draws (hit, tau, eta, p_g) at the step start t to the
-    intercepts a = x - p t/m and momenta p, in place.  A hit flies to contact,
-    takes the label map against the gas label displaced by its flight and
-    gets the intercept of its outgoing label."""
-    hit, tau, eta, p_g = draws
-    ph, t_hit = p[hit], t + tau
-    xh = a[hit] + ph / pair.brownian_mass * t_hit           # contact position
+def _collide(a, p, hit, t, eta, p_g, pair: CollisionPair):
+    """Collide the paths ``hit`` at the instants t, in place on intercepts a and
+    momenta p: each flies to contact, takes the label map against the gas
+    label displaced by its flight eta and gets its outgoing intercept."""
+    ph = p[hit]
+    xh = a[hit] + ph / pair.brownian_mass * t                # contact position
     x_g_label = xh - (p_g / pair.gas_mass) * eta             # unresolved flight
     _, _, x_out, p_out = classical_collision_map(pair, x_g_label, p_g, xh, ph)
-    a[hit] = x_out - p_out / pair.brownian_mass * t_hit
+    a[hit] = x_out - p_out / pair.brownian_mass * t
     p[hit] = p_out
 
 
 def step_ensemble(x, p, gas: ThermalGasSpec, pair: CollisionPair, delta: float,
                   rng, gas_flight_window: float = 1.0):
-    """Advance every trajectory by one coarse step; returns (x, p).  At the
-    step start the intercepts are the positions: the hits take ``run``'s
-    collision kernel, then every path flies for delta.  The hits are written
-    into a float ``p`` in place, which is returned; ``x`` is not modified."""
+    """Advance every trajectory by one coarse step, the collision kernel with
+    one step; returns (x, p).  The hits take ``run``'s ``_collide`` from their
+    positions, then every path flies for delta.  The hits are written into a
+    float ``p`` in place, which is returned; ``x`` is not modified."""
     a = np.array(x, dtype=float)
     p = np.asarray(p, dtype=float)
-    _collide(a, p, 0.0, _draw_collisions(p, gas, pair, delta, rng, gas_flight_window), pair)
+    for hit, _, eta, p_g in _collisions(p, gas, pair, delta, 1, rng, gas_flight_window):
+        _collide(a, p, hit, rng.uniform(0.0, delta, hit.size), eta, p_g, pair)
     return a + p / pair.brownian_mass * delta, p
 
 
@@ -296,10 +301,9 @@ def run(x0, p0, gas: ThermalGasSpec, pair: CollisionPair, horizon: float,
 
     ``x0``/``p0``, arrays of initial labels, are copied.  One rng stream, the
     first child of ``SeedSequence(seed)``, drives every path, so an identical
-    seed reproduces the results bit for bit.  The paths carry free-flight
-    intercepts and the moments come from running sums (module docstring), so
-    a step costs O(hits) beyond its uniforms.  Raises StepTooLarge, before any
-    step, when rate * delta > 0.1 under the thermal laws or at max |p0|.
+    seed reproduces the results bit for bit.  The collision kernel and the
+    binned sums are in the module docstring.  Raises StepTooLarge, before any
+    draw, when rate * delta > 0.1 under the thermal laws or at max |p0|.
     """
     a = np.array(x0, dtype=float)          # intercepts a = x - p t/m, x at t = 0
     p = np.array(p0, dtype=float)
@@ -313,15 +317,15 @@ def run(x0, p0, gas: ThermalGasSpec, pair: CollisionPair, horizon: float,
             "picture is strained", ValidityWarning, stacklevel=2)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     sums = _LabelSums(a, p)
-    series = [sums.stats(0.0, pair)]
-    for step in range(1, n_steps + 1):
-        draws = _draw_collisions(p, gas, pair, delta, rng, gas_flight_window)
-        hit = draws[0]
-        old = a[hit], p[hit]
-        _collide(a, p, (step - 1) * delta, draws, pair)
-        sums.move(old, (a[hit], p[hit]))
-        series.append(sums.stats(step * delta, pair))
-    return series
+    bins = np.zeros((_I.size, n_steps + 1))          # [m, k]: the changes in step k
+    for hit, k, eta, p_g in _collisions(p, gas, pair, delta, n_steps, rng, gas_flight_window):
+        old = sums.terms(a[hit], p[hit])
+        _collide(a, p, hit, (k - 1) * delta + rng.uniform(0.0, delta, hit.size), eta, p_g, pair)
+        change = np.subtract(sums.terms(a[hit], p[hit], 1), old, out=old)
+        for row, terms in zip(bins, change):
+            row += np.bincount(k, terms, n_steps + 1)
+    running = sums.initial[:, None] + np.cumsum(bins, axis=1)
+    return [sums.stats(step * delta, running[:, step], pair) for step in range(n_steps + 1)]
 
 
 def excess_position_msd(n: int, gas: ThermalGasSpec, pair: CollisionPair,
@@ -330,25 +334,21 @@ def excess_position_msd(n: int, gas: ThermalGasSpec, pair: CollisionPair,
     """(times, msd): the mean square of the summed flight offsets.
 
     A path carries its momentum, moved by the label map at each collision,
-    and the running sum of its flight offsets -2 alpha/(1 + alpha) v_g eta,
-    its position gap from contact collisions under the same draws.  The
-    slope of msd in time is the excess position diffusion rate at this delta.
-    Paths start with thermal momenta.  Raises StepTooLarge, before any step,
-    when rate * delta > 0.1 under the thermal laws.
+    and the sum of its flight offsets -2 alpha/(1 + alpha) v_g eta, its
+    position gap from contact collisions; the changes of its square are
+    binned by step.  The slope of msd in time is the excess position
+    diffusion rate at this delta.  Paths start with thermal momenta.  Raises
+    StepTooLarge, before any draw, when the thermal-law rate * delta > 0.1.
     """
     _check_step(gas, pair, delta)
     rng = np.random.default_rng(seed)
     p = rng.normal(0.0, np.sqrt(pair.brownian_mass * gas.kT), n)
-    offset = np.zeros(n)
     share = 2 * pair.alpha / (1 + pair.alpha)
     n_steps = int(round(horizon / delta))
-    msd, square_sum = np.zeros(n_steps + 1), 0.0
-    for step in range(1, n_steps + 1):
-        hit, _, eta, p_g = _draw_collisions(p, gas, pair, delta, rng, gas_flight_window)
+    offset, bins = np.zeros(n), np.zeros(n_steps + 1)
+    for hit, k, eta, p_g in _collisions(p, gas, pair, delta, n_steps, rng, gas_flight_window):
         old = offset[hit]
-        new = old - share * (p_g / pair.gas_mass) * eta
-        offset[hit] = new
-        square_sum += np.sum(new * new - old * old)     # only the hits move
+        offset[hit] = new = old - share * (p_g / pair.gas_mass) * eta
+        bins += np.bincount(k, new * new - old * old, n_steps + 1)
         p[hit] = classical_collision_map(pair, 0.0, p_g, 0.0, p[hit])[3]
-        msd[step] = square_sum / n
-    return delta * np.arange(n_steps + 1), msd
+    return delta * np.arange(n_steps + 1), np.cumsum(bins) / n

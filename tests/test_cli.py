@@ -162,7 +162,7 @@ def test_thermal_law_step_too_large_exits_before_any_step(kind, tmp_path, capsys
     def no_step(*args):
         raise AssertionError("a step was taken")
 
-    monkeypatch.setattr(trajectories, "_draw_collisions", no_step)
+    monkeypatch.setattr(trajectories, "_collisions", no_step)
     ini = _write_ini(tmp_path / "c.ini", {"number_density": 2.0, "horizon": 20.0})
     assert cli.main([kind, str(ini), "--out-dir", str(tmp_path)]) == 2
     assert "thermal-law rate*delta" in capsys.readouterr().err

@@ -45,27 +45,6 @@ def _pair_and_gas(alpha):
                                 gas_mass=pair.gas_mass, packet_width=pair.gas_width)
 
 
-class _FixedUniforms:
-    """The given uniforms on the first ``random`` call, then a seeded stream."""
-
-    def __init__(self, u, seed=0):
-        self.u = np.asarray(u, dtype=float)
-        self.rng = np.random.default_rng(seed)
-
-    def random(self, size):
-        if self.u is None:
-            return self.rng.random(size)
-        assert size == self.u.size
-        u, self.u = self.u, None
-        return u
-
-    def uniform(self, lo, hi, size):
-        return self.rng.uniform(lo, hi, size)
-
-    def standard_normal(self, size):
-        return self.rng.standard_normal(size)
-
-
 def _free_packet_moments(pair, p0, t):
     """<x^2>, <{x,p}> and <p^2> of the packet |0, p0> after free flight for
     time t, by quadrature of its amplitude exp(-a x^2 + b x + c)."""
@@ -161,18 +140,125 @@ def _two_pass_stats(t, x, p, pair):
     return tr.EnsembleStats.from_label_moments(t, n, mean, se, pair)
 
 
-def _positions_run(x0, p0, gas, pair, horizon, delta, seed, window=1.0):
-    """``run`` by the positions loop: (series, the momenta each step draws
-    from)."""
+def _step_draw(p, gas, pair, delta, rng, window=1.0):
+    """The per-step law, the oracle of the collision kernel: (hit, tau, eta,
+    p_g) of one coarse step.  Each path collides with probability
+    rate(p) * delta; only uniforms below the bound rate(max |p|) * delta
+    (+1e-9 relative, for rounding) take their own rate.  A hit's instant tau
+    is uniform in the step, its flight eta uniform on +-window * delta (zeros
+    at a window of 0, which draws nothing) and its partner drawn from the
+    flux-weighted law."""
+    if window < 0:
+        raise ValueError("window must be >= 0")
+    bound = float(tr.collision_rate(max(p.max(), -p.min()), gas, pair) * delta)
+    u = rng.random(p.size)
+    cand = np.flatnonzero(u < bound * (1 + 1e-9))
+    hit = cand[u[cand] < tr.collision_rate(p[cand], gas, pair) * delta]
+    tau = eta = p_g = np.zeros(hit.size)
+    if hit.size:
+        tau = rng.uniform(0.0, delta, hit.size)
+        if window > 0:
+            eta = rng.uniform(-window * delta, window * delta, hit.size)
+        p_g = tr.sample_collision_partner(p[hit], gas, pair, rng)
+    return hit, tau, eta, p_g
+
+
+def _full_rate_draw(p, gas, pair, delta, rng, window=1.0):
+    """The unthinned draw: every path's rate, one uniform per path, the hits
+    as a boolean mask; the same rng calls in the same order as the thinned
+    draw ``_step_draw``."""
+    rate = tr.collision_rate(p, gas, pair)
+    hit = rng.random(p.size) < rate * delta
+    n_hit = int(np.count_nonzero(hit))
+    tau = eta = p_g = np.zeros(n_hit)
+    if n_hit:
+        tau = rng.uniform(0.0, delta, n_hit)
+        if window > 0:
+            eta = rng.uniform(-window * delta, window * delta, n_hit)
+        p_g = tr.sample_collision_partner(p[hit], gas, pair, rng)
+    return hit, tau, eta, p_g
+
+
+class _FixedUniforms:
+    """The given uniforms on the first ``random`` call, then a seeded stream."""
+
+    def __init__(self, u, seed=0):
+        self.u = np.asarray(u, dtype=float)
+        self.rng = np.random.default_rng(seed)
+
+    def random(self, size):
+        if self.u is None:
+            return self.rng.random(size)
+        assert size == self.u.size
+        u, self.u = self.u, None
+        return u
+
+    def uniform(self, lo, hi, size):
+        return self.rng.uniform(lo, hi, size)
+
+    def standard_normal(self, size):
+        return self.rng.standard_normal(size)
+
+
+def _law_run(x0, p0, gas, pair, n_steps, delta, seed, at):
+    """The positions loop under the per-step law: {step: two-pass
+    EnsembleStats} at the steps ``at``."""
     x, p = np.array(x0, dtype=float), np.array(p0, dtype=float)
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    series, drawn = [_two_pass_stats(0.0, x, p, pair)], []
-    for step in range(1, int(round(horizon / delta)) + 1):
-        drawn.append(p.copy())
-        hit, tau, eta, p_g = tr._draw_collisions(p, gas, pair, delta, rng, window)
+    rng, out = np.random.default_rng(seed), {}
+    for step in range(1, n_steps + 1):
+        x, p = _step_positions(x, p, *_step_draw(p, gas, pair, delta, rng), pair, delta)
+        if step in at:
+            out[step] = _two_pass_stats(step * delta, x, p, pair)
+    return out
+
+
+class _Rounds:
+    """Records the collision kernel's rounds (hit, k, eta, p_g and the
+    momenta p[hit] they were drawn from) and the instants that ``_collide``
+    receives, as tau = t - (k - 1) delta in the step."""
+
+    def __init__(self, monkeypatch, delta):
+        self.delta = delta
+        empty = np.zeros(0)
+        self.rounds, self.taus = [(empty.astype(int), empty.astype(int), empty, empty, empty)], []
+        kernel, collide = tr._collisions, tr._collide
+
+        def collisions(p, *args):
+            for hit, k, eta, p_g in kernel(p, *args):
+                self.rounds.append((hit.copy(), k.copy(), eta.copy(), p_g.copy(), p[hit]))
+                yield hit, k, eta, p_g
+
+        def recording_collide(a, p, hit, t, *args):
+            self.taus.append(np.array(t, dtype=float) - (self.rounds[-1][1] - 1) * self.delta)
+            collide(a, p, hit, t, *args)
+
+        monkeypatch.setattr(tr, "_collisions", collisions)
+        monkeypatch.setattr(tr, "_collide", recording_collide)
+
+    def by_step(self, n_steps):
+        """(hit, tau, eta, p_g, drawn_from) of each step 1, ..., n_steps,
+        ascending in hit; tau is 0 where no ``_collide`` took the rounds."""
+        hit, k, eta, p_g, drawn = (np.concatenate(c) for c in zip(*self.rounds))
+        tau = np.concatenate(self.taus) if self.taus else np.zeros(hit.size)
+        assert tau.size == hit.size and np.all((k >= 1) & (k <= n_steps))
+        for step in range(1, n_steps + 1):
+            at = np.flatnonzero(k == step)
+            at = at[np.argsort(hit[at])]
+            assert np.unique(hit[at]).size == at.size      # at most one hit a step
+            yield hit[at], tau[at], eta[at], p_g[at], drawn[at]
+
+
+def _replay(x0, p0, rounds, n_steps, pair, delta):
+    """The recorded rounds replayed step by step on the positions, with
+    two-pass moments; asserts that each partner was drawn from the replay's
+    momentum."""
+    x, p = np.array(x0, dtype=float), np.array(p0, dtype=float)
+    series = [_two_pass_stats(0.0, x, p, pair)]
+    for step, (hit, tau, eta, p_g, drawn) in enumerate(rounds.by_step(n_steps), 1):
+        assert drawn.tobytes() == p[hit].tobytes(), step
         x, p = _step_positions(x, p, hit, tau, eta, p_g, pair, delta)
         series.append(_two_pass_stats(step * delta, x, p, pair))
-    return series, drawn
+    return series
 
 
 _MOMENTS = ("mean_x", "mean_p", "mean_x2", "mean_xp", "mean_p2")
@@ -180,19 +266,14 @@ _MOMENTS = ("mean_x", "mean_p", "mean_x2", "mean_xp", "mean_p2")
 
 def _run_against_positions_loop(x0, p0, gas, pair, horizon, delta, seed, monkeypatch,
                                 mean_rel=0.0):
-    """Run ``run`` and the positions loop on the same labels and seed; assert
-    that every step draws from bitwise equal momenta, that the means agree
-    within 1e-9 SE (or ``mean_rel`` relative, if larger) and the SEs within
-    1e-9 relative.  Returns run's series."""
-    ref, ref_drawn = _positions_run(x0, p0, gas, pair, horizon, delta, seed)
-    drawn, draw = [], tr._draw_collisions
-    monkeypatch.setattr(tr, "_draw_collisions",
-                        lambda p, *a: drawn.append(p.copy()) or draw(p, *a))
+    """Run ``run`` and replay its collisions on the positions; assert that the
+    means agree within 1e-9 SE (or ``mean_rel`` relative, if larger) and the
+    SEs within 1e-9 relative.  Returns run's series."""
+    rounds = _Rounds(monkeypatch, delta)
     series = tr.run(x0, p0, gas, pair, horizon, delta, seed)
     monkeypatch.undo()
-    assert len(drawn) == len(ref_drawn) == len(series) - 1
-    for got, want in zip(drawn, ref_drawn):
-        assert got.tobytes() == want.tobytes()
+    ref = _replay(x0, p0, rounds, len(series) - 1, pair, delta)
+    assert len(ref) == len(series)
     for got, want in zip(series, ref):
         assert (got.t, got.n) == (want.t, want.n)
         for name in _MOMENTS:
@@ -237,7 +318,7 @@ class TestRun:
         assert p_next is p and not np.array_equal(p, p0) and not x0.any()
 
     @pytest.mark.parametrize("alpha", [0.02, 1.0, 5.0])
-    def test_step_ensemble_matches_positions_step(self, alpha):
+    def test_step_ensemble_matches_positions_step(self, alpha, monkeypatch):
         # one step of thermal labels, delta at rate * delta = 0.09 for the
         # one path at 6 thermal momenta
         pair, gas = _pair_and_gas(alpha)
@@ -246,10 +327,13 @@ class TestRun:
         x0, p0 = rng.normal(0.0, 3.0, 5000), rng.normal(0.0, thermal, 5000)
         p0[-1] = 6 * thermal
         delta = 0.09 / float(tr.collision_rate(p0[-1], gas, pair))
-        draws = tr._draw_collisions(p0, gas, pair, delta, np.random.default_rng(8))
-        want_x, want_p = _step_positions(x0, p0, *draws, pair, delta)
+        rounds = _Rounds(monkeypatch, delta)
         x, p = tr.step_ensemble(x0, p0.copy(), gas, pair, delta, np.random.default_rng(8))
-        assert p.tobytes() == want_p.tobytes() and draws[0].size > 0
+        monkeypatch.undo()
+        (hit, tau, eta, p_g, drawn), = rounds.by_step(1)
+        assert hit.size > 0 and drawn.tobytes() == p0[hit].tobytes()
+        want_x, want_p = _step_positions(x0, p0, hit, tau, eta, p_g, pair, delta)
+        assert p.tobytes() == want_p.tobytes()
         np.testing.assert_allclose(x, want_x, rtol=1e-13, atol=1e-13 * np.abs(x0).max())
 
     @pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
@@ -327,23 +411,23 @@ class TestRun:
             assert s.mean_p2 == pytest.approx(p2, rel=1e-9)
 
 
-def _twin_msd(n, gas, pair, delta, horizon, seed, window):
-    """The excess position by contact twins: both twins take each step's draw
-    and the label map, one against the gas label displaced by its flight and
-    one at contact (eta = 0); msd is their mean squared position gap.
-    Returns (msd, the momenta each step draws from)."""
+def _twin_msd(n, gas, pair, delta, horizon, seed, rounds):
+    """The excess position by contact twins, on the recorded rounds of
+    ``excess_position_msd``: both twins take each step's collisions and the
+    label map, one against the gas label displaced by its flight and one at
+    contact (eta = 0); msd is their mean squared position gap, which tau does
+    not move.  Asserts that each partner was drawn from the twins' momentum."""
     rng = np.random.default_rng(seed)
     p = rng.normal(0.0, np.sqrt(pair.brownian_mass * gas.kT), n)
     x_ref, x_alt = np.zeros(n), np.zeros(n)
     n_steps = int(round(horizon / delta))
-    msd, drawn = np.zeros(n_steps + 1), []
-    for step in range(1, n_steps + 1):
-        drawn.append(p.copy())
-        hit, tau, eta, p_g = tr._draw_collisions(p, gas, pair, delta, rng, window)
+    msd = np.zeros(n_steps + 1)
+    for step, (hit, tau, eta, p_g, drawn) in enumerate(rounds.by_step(n_steps), 1):
+        assert drawn.tobytes() == p[hit].tobytes(), step
         x_ref, _ = _step_positions(x_ref, p, hit, tau, np.zeros_like(eta), p_g, pair, delta)
         x_alt, p = _step_positions(x_alt, p, hit, tau, eta, p_g, pair, delta)
         msd[step] = np.mean((x_alt - x_ref) ** 2)
-    return msd, drawn
+    return msd
 
 
 class TestExcessPositionMSD:
@@ -360,37 +444,140 @@ class TestExcessPositionMSD:
     @pytest.mark.parametrize("window", [0.0, 1.0])
     def test_offset_matches_twin_loop(self, alpha, window, monkeypatch):
         pair, gas = _pair_and_gas(alpha)
-        ref, ref_drawn = _twin_msd(3000, gas, pair, 0.5, 20.0, 9, window)
-        drawn, draw = [], tr._draw_collisions
-        monkeypatch.setattr(tr, "_draw_collisions",
-                            lambda p, *a: drawn.append(p.copy()) or draw(p, *a))
+        rounds = _Rounds(monkeypatch, 0.5)
         ts, msd = tr.excess_position_msd(3000, gas, pair, 0.5, 20.0, 9,
                                          gas_flight_window=window)
+        monkeypatch.undo()
         np.testing.assert_array_equal(ts, 0.5 * np.arange(41))
-        assert len(drawn) == len(ref_drawn) == 40
-        for got, want in zip(drawn, ref_drawn):
-            assert got.tobytes() == want.tobytes()
-        np.testing.assert_allclose(msd, ref, rtol=1e-12, atol=0)
+        assert len(rounds.rounds) > 1 and not rounds.taus
+        np.testing.assert_allclose(msd, _twin_msd(3000, gas, pair, 0.5, 20.0, 9, rounds),
+                                   rtol=1e-12, atol=0)
         assert (msd[-1] > 0) == (window > 0)
 
 
-def _full_rate_draw(p, gas, pair, delta, rng, window=1.0):
-    """The unthinned draw: every path's rate, one uniform per path, the hits
-    as a boolean mask; the same rng calls in the same order as the thinned
-    draw."""
-    rate = tr.collision_rate(p, gas, pair)
-    hit = rng.random(p.size) < rate * delta
-    n_hit = int(np.count_nonzero(hit))
-    tau = eta = p_g = np.zeros(n_hit)
-    if n_hit:
-        tau = rng.uniform(0.0, delta, n_hit)
-        if window > 0:
-            eta = rng.uniform(-window * delta, window * delta, n_hit)
-        p_g = tr.sample_collision_partner(p[hit], gas, pair, rng)
-    return hit, tau, eta, p_g
+class TestStepLaw:
+    @pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
+    @pytest.mark.parametrize("alpha", [0.02, 1.0, 5.0])
+    def test_run_matches_per_step_draw(self, alpha):
+        # 2e4 drifting thermal labels, about 5 collisions a path in 100 steps:
+        # run's geometric gaps against one uniform per path and step, every
+        # moment at four times within 4 combined SEs
+        pair, gas = _pair_and_gas(alpha)
+        rng = np.random.default_rng(12)
+        n, delta, n_steps, at = 20000, 0.5, 100, (25, 50, 75, 100)
+        x0 = rng.normal(0.0, pair.brownian_width, n)
+        p0 = 2.0 + rng.normal(0.0, np.sqrt(pair.brownian_mass * gas.kT), n)
+        want = _law_run(x0, p0, gas, pair, n_steps, delta, 13, at)
+        got = tr.run(x0, p0, gas, pair, n_steps * delta, delta, 14)
+        for step in at:
+            for name in _MOMENTS:
+                se = np.hypot(getattr(got[step], "se_" + name), getattr(want[step], "se_" + name))
+                z = (getattr(got[step], name) - getattr(want[step], name)) / se
+                assert abs(z) <= 4, (alpha, step, name, z)
+
+
+    @pytest.mark.parametrize("alpha", [0.02, 1.0, 5.0])
+    def test_each_step_collides_at_its_rate(self, alpha, monkeypatch):
+        # the recorded collisions of 2e4 thermal paths against the per-step
+        # law: each path-step hits with probability q = rate(p) delta at the
+        # path's momentum then, so the hits minus the summed q, over all
+        # path-steps and over those right after a hit, are within 4 of their
+        # standard deviations sqrt(sum q (1 - q))
+        pair, gas = _pair_and_gas(alpha)
+        n, delta, n_steps = 20000, 0.5, 100
+        rounds = _Rounds(monkeypatch, delta)
+        tr.excess_position_msd(n, gas, pair, delta, n_steps * delta, seed=3)
+        monkeypatch.undo()
+        p = np.random.default_rng(3).normal(0.0, np.sqrt(pair.brownian_mass * gas.kT), n)
+        after, sums = np.zeros(n, dtype=bool), np.zeros((2, 3))
+        for hit, _, _, p_g, drawn in rounds.by_step(n_steps):
+            assert drawn.tobytes() == p[hit].tobytes()
+            q = tr.collision_rate(p, gas, pair) * delta
+            hits = np.zeros(n, dtype=bool)
+            hits[hit] = True
+            for row, sel in enumerate((slice(None), after)):
+                sums[row] += hits[sel].sum(), q[sel].sum(), np.sum(q[sel] * (1 - q[sel]))
+            p[hit] = classical_collision_map(pair, 0.0, p_g, 0.0, p[hit])[3]
+            after = hits
+        z = (sums[:, 0] - sums[:, 1]) / np.sqrt(sums[:, 2])
+        assert np.all(np.abs(z) <= 4), z
+
+
+class TestGaps:
+    def test_rate_delta_at_least_one_collides_every_step(self, gas, pair, monkeypatch):
+        # rate * delta >= 1 is the step law's "always collides": every gap is
+        # one step, and one step of step_ensemble collides every path
+        p = np.linspace(-3.0, 3.0, 101)
+        delta = 1.0 / float(tr.collision_rate(0.0, gas, pair))   # the rate is least at 0
+        np.testing.assert_array_equal(
+            tr._gaps(p, gas, pair, delta, 10, np.random.default_rng(0)), 1)
+        rounds = _Rounds(monkeypatch, delta)
+        tr.step_ensemble(np.zeros_like(p), p.copy(), gas, pair, delta, np.random.default_rng(0))
+        (hit, *_), = rounds.by_step(1)
+        np.testing.assert_array_equal(hit, np.arange(p.size))
+
+    def test_zero_rate_draws_nothing(self, gas, pair, monkeypatch):
+        # rng.geometric raises ValueError at q = 0: a path that cannot collide
+        # takes the cap without a draw
+        monkeypatch.setattr(tr, "collision_rate", lambda p, gas, pair: np.zeros(np.shape(p)))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        np.testing.assert_array_equal(
+            tr._gaps(np.linspace(-1.0, 1.0, 5), gas, pair, 0.5, 41, rng), 41)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
+    def test_tiny_rate_gaps_are_capped(self, pair, monkeypatch):
+        # at n_g = 1e-300, q ~ 5e-302 and rng.geometric returns 2^63 - 1, so
+        # k + gap would wrap negative and fake collisions: the rows must be
+        # those of free flight exactly
+        gas = ThermalGasSpec(temperature=1.0, number_density=1e-300, gas_mass=pair.gas_mass,
+                             packet_width=pair.gas_width)
+        p = np.random.default_rng(1).normal(0.0, 1.0, 500)
+        q = tr.collision_rate(p, gas, pair) * 0.5
+        assert np.all(np.random.default_rng(2).geometric(q) == np.iinfo(np.int64).max)
+        np.testing.assert_array_equal(
+            tr._gaps(p, gas, pair, 0.5, 41, np.random.default_rng(2)), 41)
+        monkeypatch.setattr(tr, "sample_collision_partner", _no_step)
+        x = np.random.default_rng(3).normal(0.0, 2.0, 500)
+        series = tr.run(x, p, gas, pair, 20.0, 0.5, seed=4)
+        free = tr._LabelSums(x, p)
+        assert len(series) == 41
+        for step, s in enumerate(series):
+            assert s == free.stats(step * 0.5, free.initial, pair), step
+
+    @pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
+    def test_nan_momentum_raises_named_error(self, gas, pair):
+        # a NaN rate takes q = 1, so the path collides and its partner draw
+        # raises, not rng.geometric's ValueError
+        p = np.array([0.0, np.nan, 1.0])
+        with pytest.raises(PartnerNotConverged):
+            tr.step_ensemble(np.zeros(3), p, gas, pair, 0.5, np.random.default_rng(0))
+        with pytest.raises(PartnerNotConverged):
+            tr.run(np.zeros(3), p, gas, pair, 1.0, 0.5, seed=0)
+
+    def test_rounds_count_collisions_not_steps(self, gas, pair, monkeypatch):
+        # work as a count: 10^6 collision-free steps take one gap draw per
+        # pool of paths and no round; with collisions, one pool takes as many
+        # rounds as its most colliding path has collisions, not one per step
+        empty = ThermalGasSpec(temperature=1.0, number_density=1e-300,
+                               gas_mass=pair.gas_mass, packet_width=pair.gas_width)
+        calls, gaps = [], tr._gaps
+        monkeypatch.setattr(tr, "_gaps", lambda p, *a: calls.append(p.size) or gaps(p, *a))
+        monkeypatch.setattr(tr, "sample_collision_partner", _no_step)
+        rounds = _Rounds(monkeypatch, 1.0)
+        ts, msd = tr.excess_position_msd(tr._BLOCK + 1, empty, pair, 1.0, 1e6, seed=0)
+        assert msd.size == 10**6 + 1 and not msd.any()
+        assert calls == [tr._BLOCK, 1] and len(rounds.rounds) == 1
+        monkeypatch.undo()
+        rounds = _Rounds(monkeypatch, 0.5)
+        tr.excess_position_msd(100, gas, pair, 0.5, 5000.0, seed=0)
+        per_path = np.bincount(np.concatenate([r[0] for r in rounds.rounds]), minlength=100)
+        assert len(rounds.rounds) - 1 == per_path.max() and per_path.sum() > 10**4
 
 
 class TestThinnedDraw:
+    # the oracle's thinning against the unthinned per-step draw
     @pytest.mark.parametrize("alpha", [0.02, 1.0, 5.0])
     @pytest.mark.parametrize("n", [1, 5000])
     @pytest.mark.parametrize("window", [1.0, 0.0])
@@ -405,7 +592,7 @@ class TestThinnedDraw:
             delta = 0.09 / float(tr.collision_rate(p[-1], gas, pair))
             rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
             mask, *ref = _full_rate_draw(p, gas, pair, delta, rng_ref, window)
-            hit, *got = tr._draw_collisions(p, gas, pair, delta, rng, window)
+            hit, *got = _step_draw(p, gas, pair, delta, rng, window)
             np.testing.assert_array_equal(hit, np.flatnonzero(mask))
             for name, a, b in zip(("tau", "eta", "p_g"), got, ref):
                 assert a.tobytes() == b.tobytes(), name
@@ -424,7 +611,7 @@ class TestThinnedDraw:
             bar = tr.collision_rate(p, gas, pair) * delta
             u = np.where(np.arange(p.size) % 2 == 0, np.nextafter(bar, 0.0), bar)
             mask, *_ = _full_rate_draw(p, gas, pair, delta, _FixedUniforms(u, 9))
-            hit, *_ = tr._draw_collisions(p, gas, pair, delta, _FixedUniforms(u, 9))
+            hit, *_ = _step_draw(p, gas, pair, delta, _FixedUniforms(u, 9))
             np.testing.assert_array_equal(hit, np.arange(0, p.size, 2))
             np.testing.assert_array_equal(hit, np.flatnonzero(mask))
 
@@ -454,20 +641,15 @@ class TestThinnedDraw:
 
     @pytest.mark.parametrize("alpha", [0.02, 1.0])
     def test_one_fast_path_does_not_stop_a_step(self, alpha):
-        # rate * delta = 0.2 at one path: the step still thins against it
+        # rate * delta = 0.2 at one path: step_ensemble checks no step size
         pair, gas = _pair_and_gas(alpha)
         thermal = np.sqrt(pair.brownian_mass * gas.kT)
         p = np.random.default_rng(5).normal(0.0, thermal, 1000)
         p[123] = -8 * thermal
         delta = 0.2 / float(tr.collision_rate(p[123], gas, pair))
-        mask, *ref = _full_rate_draw(p, gas, pair, delta, np.random.default_rng(6))
-        hit, *got = tr._draw_collisions(p, gas, pair, delta, np.random.default_rng(6))
-        np.testing.assert_array_equal(hit, np.flatnonzero(mask))
-        for a, b in zip(got, ref):
-            assert a.tobytes() == b.tobytes()
-        x, _ = tr.step_ensemble(np.zeros_like(p), p, gas, pair, delta,
-                                np.random.default_rng(6))
-        assert np.all(np.isfinite(x))
+        x, p_next = tr.step_ensemble(np.zeros_like(p), p.copy(), gas, pair, delta,
+                                     np.random.default_rng(6))
+        assert np.all(np.isfinite(x)) and not np.array_equal(p_next, p)
 
 
 def _no_step(*args):
@@ -488,7 +670,7 @@ class TestStepCheck:
         p0 = np.zeros(50)   # rate(0) lies below the thermal-law rate
         tr.run(p0, p0, gas, pair, edge * (1 - 1e-6), edge * (1 - 1e-6), seed=1)
         tr.excess_position_msd(50, gas, pair, edge * (1 - 1e-6), edge * (1 - 1e-6), 1)
-        monkeypatch.setattr(tr, "_draw_collisions", _no_step)
+        monkeypatch.setattr(tr, "_collisions", _no_step)
         monkeypatch.setattr(tr, "_collide", _no_step)
         with pytest.raises(StepTooLarge, match="thermal-law"):
             tr.run(p0, p0, gas, pair, 10 * edge, edge * (1 + 1e-6), seed=1)
@@ -504,7 +686,7 @@ class TestStepCheck:
         edge = 0.1 / float(tr.collision_rate(p[123], gas, pair))
         x = np.zeros_like(p)
         tr.run(x, p, gas, pair, edge * (1 - 1e-6), edge * (1 - 1e-6), seed=6)
-        monkeypatch.setattr(tr, "_draw_collisions", _no_step)
+        monkeypatch.setattr(tr, "_collisions", _no_step)
         monkeypatch.setattr(tr, "_collide", _no_step)
         with pytest.raises(StepTooLarge, match="initial-label"):
             tr.run(x, p, gas, pair, 10 * edge, edge * (1 + 1e-6), seed=6)
@@ -515,7 +697,7 @@ class TestStepCheck:
     def test_negative_flight_window_raises(self, gas, pair):
         p = np.zeros(10)
         with pytest.raises(ValueError, match="gas_flight_window"):
-            tr._draw_collisions(p, gas, pair, 0.5, np.random.default_rng(0), -0.5)
+            next(tr._collisions(p, gas, pair, 0.5, 2, np.random.default_rng(0), -0.5))
         with pytest.raises(ValueError, match="gas_flight_window"):
             tr.step_ensemble(p, p, gas, pair, 0.5, np.random.default_rng(0), -0.5)
         with pytest.raises(ValueError, match="gas_flight_window"):
