@@ -31,7 +31,7 @@ import json
 import sys
 import warnings
 from dataclasses import MISSING, dataclass, field, fields, replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import ClassVar
 
@@ -197,22 +197,25 @@ class _Marginals(ScenarioConfig):
     n_p: int = _count(241)
     momentum_grid_n: int = _count(1024)  # ignored; the momentum marginal needs no grid
 
-    def _write_marginals(self, t_c, position, momentum, rule_nodes):
+    def _write_marginals(self, t_c, position, momentum):
         """The table times, the position and momentum marginal CSVs, and the
-        ``numerics`` block; ``position(t, xs)`` and ``momentum(t, ps)`` give
-        the densities, ``rule_nodes(t, ps)`` the momentum rule's node count."""
+        ``numerics`` block; ``position(t, xs)`` gives the densities and
+        ``momentum(t, ps)`` the densities and the momentum rule's node count."""
         times = np.linspace(0.0, self.t_max_collision_units * t_c, self.n_times)
         xs = np.linspace(self.x_lo, self.x_hi, self.n_x)
         ps = np.linspace(self.p_lo, self.p_hi, self.n_p)
-        pos_rows, mom_rows = [], []
-        for t in times:
-            pos_rows.extend((float(t), float(x), float(d)) for x, d in zip(xs, position(t, xs)))
-            mom_rows.extend((float(t), float(v), float(d)) for v, d in zip(ps, momentum(t, ps)))
-        out = self.out_dir
-        return times, [
-            emit_csv(out / "position_marginal.csv", ["t", "x_prime", "density"], pos_rows),
-            emit_csv(out / "momentum_marginal.csv", ["t", "p_prime", "density"], mom_rows)
-        ], {"momentum_rule_nodes": [rule_nodes(t, ps) for t in times]}
+        momenta, nodes = zip(*[momentum(t, ps) for t in times])
+        files = [emit_csv(self.out_dir / f"{name}_marginal.csv", ["t", column, "density"],
+                          np.column_stack([np.repeat(times, grid.size), np.tile(grid, times.size),
+                                           np.concatenate(densities)]).tolist())
+                 for name, column, grid, densities in (
+                     ("position", "x_prime", xs, [position(t, xs) for t in times]),
+                     ("momentum", "p_prime", ps, momenta))]
+        return times, files, {"momentum_rule_nodes": list(nodes)}
+
+
+def _cell(v):
+    return repr(v) if type(v) is float else repr(float(v)) if isinstance(v, float) else str(v)
 
 
 def emit_csv(path, header, rows):
@@ -226,8 +229,7 @@ def emit_csv(path, header, rows):
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v)
-                             for v in row) + "\n")
+            fh.write(",".join(map(_cell, row)) + "\n")
     return path
 
 
@@ -247,8 +249,7 @@ class Fig1Config(_ComFrame, _Marginals):
         t_c = ec.collision_time(pair, init.p_g)
         times, files, numerics = self._write_marginals(
             t_c, lambda t, xs: ec.position_marginal(pair, init, t, xs),
-            lambda t, ps: ec.momentum_marginal(pair, init, t, ps),
-            lambda t, ps: ec.momentum_rule_nodes(pair, init, t, ps))
+            lambda t, ps: ec.momentum_marginal(pair, init, t, ps, return_nodes=True))
         mean_rows = [(float(t), ec.brownian_momentum_mean(pair, init, t)) for t in times]
         files.append(emit_csv(self.out_dir / "momentum_mean.csv", ["t", "mean_p"], mean_rows))
         widths = np.hypot(pair.gas_width, pair.brownian_width)
@@ -287,8 +288,7 @@ class CollideConfig(_Gas, _Marginals):
         init = lab.com_init
         t_c = ec.collision_time(pair, init.p_g)
         _, files, numerics = self._write_marginals(
-            t_c, lab.position_marginal, lab.momentum_marginal,
-            lambda t, ps: ec.momentum_rule_nodes(pair, init, t, lab.com_momentum(ps)))
+            t_c, lab.position_marginal, partial(lab.momentum_marginal, return_nodes=True))
         fid_times = self.fidelity_times or [float(v) for v in np.linspace(0.0, 5 * t_c, 11)]
         fid_rows = [(float(t), ec.outgoing_fidelity(pair, init, t)) for t in fid_times]
         files.append(emit_csv(self.out_dir / "fidelity.csv", ["t", "outgoing_fidelity"],
@@ -322,10 +322,9 @@ class OracleVerifyConfig(_ComFrame):
         base = grid_oracle.default_grid(pair, init, finest, t_max=max(times))
         rows = []
         for n in sorted(self.grid_sizes):
-            params = replace(base, n_R=n, n_r=n)
-            for t in times:
-                err = grid_oracle.compare_to_analytic(pair, init, t, params, validate=False)
-                rows.append((n, float(t), float(err)))
+            errs = grid_oracle.compare_to_analytic(pair, init, times, replace(base, n_R=n, n_r=n),
+                                                   validate=False)
+            rows.extend((n, float(t), float(e)) for t, e in zip(times, errs))
         files = [emit_csv(self.out_dir / "oracle_error.csv", ["grid_n", "t", "l2_error"], rows)]
         # np.max, unlike max, keeps a NaN
         worst_finest = float(np.max([e for n, _, e in rows if n == finest], initial=0.0))
@@ -548,7 +547,8 @@ def run_scenario(cfg: ScenarioConfig) -> int:
     return 3 if failures else 0
 
 
-def main(argv=None) -> int:
+@cache
+def _parser():
     parser = argparse.ArgumentParser(
         prog="qbm1d", description="collisional quantum Brownian motion scenario runner")
     sub = parser.add_subparsers(dest="kind", required=True)
@@ -557,7 +557,11 @@ def main(argv=None) -> int:
         sp.add_argument("config", help="path to the INI scenario config")
         sp.add_argument("--seed", type=int, help="override the config seed")
         sp.add_argument("--out-dir", help="directory for CSV/JSON artifacts (default: cwd)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         cfg = ScenarioConfig.load(args.kind, args.config, seed=args.seed, out_dir=args.out_dir)
     except ConfigError as exc:

@@ -71,7 +71,6 @@ __all__ = [
     "position_marginal",
     "momentum_marginal",
     "momentum_marginal_profile",
-    "momentum_rule_nodes",
     "outgoing_fidelity",
     "ldht_number",
     "validity_report",
@@ -88,7 +87,7 @@ class COMInitialCondition:
     p: float
 
     def __post_init__(self):
-        if not np.isclose(self.p, -self.p_g, rtol=1e-9, atol=0.0):
+        if not _close(self.p, -self.p_g):
             raise ValueError("COM frame requires p = -p_g")
         if not self.x_g < self.x:
             raise ValueError("requires x_g < x (gas to the left)")
@@ -103,8 +102,13 @@ def com_condition(pair: CollisionPair, x: float, p: float) -> COMInitialConditio
     return COMInitialCondition(x_g=-x / pair.alpha, p_g=-p, x=x, p=p)
 
 
+def _close(a, b):
+    """np.isclose(a, b, rtol=1e-9, atol=0) for scalars, at a fraction of its cost."""
+    return abs(a - b) <= 1e-9 * abs(b) if math.isfinite(b) else a == b
+
+
 def _check_com(pair: CollisionPair, init: COMInitialCondition):
-    if not np.isclose(init.x, -pair.alpha * init.x_g, rtol=1e-9, atol=0.0):
+    if not _close(init.x, -pair.alpha * init.x_g):
         raise ValueError("COM frame requires x = -alpha x_g")
 
 
@@ -315,13 +319,8 @@ def _q_rule(pair: CollisionPair, G, A, ps):
     return g, q, w, np.searchsorted(panels, k0) * _GL_NODES.size, n * _GL_NODES.size
 
 
-def momentum_rule_nodes(pair: CollisionPair, init: COMInitialCondition, t: float, p_prime):
-    """Number of q nodes ``momentum_marginal`` evaluates for ``p_prime``."""
-    _, G, _, A, _ = _factorized(pair, init, t)
-    return _q_rule(pair, G, A, np.ravel(p_prime))[1].size
-
-
-def momentum_marginal(pair: CollisionPair, init: COMInitialCondition, t: float, p_prime):
+def momentum_marginal(pair: CollisionPair, init: COMInitialCondition, t: float, p_prime,
+                      return_nodes=False):
     """Brownian momentum density at p', from psi = C U(u) D(d).
 
     The momenta conjugate to u and d are P = p' + p_g' and q = (alpha p' -
@@ -339,7 +338,7 @@ def momentum_marginal(pair: CollisionPair, init: COMInitialCondition, t: float, 
     wall.  Near the wall, wall and packet interfere and |D~|^2 varies on the
     scale hbar/reach, reach the centre of |D|^2 plus 8 of its stds, which
     then caps the spacing.  Vectorized over ``p_prime``; returns a float for
-    a scalar.
+    a scalar.  ``return_nodes`` also returns the number of q nodes evaluated.
     """
     st, G, log_c, A, _ = _factorized(pair, init, t)
     ps = np.asarray(p_prime, dtype=float)
@@ -360,7 +359,8 @@ def momentum_marginal(pair: CollisionPair, init: COMInitialCondition, t: float, 
         gauss = np.exp(-(flat[i:i + rows, None] - q[idx]) ** 2 / (2 * g**2))
         out[i:i + rows] = np.sum(gauss * f[idx], axis=1)
     out = (abs(st) / (2 * np.pi * pair.hbar**2) * out).reshape(ps.shape)
-    return float(out) if out.ndim == 0 else out
+    out = float(out) if out.ndim == 0 else out
+    return (out, q.size) if return_nodes else out
 
 
 momentum_marginal_profile = momentum_marginal  # former name; the benchmark's tracer wraps it
@@ -482,9 +482,10 @@ class LabFrameCollision:
         shift = self.pair.brownian_mass * self.boost_velocity
         return self.reflection * (np.asarray(p_prime, dtype=float) - shift)
 
-    def momentum_marginal(self, t: float, p_prime):
+    def momentum_marginal(self, t: float, p_prime, return_nodes=False):
         """Brownian momentum density in the lab frame at time t."""
-        return momentum_marginal(self.pair, self.com_init, t, self.com_momentum(p_prime))
+        return momentum_marginal(self.pair, self.com_init, t, self.com_momentum(p_prime),
+                                 return_nodes)
 
     def brownian_momentum_mean(self, t: float) -> float:
         s = self.reflection

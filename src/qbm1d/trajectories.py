@@ -129,9 +129,9 @@ _BLOCK = 4096
 
 
 def _pascal(m):
-    """[i, k] = C(i, k) m^(i - k) for k <= i: maps the moments E[u^k] to
-    E[(u + m)^i]."""
-    return np.tril(_BINOM * m ** _POWER)
+    """[..., i, k] = C(i, k) m^(i - k) for k <= i, stacked over the array m:
+    maps the moments E[u^k] to E[(u + m)^i]."""
+    return np.tril(_BINOM * np.asarray(m)[..., None, None] ** _POWER)
 
 
 class _LabelSums:
@@ -156,23 +156,23 @@ class _LabelSums:
             np.multiply(powers[0, i], powers[1, :5 - i], out=terms[at:at + 5 - i])
         return terms
 
-    def stats(self, t, sums, pair: CollisionPair) -> EnsembleStats:
-        """EnsembleStats at time t from the ``sums`` then.  The central moments
-        c of (alpha, pi) are sheared to those of (x, p) by x - E x = u + w t/m,
-        u = alpha - E alpha, w = pi - E pi: E[(u + s w)^i w^j] sums C(i, k)
-        s^(i-k) c[k, i + j - k], one Pascal product along each order i + j.
-        The variance of each label moment expands about the means X, P, e.g.
-        Var x^2 = mu40 - mu20^2 + 4 X mu30 + 4 X^2 mu20; rounding may take a
-        zero variance below 0."""
-        n, s = self.n, t / pair.brownian_mass
-        raw = np.zeros((5, 5))
-        raw[_I, _J] = sums / n
-        ma, mp = raw[1, 0], raw[0, 1]
-        c = _pascal(-ma) @ raw @ _pascal(-mp).T
-        by_order = np.zeros((5, 5))
-        by_order[_I, _I + _J] = c[_I, _J]
-        mu = np.zeros((5, 5))
-        mu[_I, _J] = (_pascal(s) @ by_order)[_I, _I + _J]
+    def stats(self, ts, sums, pair: CollisionPair) -> list[EnsembleStats]:
+        """EnsembleStats at the times ``ts`` from the ``sums`` [m, time] then.
+        The central moments c of (alpha, pi) are sheared to those of (x, p) by
+        x - E x = u + w t/m, u = alpha - E alpha, w = pi - E pi: E[(u + s w)^i
+        w^j] sums C(i, k) s^(i-k) c[k, i + j - k], one Pascal product along
+        each order i + j, stacked over the times.  The variance of each label
+        moment expands about the means X, P, e.g. Var x^2 = mu40 - mu20^2 + 4 X
+        mu30 + 4 X^2 mu20; rounding may take a zero variance below 0."""
+        n, s = self.n, ts / pair.brownian_mass
+        raw = np.zeros((ts.size, 5, 5))
+        raw[:, _I, _J] = (sums / n).T
+        ma, mp = raw[:, 1, 0], raw[:, 0, 1]
+        c = _pascal(-ma) @ raw @ _pascal(-mp).transpose(0, 2, 1)
+        by_order = np.zeros_like(raw)
+        by_order[:, _I, _I + _J] = c[:, _I, _J]
+        mu = np.zeros((5, 5, ts.size))
+        mu[_I, _J] = (_pascal(s) @ by_order)[:, _I, _I + _J].T
         x = self.a_c + self.p_c * s + ma + mp * s
         p = self.p_c + mp
         mean = (x, p, x * x + mu[2, 0], 2 * (x * p + mu[1, 1]), p * p + mu[0, 2])
@@ -181,8 +181,9 @@ class _LabelSums:
                4 * (mu[2, 2] - mu[1, 1]**2 + x * x * mu[0, 2] + p * p * mu[2, 0]
                     + 2 * x * mu[1, 2] + 2 * p * mu[2, 1] + 2 * x * p * mu[1, 1]),
                mu[0, 4] - mu[0, 2]**2 + 4 * p * mu[0, 3] + 4 * p * p * mu[0, 2])
-        se = [np.sqrt(max(v, 0.0) / (n - 1)) if n > 1 else np.nan for v in var]
-        return EnsembleStats.from_label_moments(t, n, mean, se, pair)
+        se = np.sqrt(np.maximum(var, 0.0) / (n - 1)) if n > 1 else np.full((5, ts.size), np.nan)
+        return [EnsembleStats.from_label_moments(t, n, m, e, pair)
+                for t, m, e in zip(ts.tolist(), np.transpose(mean), se.T)]
 
 
 def collision_rate(p, gas: ThermalGasSpec, pair: CollisionPair):
@@ -200,12 +201,14 @@ def sample_collision_partner(p, gas: ThermalGasSpec, pair: CollisionPair, rng):
     of mass |b|.  Each round draws u, v and normals n0, n1 for the pending
     draws; the candidate is sign(n0) hypot(n0, n1) when u (sqrt(2/pi) + |b|)
     < sqrt(2/pi), else n1, kept when v (|z| + |b|) <= |z - b|.  The acceptance
-    E|z - b| / (sqrt(2/pi) + |b|) is at least 0.648, so only a non-finite
-    momentum outlasts _MAX_ROUNDS rounds: PartnerNotConverged.
+    E|z - b| / (sqrt(2/pi) + |b|) is at least 0.648; a non-finite momentum,
+    which no round could accept, raises PartnerNotConverged before any draw.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     su = np.sqrt(gas.kT / gas.gas_mass)
     b = ((p / pair.brownian_mass) / su).ravel()
+    if not np.all(finite := np.isfinite(b)):
+        raise PartnerNotConverged(f"{np.sum(~finite)} partner draws against non-finite momenta")
     z, pending = np.empty(b.size), np.arange(b.size)
     for _ in range(_MAX_ROUNDS):
         k, bk = pending.size, b[pending]
@@ -324,8 +327,8 @@ def run(x0, p0, gas: ThermalGasSpec, pair: CollisionPair, horizon: float,
         change = np.subtract(sums.terms(a[hit], p[hit], 1), old, out=old)
         for row, terms in zip(bins, change):
             row += np.bincount(k, terms, n_steps + 1)
-    running = sums.initial[:, None] + np.cumsum(bins, axis=1)
-    return [sums.stats(step * delta, running[:, step], pair) for step in range(n_steps + 1)]
+    return sums.stats(np.arange(n_steps + 1) * delta,
+                      sums.initial[:, None] + np.cumsum(bins, axis=1), pair)
 
 
 def excess_position_msd(n: int, gas: ThermalGasSpec, pair: CollisionPair,

@@ -1,6 +1,10 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,6 +104,31 @@ def test_emit_csv_numpy_scalars_read_back(tmp_path):
     assert "np." not in path.read_text()
     back = np.loadtxt(path, delimiter=",", skiprows=1)
     assert back.tolist() == [float(v) for v in row]
+
+
+def test_emit_csv_golden_bytes(tmp_path):
+    # the repr of a plain float for every float, numpy's included; str otherwise
+    row = [0.1, np.float64(1.0 / 3.0), 7, 1e-05, -0.0, 1e16]
+    path = cli.emit_csv(tmp_path / "row.csv", ["a", "b", "n", "c", "d", "e"], [row])
+    assert path.read_bytes() == b"a,b,n,c,d,e\n0.1,0.3333333333333333,7,1e-05,-0.0,1e+16\n"
+
+
+def test_scenarios_in_one_process_write_what_separate_processes_write(tmp_path):
+    # one parser serves every cli.main call of a process
+    runs = [(kind, _write_ini(tmp_path / f"{kind}.ini", SMOKE[kind]))
+            for kind in ("fig1", "oracle-verify")]
+    for kind, ini in runs:
+        assert cli.main([kind, str(ini), "--out-dir", str(tmp_path / "one" / kind)]) == 0
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for kind, ini in runs:
+        subprocess.run([sys.executable, "-m", "qbm1d.cli", kind, str(ini), "--out-dir",
+                        str(tmp_path / "own" / kind)], env=env, check=True, capture_output=True)
+        names = sorted(p.name for p in (tmp_path / "one" / kind).iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "own" / kind).iterdir())
+        for name in names:
+            assert ((tmp_path / "one" / kind / name).read_bytes()
+                    == (tmp_path / "own" / kind / name).read_bytes()), (kind, name)
 
 
 @pytest.mark.parametrize("cfg", [{"alpha": 0.3, "sigma": 1.0, "x": 60.0, "p": -2.0},
@@ -220,7 +249,7 @@ def test_oracle_verify_fails_on_a_non_finite_error(tmp_path, capsys, monkeypatch
     compare = cli.grid_oracle.compare_to_analytic
 
     def broken(pair, init, t, params, validate=True):
-        return float("nan") if t > 0 else compare(pair, init, t, params, validate)
+        return np.where(np.asarray(t) > 0, np.nan, compare(pair, init, t, params, validate))
 
     monkeypatch.setattr(cli.grid_oracle, "compare_to_analytic", broken)
     ini = _write_ini(tmp_path / "oracle.ini", SMOKE["oracle-verify"])

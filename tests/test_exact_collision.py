@@ -1,4 +1,5 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -320,6 +321,46 @@ class TestWavefunction:
             assert ec.two_particle_norm(pair, init, t) == pytest.approx(expected, abs=1e-12)
 
 
+def _around(b):
+    """Values on both sides of np.isclose(., b, rtol=1e-9, atol=0)'s boundary,
+    a few ulps apart, with b itself and values far off."""
+    edges = (b + 1e-9 * abs(b), b - 1e-9 * abs(b))
+    return [b, -b, 2 * b, 0.0, np.inf, np.nan] + [
+        float(e + k * np.spacing(e)) for e in edges for k in range(-3, 4)]
+
+
+class TestCOMCheck:
+    # the checks compare scalars by np.isclose's rule, |a - b| <= 1e-9 |b|
+    @pytest.mark.parametrize("b", [10.0, 1.0 / 3.0, 7.5e-300])
+    def test_check_com_agrees_with_isclose(self, b):
+        pair = CollisionPair.matched(1.0, 0.3, 4.0)
+        x_g = -b / 0.3
+        verdicts = []
+        for x in _around(-0.3 * x_g):
+            try:   # the labels _check_com reads, some of which no condition admits
+                ec._check_com(pair, SimpleNamespace(x=x, x_g=x_g))
+                ok = True
+            except ValueError:
+                ok = False
+            assert ok == np.isclose(x, -0.3 * x_g, rtol=1e-9, atol=0.0), x
+            verdicts.append(ok)
+        assert True in verdicts and False in verdicts
+
+    @pytest.mark.parametrize("p_g", [2.0, 1.0 / 3.0, 7.5e-300])
+    def test_com_condition_agrees_with_isclose(self, p_g):
+        verdicts = []
+        for p in _around(-p_g):
+            try:
+                ec.COMInitialCondition(x_g=-1.0, p_g=p_g, x=1.0, p=p)
+                ok = True
+            except ValueError:
+                ok = False
+            # the other checks need p_g > p; every p near -p_g meets it
+            assert ok == (np.isclose(p, -p_g, rtol=1e-9, atol=0.0) and p_g > p), p
+            verdicts.append(ok)
+        assert True in verdicts and False in verdicts
+
+
 class TestPositionMarginal:
     def test_initial_gaussian(self, pair, init):
         # density of the Brownian packet: N(10, sigma^2/2)
@@ -448,7 +489,7 @@ class TestMomentumMarginal:
 
     def test_empty_momenta(self, pair, init):
         assert ec.momentum_marginal(pair, init, 5.0, np.array([])).shape == (0,)
-        assert ec.momentum_rule_nodes(pair, init, 5.0, []) == 0
+        assert ec.momentum_marginal(pair, init, 5.0, [], return_nodes=True)[1] == 0
 
     def test_density_independent_of_the_other_momenta(self):
         # packets 60 widths apart, past the meeting, where the spacing follows
@@ -461,8 +502,8 @@ class TestMomentumMarginal:
         table = ec.momentum_marginal(pair, init, 90.0, ps)
         alone = [ec.momentum_marginal(pair, init, 90.0, v) for v in ps[::4]]
         assert np.array_equal(table[::4], alone)
-        assert ec.momentum_rule_nodes(pair, init, 90.0, ps) > ec.momentum_rule_nodes(
-            pair, init, 90.0, ps[:1])
+        _, nodes = ec.momentum_marginal(pair, init, 90.0, ps, return_nodes=True)
+        assert nodes > ec.momentum_marginal(pair, init, 90.0, ps[:1], return_nodes=True)[1]
 
     @pytest.mark.parametrize("alpha,sigma,x,p", [(0.3, 4.0, 10.0, -2.0),
                                                  (0.3, 1.0, 60.0, -2.0)])

@@ -170,6 +170,26 @@ class TestCompareToAnalytic:
         # routes, which agree there only absolutely
         assert got == pytest.approx(ref, rel=1e-8, abs=1e-13)
 
+    def test_times_at_once_match_one_time_each(self):
+        # oracle-verify's defaults: one discretized state per grid, propagated
+        # to each time, gives the per-time calls' errors bit for bit
+        pair = CollisionPair.matched(1.0, 0.3, 4.0)
+        init = ec.com_condition(pair, 10.0, -2.0)
+        t_c = ec.collision_time(pair, init.p_g)
+        times = [u * t_c for u in (0.0, 1.0, 3.0)]
+        base = go.default_grid(pair, init, 1024, t_max=max(times))
+        for n in (96, 128, 192, 256, 384, 512, 1024):
+            params = replace(base, n_R=n, n_r=n)
+            errs = go.compare_to_analytic(pair, init, times, params, validate=False)
+            assert isinstance(errs, np.ndarray) and errs.shape == (3,)
+            one = [go.compare_to_analytic(pair, init, t, params, validate=False) for t in times]
+            assert all(isinstance(e, float) for e in one)
+            assert errs.tolist() == one, n
+
+    def test_negative_time_in_a_vector_raises(self, pair, init, params):
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            go.compare_to_analytic(pair, init, [0.0, -1.0], params)
+
     def test_guards_count_no_tail_behind_the_wall(self):
         # the bare product leaves 1.7e-6 of its mass at r < 0, but the
         # mirrored state the grid starts from has none there

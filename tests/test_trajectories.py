@@ -113,6 +113,13 @@ class TestCollisionPartner:
             tr.sample_collision_partner(np.array([0.0, np.nan, 1.0]), gas, pair,
                                         np.random.default_rng(0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_momentum_raises_before_any_draw(self, gas, pair, bad):
+        rng = np.random.default_rng(0)
+        with pytest.raises(PartnerNotConverged, match="non-finite"):
+            tr.sample_collision_partner(np.array([0.0, bad, 1.0]), gas, pair, rng)
+        assert rng.random() == np.random.default_rng(0).random()
+
 
 def _step_positions(x, p, hit, tau, eta, p_g, pair, delta):
     """One coarse step on the positions, the O(n) oracle: a hit drifts to
@@ -137,6 +144,30 @@ def _two_pass_stats(t, x, p, pair):
         mean.append(q.mean())
         d = q - mean[-1]
         se.append(np.sqrt(np.dot(d, d) / (n - 1) / n) if n > 1 else np.nan)
+    return tr.EnsembleStats.from_label_moments(t, n, mean, se, pair)
+
+
+def _per_row_stats(sums, t, row, pair):
+    """The per-row route, the oracle of ``_LabelSums.stats``: EnsembleStats at
+    time t from the sums ``row`` then, by three 5 x 5 Pascal products."""
+    n, s = sums.n, t / pair.brownian_mass
+    raw = np.zeros((5, 5))
+    raw[tr._I, tr._J] = row / n
+    ma, mp = raw[1, 0], raw[0, 1]
+    c = tr._pascal(-ma) @ raw @ tr._pascal(-mp).T
+    by_order = np.zeros((5, 5))
+    by_order[tr._I, tr._I + tr._J] = c[tr._I, tr._J]
+    mu = np.zeros((5, 5))
+    mu[tr._I, tr._J] = (tr._pascal(s) @ by_order)[tr._I, tr._I + tr._J]
+    x = sums.a_c + sums.p_c * s + ma + mp * s
+    p = sums.p_c + mp
+    mean = (x, p, x * x + mu[2, 0], 2 * (x * p + mu[1, 1]), p * p + mu[0, 2])
+    var = (mu[2, 0], mu[0, 2],
+           mu[4, 0] - mu[2, 0]**2 + 4 * x * mu[3, 0] + 4 * x * x * mu[2, 0],
+           4 * (mu[2, 2] - mu[1, 1]**2 + x * x * mu[0, 2] + p * p * mu[2, 0]
+                + 2 * x * mu[1, 2] + 2 * p * mu[2, 1] + 2 * x * p * mu[1, 1]),
+           mu[0, 4] - mu[0, 2]**2 + 4 * p * mu[0, 3] + 4 * p * p * mu[0, 2])
+    se = [np.sqrt(max(v, 0.0) / (n - 1)) if n > 1 else np.nan for v in var]
     return tr.EnsembleStats.from_label_moments(t, n, mean, se, pair)
 
 
@@ -301,6 +332,28 @@ class TestRun:
         assert [dataclasses.astuple(s) for s in first] == [
             dataclasses.astuple(s) for s in second]
         assert first[-1].mean_p2 != first[0].mean_p2  # collisions happened
+
+    @pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
+    @pytest.mark.parametrize("alpha,n,p0", [(0.02, 20000, 0.0), (5.0, 2000, 0.0),
+                                            (0.02, 2000, 3.0), (1.0, 1, 0.5)])
+    def test_rows_match_per_row_stats(self, alpha, n, p0, monkeypatch):
+        # the rows of all steps at once equal the per-row route bit for bit,
+        # a lone path's NaN standard errors included
+        pair, gas = _pair_and_gas(alpha)
+        seen = {}
+        batched = tr._LabelSums.stats
+
+        def spy(sums, ts, running, pair):
+            seen.update(sums=sums, ts=ts, running=running)
+            return batched(sums, ts, running, pair)
+
+        monkeypatch.setattr(tr._LabelSums, "stats", spy)
+        x0 = np.random.default_rng(1).normal(0.0, 2.0, n)
+        series = tr.run(x0, np.full(n, p0), gas, pair, 40.0, 0.5, seed=1)
+        want = [_per_row_stats(seen["sums"], step * 0.5, seen["running"][:, step], pair)
+                for step in range(seen["ts"].size)]
+        assert [repr(s) for s in series] == [repr(s) for s in want]
+        assert series[-1].mean_p2 != series[0].mean_p2 or n == 1
 
     @pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
     def test_leaves_initial_labels_untouched(self, gas, pair):
@@ -544,7 +597,14 @@ class TestGaps:
         free = tr._LabelSums(x, p)
         assert len(series) == 41
         for step, s in enumerate(series):
-            assert s == free.stats(step * 0.5, free.initial, pair), step
+            assert s == _per_row_stats(free, step * 0.5, free.initial, pair), step
+
+    def test_infinite_momentum_raises_named_error(self, gas, pair):
+        # an infinite rate takes q = 1, and against an infinite kink every
+        # finite candidate passes (inf <= inf), which would give x = NaN
+        p = np.array([0.0, np.inf, 1.0])
+        with pytest.raises(PartnerNotConverged):
+            tr.step_ensemble(np.zeros(3), p, gas, pair, 0.5, np.random.default_rng(0))
 
     @pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
     def test_nan_momentum_raises_named_error(self, gas, pair):
