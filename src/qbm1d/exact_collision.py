@@ -61,7 +61,6 @@ from .thermal import ThermalGasSpec, mean_relative_speed
 __all__ = [
     "CollisionPair",
     "COMInitialCondition",
-    "ValidityReport",
     "LabFrameCollision",
     "com_condition",
     "collision_time",
@@ -73,6 +72,7 @@ __all__ = [
     "momentum_marginal_profile",
     "outgoing_fidelity",
     "ldht_number",
+    "collision_ratios",
     "validity_report",
 ]
 
@@ -370,54 +370,31 @@ momentum_marginal_profile = momentum_marginal  # former name; the benchmark's tr
 # validity diagnostics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ValidityReport:
-    """Dimensionless diagnostics of the collision model; no thresholding.
-
-    overlap_ratio            initial separation over combined widths
-    momentum_ratio           relative momentum over its quantum uncertainty
-    collision_time           duration of the collision (time units)
-    ldht_number              low-density/high-temperature parameter
-    coarse_graining_ratio    collision time over the coarse step delta
-    step_collision_probability   typical collision probability per step
-    """
-
-    overlap_ratio: float
-    momentum_ratio: float
-    collision_time: float
-    ldht_number: float
-    coarse_graining_ratio: float
-    step_collision_probability: float
-
-    def __post_init__(self):
-        for name in self.__dataclass_fields__:
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-
-
 def ldht_number(pair: CollisionPair, gas: ThermalGasSpec) -> float:
     """The low-density/high-temperature parameter of the gas for this pair."""
     return math.sqrt(2.0) * (1 + pair.alpha) * gas.number_density * pair.hbar / math.sqrt(
         math.pi * gas.gas_mass * gas.kT)
 
 
+def collision_ratios(pair: CollisionPair, init: COMInitialCondition) -> dict:
+    """overlap_ratio, the initial separation over the combined widths, and
+    momentum_ratio, the relative momentum over its quantum uncertainty."""
+    widths = np.hypot(pair.gas_width, pair.brownian_width)
+    return {"overlap_ratio": abs(init.x_g - init.x) / float(widths),
+            "momentum_ratio": abs(init.p_g) * pair.gas_width
+            * float(np.sqrt(1 + pair.alpha)) / pair.hbar}
+
+
 def validity_report(pair: CollisionPair, init: COMInitialCondition,
-                    gas: ThermalGasSpec, delta: float) -> ValidityReport:
-    """All validity diagnostics for one collision scenario; caller decides."""
-    a = pair.alpha
-    hb = pair.hbar
+                    gas: ThermalGasSpec, delta: float) -> dict:
+    """Diagnostics of the collision model, unthresholded: ``collision_ratios``,
+    collision_time, ldht_number, coarse_graining_ratio (collision time over
+    delta) and step_collision_probability (collision probability per step)."""
     t_c = collision_time(pair, init.p_g)
-    sep = abs(init.x_g - init.x)
-    widths = math.sqrt(pair.gas_width**2 + pair.brownian_width**2)
     rate = gas.number_density * mean_relative_speed(gas, init.p, pair.brownian_mass)
-    return ValidityReport(
-        overlap_ratio=sep / widths,
-        momentum_ratio=abs(init.p_g) * pair.gas_width * math.sqrt(1 + a) / hb,
-        collision_time=t_c,
-        ldht_number=ldht_number(pair, gas),
-        coarse_graining_ratio=t_c / delta,
-        step_collision_probability=rate * delta,
-    )
+    return {**collision_ratios(pair, init), "collision_time": t_c,
+            "ldht_number": ldht_number(pair, gas), "coarse_graining_ratio": t_c / delta,
+            "step_collision_probability": rate * delta}
 
 
 # ---------------------------------------------------------------------------

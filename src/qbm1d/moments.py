@@ -10,10 +10,11 @@ regime sqrt(⟨p⟩²/m² + k_B T/m) << sqrt(k_B T / m_g):
     d⟨p²⟩/dt   = 2 f (m k_B T - ⟨p²⟩)
 
 with friction constant f = 4 n_g sqrt(2 m_g k_B T) / (sqrt(pi) m) and the
-coarse-graining artifact rate D_art = (n_g / 3 sqrt(pi)) (2 k_B T/m_g)^{3/2}
-delta^2.  The artifact term is included by default (faithful to the coarse-
-grained equations); pass ``include_artifact=False`` for physical runs, since
-the term reflects unresolved collision timing rather than a real process.
+coarse-graining artifact rate D_art ~ delta^2 that the trajectories realise
+(``artifact_diffusion_rate``).  The artifact term is included by default
+(faithful to the coarse-grained equations); pass ``include_artifact=False``
+for physical runs, since the term reflects unresolved collision timing
+rather than a real process.
 
 The system is linear with constant coefficients and is solved exactly by
 the matrix exponential of its augmented 6 x 6 generator, so no step size
@@ -90,7 +91,7 @@ class FrictionParams:
     @classmethod
     def from_gas(cls, gas: ThermalGasSpec, mass: float, delta: float = 0.0,
                  include_artifact: bool = True) -> "FrictionParams":
-        d_art = artifact_diffusion_rate(gas, delta) if include_artifact else 0.0
+        d_art = artifact_diffusion_rate(gas, mass, delta) if include_artifact else 0.0
         return cls(f=friction_constant(gas, mass), artifact_rate=d_art,
                    mass=mass, kT=gas.kT, gas_mass=gas.gas_mass)
 
@@ -106,10 +107,28 @@ def friction_constant(gas: ThermalGasSpec, mass: float) -> float:
             / (math.sqrt(math.pi) * mass))
 
 
-def artifact_diffusion_rate(gas: ThermalGasSpec, delta: float) -> float:
-    """Coarse-graining position diffusion (n_g/3 sqrt(pi)) (2kT/m_g)^{3/2} delta^2."""
-    return (gas.number_density / (3 * math.sqrt(math.pi))
-            * (2 * gas.kT / gas.gas_mass) ** 1.5 * delta**2)
+def artifact_diffusion_rate(gas: ThermalGasSpec, mass: float, delta: float,
+                            w: float = 1.0) -> float:
+    """Coarse-graining position diffusion of a particle of mass m in steps
+    delta, with the partners' flights in a window w (``gas_flight_window``).
+
+    A collision moves the label by -2 alpha/(1 + alpha) v_g eta, alpha =
+    m_g/m, eta ~ U(-w delta, w delta), at the flux rate n_g |v_g - v|, so
+
+        D_art = n_g (2 alpha/(1 + alpha))^2 w^2 (delta^2/3) E[v_g^2 |v_g - v|]
+
+    over thermal v and v_g at the partners' temperature T.  For normal v_g
+    and v, variances s_g^2 = kT/m_g and s^2 = kT/m,
+
+        E[v_g^2 |v_g - v|] = sqrt(2/pi) s_g^2 (2 s_g^2 + s^2) / sqrt(s_g^2 + s^2).
+
+    The paper's printed rate (n_g/3 sqrt(pi)) (2kT/m_g)^{3/2} delta^2 is its
+    alpha = 1, w = 1, v = 0 limit.
+    """
+    alpha, sg2, s2 = gas.gas_mass / mass, gas.kT / gas.gas_mass, gas.kT / mass
+    share = 2 * alpha / (1 + alpha)
+    kick = math.sqrt(2 / math.pi) * sg2 * (2 * sg2 + s2) / math.sqrt(sg2 + s2)
+    return gas.number_density * (share * w * delta) ** 2 / 3 * kick
 
 
 def system_matrix(params: FrictionParams) -> np.ndarray:

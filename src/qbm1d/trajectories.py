@@ -225,10 +225,11 @@ def sample_collision_partner(p, gas: ThermalGasSpec, pair: CollisionPair, rng):
                               f"{_MAX_ROUNDS} rejection rounds")
 
 
-def _check_step(gas: ThermalGasSpec, pair: CollisionPair, delta: float, p=None):
+def _check_regime(gas: ThermalGasSpec, pair: CollisionPair, delta: float, p=None):
     """StepTooLarge when rate * delta > 0.1, where two collisions in one step
     are not negligible, for the rate under the thermal laws of both particles
-    (v_g - v is normal with variance (1 + alpha) kT/m_g) or at max |p|."""
+    (v_g - v is normal with variance (1 + alpha) kT/m_g) or at max |p|; a
+    ValidityWarning when delta < 3 typical collision times."""
     rates = {"thermal-law": gas.number_density * mean_relative_speed(
         gas, 0.0, pair.brownian_mass, temperature=gas.temperature * (1 + pair.alpha))}
     if p is not None:
@@ -237,6 +238,12 @@ def _check_step(gas: ThermalGasSpec, pair: CollisionPair, delta: float, p=None):
         if rate * delta > _MAX_STEP_PROBABILITY:
             raise StepTooLarge(f"{law} rate*delta = {float(rate * delta):.3f} "
                                f"> {_MAX_STEP_PROBABILITY}")
+    t_typ = collision_time(pair, gas.thermal_momentum)
+    if delta < 3 * t_typ:
+        warnings.warn(
+            f"coarse step delta = {delta:.3g} is not large against the "
+            f"typical collision time {t_typ:.3g}; the instantaneous-collision "
+            "picture is strained", ValidityWarning, stacklevel=3)
 
 
 def _gaps(p, gas: ThermalGasSpec, pair: CollisionPair, delta: float, cap: int, rng):
@@ -305,19 +312,13 @@ def run(x0, p0, gas: ThermalGasSpec, pair: CollisionPair, horizon: float,
     ``x0``/``p0``, arrays of initial labels, are copied.  One rng stream, the
     first child of ``SeedSequence(seed)``, drives every path, so an identical
     seed reproduces the results bit for bit.  The collision kernel and the
-    binned sums are in the module docstring.  Raises StepTooLarge, before any
-    draw, when rate * delta > 0.1 under the thermal laws or at max |p0|.
+    binned sums are in the module docstring.  ``_check_regime`` checks delta
+    against the thermal laws and max |p0| before any draw.
     """
     a = np.array(x0, dtype=float)          # intercepts a = x - p t/m, x at t = 0
     p = np.array(p0, dtype=float)
-    _check_step(gas, pair, delta, p)
+    _check_regime(gas, pair, delta, p)
     n_steps = int(round(horizon / delta))
-    t_typ = collision_time(pair, gas.thermal_momentum)
-    if delta < 3 * t_typ:
-        warnings.warn(
-            f"coarse step delta = {delta:.3g} is not large against the "
-            f"typical collision time {t_typ:.3g}; the instantaneous-collision "
-            "picture is strained", ValidityWarning, stacklevel=2)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     sums = _LabelSums(a, p)
     bins = np.zeros((_I.size, n_steps + 1))          # [m, k]: the changes in step k
@@ -340,10 +341,10 @@ def excess_position_msd(n: int, gas: ThermalGasSpec, pair: CollisionPair,
     and the sum of its flight offsets -2 alpha/(1 + alpha) v_g eta, its
     position gap from contact collisions; the changes of its square are
     binned by step.  The slope of msd in time is the excess position
-    diffusion rate at this delta.  Paths start with thermal momenta.  Raises
-    StepTooLarge, before any draw, when the thermal-law rate * delta > 0.1.
+    diffusion rate at this delta.  Paths start with thermal momenta.
+    ``_check_regime`` checks delta against the thermal laws before any draw.
     """
-    _check_step(gas, pair, delta)
+    _check_regime(gas, pair, delta)
     rng = np.random.default_rng(seed)
     p = rng.normal(0.0, np.sqrt(pair.brownian_mass * gas.kT), n)
     share = 2 * pair.alpha / (1 + pair.alpha)

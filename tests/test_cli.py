@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from qbm1d import cli, trajectories
+from qbm1d import exact_collision as ec
 from qbm1d.errors import ConfigError
 
 # one small config per scenario: seconds in total, every tolerance at its default
@@ -58,10 +59,12 @@ def test_scenario_runs_and_reruns_identically(kind, tmp_path):
         assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("kind,listed", [("trajectories", 1), ("moments", 0)])
+@pytest.mark.parametrize("kind,listed", [("trajectories", 1), ("moments", 0),
+                                         ("delta-scan", 4)])
 def test_summary_lists_validity_warnings(kind, listed, tmp_path):
-    # the trajectories defaults take delta below 3 typical collision times;
-    # the warning is listed and still shown
+    # the trajectories defaults and each of delta-scan's four deltas take
+    # delta below 3 typical collision times; each warning is listed and still
+    # shown
     ini = _write_ini(tmp_path / f"{kind}.ini", SMOKE[kind])
     with warnings.catch_warnings(record=True) as shown:
         warnings.simplefilter("always")
@@ -72,6 +75,24 @@ def test_summary_lists_validity_warnings(kind, listed, tmp_path):
                             if issubclass(w.category, trajectories.ValidityWarning)]
     assert len(listed_texts) == listed
     assert all("typical collision time" in text for text in listed_texts)
+
+
+def test_fig1_and_collide_report_the_collision_ratios(tmp_path, monkeypatch):
+    # collide's smoke labels are fig1's COM frame at alpha = 0.7: both report
+    # collision_ratios of the one COM state
+    calls, ratios = [], ec.collision_ratios
+    monkeypatch.setattr(ec, "collision_ratios",
+                        lambda pair, init: calls.append((pair, init)) or ratios(pair, init))
+    reported = []
+    for kind, cfg in (("fig1", {**SMOKE["fig1"], "alpha": 0.7}), ("collide", SMOKE["collide"])):
+        ini = _write_ini(tmp_path / f"{kind}.ini", cfg)
+        assert cli.main([kind, str(ini), "--out-dir", str(tmp_path / kind)]) == 0
+        reported.append(json.loads((tmp_path / kind / "summary.json").read_text())["diagnostics"])
+    assert len(calls) == 2 and calls[0] == calls[1]
+    want = ratios(*calls[0])
+    assert set(want) == {"overlap_ratio", "momentum_ratio"}
+    for diagnostics in reported:
+        assert {key: diagnostics[key] for key in want} == want
 
 
 def test_negative_dt_rejected(tmp_path, capsys):

@@ -583,10 +583,10 @@ class TestValidityReport:
         gas = ThermalGasSpec(temperature=1.0, number_density=0.01, gas_mass=0.3,
                              packet_width=pair.gas_width)
         rep = ec.validity_report(pair, init, gas, delta=10.0)
-        assert rep.overlap_ratio == pytest.approx(5.20, abs=0.01)
-        assert rep.momentum_ratio == pytest.approx(16.65, abs=0.01)
-        assert rep.collision_time == pytest.approx(2.718, abs=1e-3)
-        assert rep.coarse_graining_ratio == pytest.approx(rep.collision_time / 10.0)
+        assert rep["overlap_ratio"] == pytest.approx(5.20, abs=0.01)
+        assert rep["momentum_ratio"] == pytest.approx(16.65, abs=0.01)
+        assert rep["collision_time"] == pytest.approx(2.718, abs=1e-3)
+        assert rep["coarse_graining_ratio"] == pytest.approx(rep["collision_time"] / 10.0)
 
     def test_ldht_proportional_to_density(self, pair, init):
         def rep(n_g):
@@ -594,9 +594,9 @@ class TestValidityReport:
                                  packet_width=pair.gas_width)
             return ec.validity_report(pair, init, gas, delta=10.0)
 
-        assert rep(1e-9).ldht_number < 1e-8
-        assert rep(0.02).ldht_number == pytest.approx(2 * rep(0.01).ldht_number,
-                                                      rel=1e-12)
+        assert rep(1e-9)["ldht_number"] < 1e-8
+        assert rep(0.02)["ldht_number"] == pytest.approx(2 * rep(0.01)["ldht_number"],
+                                                         rel=1e-12)
 
 
 class TestLabFrame:

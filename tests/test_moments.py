@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import integrate
 
 from qbm1d import moments as mo
+from qbm1d import trajectories as tr
 from qbm1d.packets import CollisionPair
 from qbm1d.thermal import ThermalGasSpec
 from qbm1d.trajectories import EnsembleStats
@@ -84,3 +88,51 @@ def test_slow_particle_check_includes_thermal_spread(alpha, ratio, ok):
     report = mo.compare_to_trajectories(ode, mc, params)
     assert report.slow_particle_ratio == pytest.approx(ratio, rel=1e-15)
     assert report.slow_particle_ok is ok
+
+
+@pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
+def test_artifact_rate_holds_the_trajectories_position_spread():
+    # at the trajectories defaults (alpha = 0.02), 2e4 paths from x = p = 0 to
+    # t = 250: the ODE's <x^2> is within K = 5 SE of every row on each of
+    # five seeds (1.8-3.9 SE over ten seeds), and without the artifact term
+    # it is not (6.7-7.5 SE); the paper's printed rate missed by ~5000 SE
+    K = 5
+    pair = CollisionPair.matched(1.0, 0.02, 8.0)
+    gas = ThermalGasSpec(temperature=1.0, number_density=0.02, gas_mass=pair.gas_mass,
+                         packet_width=pair.gas_width)
+    s2 = pair.brownian_width**2
+    initial = mo.MomentState(mean_x=0.0, mean_p=0.0, mean_x2=s2 / 2, mean_xp=0.0,
+                             mean_p2=pair.hbar**2 / (2 * s2))
+    params = {art: mo.FrictionParams.from_gas(gas, 1.0, 0.5, include_artifact=art)
+              for art in (True, False)}
+    odes = {art: mo.integrate(initial, params[art], 250.0, 0.5) for art in params}
+    for seed in range(5):
+        mc = tr.run(np.zeros(20000), np.zeros(20000), gas, pair, 250.0, 0.5, seed)
+        gaps = {art: mo.compare_to_trajectories(odes[art], mc, params[art]).max_dev_se["mean_x2"]
+                for art in params}
+        assert gaps[True] <= K < gaps[False], (seed, gaps)
+
+
+def _normal(v, s):
+    return math.exp(-v * v / (2 * s * s)) / (s * math.sqrt(2 * math.pi))
+
+
+def test_artifact_rate_closed_form():
+    # E[v_g^2 |v_g - v|] over thermal v and v_g by nested quadrature, split
+    # at the kink v_g = v; at alpha = 1 the rate is 3/(2 sqrt 2) times the
+    # paper's printed rate, its limit at v = 0
+    gas = ThermalGasSpec(temperature=2.0, number_density=0.05, gas_mass=0.3,
+                         packet_width=5.0)
+    sg = np.sqrt(gas.kT / gas.gas_mass)
+    for mass, w, delta in ((1.0, 1.0, 0.5), (0.1, 0.5, 2.0), (15.0, 2.0, 0.25)):
+        s = np.sqrt(gas.kT / mass)
+        mean = integrate.quad(lambda v: _normal(v, s) * integrate.quad(
+            lambda vg: vg**2 * abs(vg - v) * _normal(vg, sg), -12 * sg, 12 * sg,
+            points=[v], epsabs=0, epsrel=1e-11, limit=200)[0],
+            -12 * s, 12 * s, epsabs=0, epsrel=1e-11, limit=200)[0]
+        alpha = gas.gas_mass / mass
+        want = gas.number_density * (2 * alpha / (1 + alpha) * w * delta) ** 2 / 3 * mean
+        assert mo.artifact_diffusion_rate(gas, mass, delta, w) == pytest.approx(want, rel=1e-9)
+    printed = gas.number_density / (3 * np.sqrt(np.pi)) * (2 * gas.kT / gas.gas_mass) ** 1.5
+    assert mo.artifact_diffusion_rate(gas, gas.gas_mass, 1.0) == pytest.approx(
+        3 / (2 * np.sqrt(2)) * printed, rel=1e-14)
