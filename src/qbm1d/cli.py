@@ -419,12 +419,12 @@ class TrajectoriesConfig(_Ensemble):
         files = [emit_csv(self.out_dir / "moments.csv", columns,
                           [[getattr(s, c) for c in columns] for s in series])]
         t_typ = ec.collision_time(pair, gas.thermal_momentum)
-        rate0 = float(trajectories.collision_rate(np.array([self.p0]), gas, pair)[0])
         return {"friction_constant": moments.friction_constant(gas, pair.brownian_mass),
                 "outputs": [f.name for f in files], "diagnostics": {
                     "typical_collision_time": t_typ,
                     "coarse_graining_ratio": t_typ / self.delta,
-                    "step_collision_probability": rate0 * self.delta,
+                    "step_collision_probability_by_law": trajectories.step_probabilities(
+                        gas, pair, self.delta, self.p0),
                     "ldht_number": ec.ldht_number(pair, gas)}}, []
 
 

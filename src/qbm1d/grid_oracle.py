@@ -15,7 +15,8 @@ two 1-D factors and forms the n_R x n_r amplitudes only on request.
 
 The r-grid holds only interior points r_j = j * dr, j = 1..n_r; the wall
 value psi(r=0) = 0 is implied by the basis, which also makes the
-probability current through the wall vanish identically.
+probability current through the wall vanish identically.  ``propagate``
+imports scipy.fft, so a process that never runs the oracle does not load it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 from scipy.special import erfc
 
 from .errors import GridTooCoarse, GridTooSmall
@@ -102,19 +102,6 @@ class GridWavefunction:
         return float((np.linalg.norm(self.chi) * np.linalg.norm(self.phi)) ** 2
                      * self.dR * self.dr)
 
-    def total_momentum(self, pair: CollisionPair) -> float:
-        """<P_R>, the total momentum (conserved exactly by the propagator)."""
-        w = np.abs(sfft.fft(self.chi)) ** 2
-        return float(pair.hbar * (self._wavenumbers()[0] @ w) / np.sum(w))
-
-    def energy(self, pair: CollisionPair) -> float:
-        """Kinetic expectation <H>; the wall contributes only via the basis."""
-        kR, kappa = self._wavenumbers()
-        wR = np.abs(sfft.fft(self.chi)) ** 2
-        wr = np.abs(sfft.dst(self.phi, type=1)) ** 2
-        return float(pair.hbar**2 / 2 * ((kR**2 @ wR) / (pair.total_mass * np.sum(wR))
-                                         + (kappa**2 @ wr) / (pair.reduced_mass * np.sum(wr))))
-
 
 def default_grid(pair: CollisionPair, init: COMInitialCondition, n: int,
                  t_max: float = 0.0) -> GridParams:
@@ -183,6 +170,7 @@ def propagate(state: GridWavefunction, pair: CollisionPair, t: float) -> GridWav
         raise ValueError("t must be >= 0")
     if t == 0:
         return GridWavefunction(state.chi.copy(), state.phi.copy(), state.R, state.r, state.t)
+    from scipy import fft as sfft
     kR, kappa = state._wavenumbers()
     h = -0.5j * pair.hbar * t
     chi = sfft.ifft(sfft.fft(state.chi) * np.exp(h * kR**2 / pair.total_mass))

@@ -16,18 +16,28 @@ coarse-graining artifact rate D_art ~ delta^2 that the trajectories realise
 for physical runs, since the term reflects unresolved collision timing
 rather than a real process.
 
-The system is linear with constant coefficients and is solved exactly by
-the matrix exponential of its augmented 6 x 6 generator, so no step size
-has to resolve the friction time 1/f.
+The system is triangular with rates 0, f and 2f and has a closed form.  With
+E = exp(-f t), phi = (1 - E)/f, chi = (t - phi)/f - phi^2/2, P_eq = m k_B T
+and the initial moments x_0, p_0, X_0 = ⟨x²⟩_0, C_0 = ⟨{x,p}⟩_0, P_0 = ⟨p²⟩_0:
+
+    ⟨x⟩     = x_0 + p_0 phi / m
+    ⟨p⟩     = p_0 E
+    ⟨x²⟩    = X_0 + D_art t + (C_0 phi + (2/m)(P_eq chi + P_0 phi^2 / 2)) / m
+    ⟨{x,p}⟩ = C_0 E + (2/m)(P_eq (1 - E) + P_0 E) phi
+    ⟨p²⟩    = P_eq (1 - E^2) + P_0 E^2
+
+P_0 and P_eq stay apart, so a cold start, P_0 << P_eq, cancels no digits.
+Below f t = 1, phi/t and chi/t^2 come from their Taylor series, which keep
+the digits that 1 - E and chi would cancel and also cover f = 0.  Every
+time is evaluated directly: no step has to resolve the friction time 1/f.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import GridMismatch
 from .thermal import ThermalGasSpec
@@ -38,13 +48,18 @@ __all__ = [
     "ComparisonReport",
     "friction_constant",
     "artifact_diffusion_rate",
-    "system_matrix",
     "integrate",
     "closed_form",
     "compare_to_trajectories",
 ]
 
 SLOW_PARTICLE_WARN_RATIO = 0.3
+_SERIES_BELOW = 1.0   # |f t| under which phi and chi come from their series
+# Taylor coefficients in u = f t, highest order first, of phi/t = sum (-u)^j
+# /(j + 1)! and chi/t^2 = sum 2 (1 - 2^j) (-u)^j/(j + 2)!; 25 terms reach
+# rounding at |u| < 1
+_PHI_SERIES = [1 / math.factorial(j + 1) for j in reversed(range(25))]
+_CHI_SERIES = [2 * (1 - 2**j) / math.factorial(j + 2) for j in reversed(range(25))]
 
 
 @dataclass(frozen=True)
@@ -67,11 +82,6 @@ class MomentState:
     def as_vector(self) -> np.ndarray:
         return np.array([self.mean_x, self.mean_p, self.mean_x2,
                          self.mean_xp, self.mean_p2])
-
-    @classmethod
-    def from_vector(cls, v, t) -> "MomentState":
-        return cls(mean_x=float(v[0]), mean_p=float(v[1]), mean_x2=float(v[2]),
-                   mean_xp=float(v[3]), mean_p2=float(v[4]), t=float(t))
 
 
 @dataclass(frozen=True)
@@ -131,47 +141,35 @@ def artifact_diffusion_rate(gas: ThermalGasSpec, mass: float, delta: float,
     return gas.number_density * (share * w * delta) ** 2 / 3 * kick
 
 
-def system_matrix(params: FrictionParams) -> np.ndarray:
-    """Augmented generator M with d(v, 1)/dt = M (v, 1), v = (x, p, x2, xp, p2).
-
-    M[:5, :5] is the linear part and M[:5, 5] the constant drive.
-    """
-    f, m = params.f, params.mass
-    M = np.zeros((6, 6))
-    M[0, 1] = 1 / m
-    M[1, 1] = -f
-    M[2, 3] = 1 / m
-    M[2, 5] = params.artifact_rate
-    M[3, 4] = 2 / m
-    M[3, 3] = -f
-    M[4, 4] = -2 * f
-    M[4, 5] = 2 * f * m * params.kT
-    return M
+def closed_form(initial: MomentState, params: FrictionParams, ts):
+    """States at the times ``ts``, from the closed-form solution (module
+    docstring) evaluated at all times at once.  Returns the list of states."""
+    t = np.atleast_1d(np.asarray(ts, dtype=float))
+    f, m, p_eq = params.f, params.mass, params.mass * params.kT
+    x0, p0, x20, c0, p20 = initial.as_vector()
+    u = f * t
+    e, one_minus_e = np.exp(-u), -np.expm1(-u)
+    small = np.abs(u) < _SERIES_BELOW
+    v = -np.where(small, u, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):   # the unused branch at f = 0
+        phi = np.where(small, t * np.polyval(_PHI_SERIES, v), one_minus_e / f)
+        chi = np.where(small, t * t * np.polyval(_CHI_SERIES, v),
+                       (u - 1.5 + 2 * e - e * e / 2) / f**2)
+    rows = np.column_stack([
+        x0 + p0 * phi / m,
+        p0 * e,
+        x20 + params.artifact_rate * t + (c0 * phi + 2 / m * (p_eq * chi + p20 * phi**2 / 2)) / m,
+        c0 * e + 2 / m * (p_eq * one_minus_e + p20 * e) * phi,
+        -p_eq * np.expm1(-2 * u) + p20 * e * e,
+        t]).tolist()
+    return [MomentState(*row) for row in rows]
 
 
 def integrate(initial: MomentState, params: FrictionParams, horizon: float,
               dt: float):
-    """States at t = 0, dt, ..., round(horizon/dt) dt, by exact propagation.
-
-    One step applies expm(M dt) of the augmented generator, so every dt > 0
-    gives the exact solution at its times.  Returns the list of states.
-    """
-    step = expm(system_matrix(params) * dt)
-    v = np.append(initial.as_vector(), 1.0)
-    out = [replace(initial, t=0.0)]
-    n_steps = int(round(horizon / dt))
-    for i in range(1, n_steps + 1):
-        v = step @ v
-        out.append(MomentState.from_vector(v, i * dt))
-    return out
-
-
-def closed_form(initial: MomentState, params: FrictionParams, ts):
-    """Exact solution via the matrix exponential of the augmented system."""
-    M = system_matrix(params)
-    v0 = np.append(initial.as_vector(), 1.0)
-    return [MomentState.from_vector(expm(M * float(t)) @ v0, t)
-            for t in np.atleast_1d(ts)]
+    """States at t = 0, dt, ..., round(horizon/dt) dt: ``closed_form`` at those
+    times, one state per row, exact for every dt > 0."""
+    return closed_form(initial, params, np.arange(int(round(horizon / dt)) + 1) * dt)
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,7 @@ __all__ = [
     "ValidityWarning",
     "collision_rate",
     "sample_collision_partner",
+    "step_probabilities",
     "step_ensemble",
     "run",
     "excess_position_msd",
@@ -225,19 +226,23 @@ def sample_collision_partner(p, gas: ThermalGasSpec, pair: CollisionPair, rng):
                               f"{_MAX_ROUNDS} rejection rounds")
 
 
-def _check_regime(gas: ThermalGasSpec, pair: CollisionPair, delta: float, p=None):
-    """StepTooLarge when rate * delta > 0.1, where two collisions in one step
-    are not negligible, for the rate under the thermal laws of both particles
-    (v_g - v is normal with variance (1 + alpha) kT/m_g) or at max |p|; a
-    ValidityWarning when delta < 3 typical collision times."""
+def step_probabilities(gas: ThermalGasSpec, pair: CollisionPair, delta: float, p=None) -> dict:
+    """rate * delta by law: under the thermal laws of both particles (v_g - v
+    is normal with variance (1 + alpha) kT/m_g) and, given labels p, at max |p|."""
     rates = {"thermal-law": gas.number_density * mean_relative_speed(
         gas, 0.0, pair.brownian_mass, temperature=gas.temperature * (1 + pair.alpha))}
     if p is not None:
         rates["initial-label"] = collision_rate(np.max(np.abs(p)), gas, pair)
-    for law, rate in rates.items():
-        if rate * delta > _MAX_STEP_PROBABILITY:
-            raise StepTooLarge(f"{law} rate*delta = {float(rate * delta):.3f} "
-                               f"> {_MAX_STEP_PROBABILITY}")
+    return {law: float(rate * delta) for law, rate in rates.items()}
+
+
+def _check_regime(gas: ThermalGasSpec, pair: CollisionPair, delta: float, p=None):
+    """StepTooLarge when a ``step_probabilities`` rate * delta exceeds 0.1,
+    where two collisions in one step are not negligible; a ValidityWarning
+    when delta < 3 typical collision times."""
+    for law, prob in step_probabilities(gas, pair, delta, p).items():
+        if prob > _MAX_STEP_PROBABILITY:
+            raise StepTooLarge(f"{law} rate*delta = {prob:.3f} > {_MAX_STEP_PROBABILITY}")
     t_typ = collision_time(pair, gas.thermal_momentum)
     if delta < 3 * t_typ:
         warnings.warn(

@@ -220,6 +220,53 @@ def test_thermal_law_step_too_large_exits_before_any_step(kind, tmp_path, capsys
 
 
 @pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
+def test_trajectories_summary_reports_the_gated_step_probabilities(tmp_path, monkeypatch):
+    # at the defaults the gate reads rate * delta = 0.0570 under the thermal
+    # laws and 0.0564 at p0 = 0; the summary writes the numbers it compared
+    seen, probabilities = [], trajectories.step_probabilities
+
+    def spy(*args):
+        seen.append((sys._getframe(1).f_code.co_name, probabilities(*args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(trajectories, "step_probabilities", spy)
+    ini = _write_ini(tmp_path / "c.ini", {})
+    assert cli.main(["trajectories", str(ini), "--out-dir", str(tmp_path)]) == 0
+    reported = json.loads((tmp_path / "summary.json").read_text())["diagnostics"][
+        "step_collision_probability_by_law"]
+    gated = [result for caller, result in seen if caller == "_check_regime"]
+    assert gated == [reported] and all(result == reported for _, result in seen)
+    assert reported == {"thermal-law": pytest.approx(0.0570, abs=5e-5),
+                        "initial-label": pytest.approx(0.0564, abs=5e-5)}
+
+
+def test_cli_import_loads_neither_scipy_linalg_nor_fft():
+    # a fresh interpreter: importing the CLI adds neither scipy.linalg nor
+    # scipy.fft to what scipy.special, which the CLI needs, loads itself
+    # (scipy.special imports scipy.linalg before scipy 1.17); the grid oracle
+    # loads scipy.fft when it first transforms
+    code = """
+import sys
+import scipy.special
+before = set(sys.modules)
+import qbm1d.cli
+from qbm1d import exact_collision as ec, grid_oracle
+from qbm1d.packets import CollisionPair
+added = {"scipy.linalg", "scipy.fft"} & (set(sys.modules) - before)
+assert not added, added
+pair = CollisionPair.matched(1.0, 0.3, 1.0)
+init = ec.com_condition(pair, 3.0, -1.0)
+state = grid_oracle.discretize(pair, init, grid_oracle.default_grid(pair, init, 256))
+grid_oracle.propagate(state, pair, 1.0)
+assert "scipy.fft" in sys.modules
+"""
+    src = str(Path(cli.__file__).parents[1])
+    result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
 def test_unconverged_partner_draw_exits_2_and_names_the_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(trajectories, "_MAX_ROUNDS", 1)
     ini = _write_ini(tmp_path / "c.ini", SMOKE["trajectories"])

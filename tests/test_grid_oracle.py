@@ -50,6 +50,21 @@ def _full_grid_error(pair, init, t, params):
     return np.linalg.norm(psi - exact) / np.linalg.norm(exact)
 
 
+def _total_momentum(state, pair):
+    """<P_R>, the total momentum (conserved exactly by the propagator)."""
+    w = np.abs(sfft.fft(state.chi)) ** 2
+    return float(pair.hbar * (state._wavenumbers()[0] @ w) / np.sum(w))
+
+
+def _energy(state, pair):
+    """Kinetic expectation <H>; the wall contributes only via the basis."""
+    kR, kappa = state._wavenumbers()
+    wR = np.abs(sfft.fft(state.chi)) ** 2
+    wr = np.abs(sfft.dst(state.phi, type=1)) ** 2
+    return float(pair.hbar**2 / 2 * ((kR**2 @ wR) / (pair.total_mass * np.sum(wR))
+                                     + (kappa**2 @ wr) / (pair.reduced_mass * np.sum(wr))))
+
+
 @pytest.fixture(scope="module")
 def pair():
     return CollisionPair.matched(1.0, 0.3, 4.0)
@@ -112,15 +127,15 @@ class TestPropagate:
     def test_total_momentum_conserved(self, pair, init, params, t_c):
         state0 = go.discretize(pair, init, params)
         state1 = go.propagate(state0, pair, 3 * t_c)
-        p0 = state0.total_momentum(pair)
-        p1 = state1.total_momentum(pair)
+        p0 = _total_momentum(state0, pair)
+        p1 = _total_momentum(state1, pair)
         assert p1 == pytest.approx(p0, abs=1e-10)
         assert p0 == pytest.approx(init.p + init.p_g, abs=1e-6)
 
     def test_energy_conserved(self, pair, init, params, t_c):
         state0 = go.discretize(pair, init, params)
         state1 = go.propagate(state0, pair, 3 * t_c)
-        assert state1.energy(pair) == pytest.approx(state0.energy(pair), rel=1e-8)
+        assert _energy(state1, pair) == pytest.approx(_energy(state0, pair), rel=1e-8)
 
     def test_mirror_bounce(self, pair):
         # relative-coordinate Gaussian thrown at the wall: after the bounce
