@@ -20,7 +20,10 @@ with its resolved value, plus ``kind``; identical config and seed give
 byte-identical outputs.  Its ``numerics.validity_warnings`` lists the text
 of every ``ValidityWarning`` the scenario raised, which still go to stderr.
 ``trajectories`` and ``moments`` write their rows at the same times
-t = k delta, k = 0, ..., round(horizon / delta).
+t = k delta, k = 0, ..., round(horizon / delta).  ``trajectories`` and
+``collide`` write the coarse-graining regime report of ``trajectories.regime``
+in their ``diagnostics``, at their delta and initial Brownian momentum;
+``collide`` adds its collision's ``collision_ratios`` and ``collision_time``.
 """
 
 from __future__ import annotations
@@ -134,8 +137,11 @@ class ScenarioConfig:
             raise ConfigError("scenario.kind", f"unknown scenario {kind!r}")
         parser = configparser.ConfigParser()
         parser.optionxform = str  # keys are case-sensitive, as the fields are
-        if not parser.read(path):
-            raise ConfigError("config", f"cannot read config file {path!r}")
+        try:
+            if not parser.read(path):
+                raise ConfigError("config", f"cannot read config file {path!r}")
+        except configparser.Error as exc:
+            raise ConfigError("config", f"malformed config file: {exc}") from exc
         if parser.sections() != ["scenario"]:
             raise ConfigError("config", "expected exactly one [scenario] section, got "
                               f"{parser.sections()!r}")
@@ -273,7 +279,8 @@ class Fig1Config(_ComFrame, _Marginals):
 
 @dataclass(frozen=True, kw_only=True)
 class CollideConfig(_Gas, _Marginals):
-    """One collision of lab-frame packets: marginals, fidelity, validity."""
+    """One collision of lab-frame packets: marginals, fidelity, and the
+    coarse-graining regime at delta and the lab-frame label p."""
 
     kind: ClassVar[str] = "collide"
     gas_x: float = _key()
@@ -309,7 +316,8 @@ class CollideConfig(_Gas, _Marginals):
                 "com_condition": {"x_g": init.x_g, "p_g": init.p_g, "x": init.x, "p": init.p,
                                   "reflection": lab.reflection, "com_offset": lab.com_offset,
                                   "boost_velocity": lab.boost_velocity},
-                "diagnostics": ec.validity_report(pair, init, self.gas, self.delta)}, []
+                "diagnostics": {**ec.collision_ratios(pair, init), "collision_time": t_c,
+                                **trajectories.regime(self.gas, pair, self.delta, self.p)}}, []
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -418,14 +426,9 @@ class TrajectoriesConfig(_Ensemble):
         columns = _MOMENTS + ["se_" + c for c in _MOMENTS[1:]]
         files = [emit_csv(self.out_dir / "moments.csv", columns,
                           [[getattr(s, c) for c in columns] for s in series])]
-        t_typ = ec.collision_time(pair, gas.thermal_momentum)
         return {"friction_constant": moments.friction_constant(gas, pair.brownian_mass),
-                "outputs": [f.name for f in files], "diagnostics": {
-                    "typical_collision_time": t_typ,
-                    "coarse_graining_ratio": t_typ / self.delta,
-                    "step_collision_probability_by_law": trajectories.step_probabilities(
-                        gas, pair, self.delta, self.p0),
-                    "ldht_number": ec.ldht_number(pair, gas)}}, []
+                "outputs": [f.name for f in files],
+                "diagnostics": trajectories.regime(gas, pair, self.delta, self.p0)}, []
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -439,10 +442,10 @@ class MomentsConfig(_Ensemble):
         pair = self.pair
         params = moments.FrictionParams.from_gas(self.gas, pair.brownian_mass, self.delta,
                                                  include_artifact=self.include_artifact)
-        s2 = pair.brownian_width**2
         p0 = self.p0
-        initial = moments.MomentState(mean_x=0.0, mean_p=p0, mean_x2=s2 / 2, mean_xp=0.0,
-                                      mean_p2=p0**2 + pair.hbar**2 / (2 * s2))
+        fx2, fxp, fp2 = pair.brownian_packet(0.0, p0).evolve(0.0).covariance()
+        initial = moments.MomentState(mean_x=0.0, mean_p=p0, mean_x2=fx2, mean_xp=fxp,
+                                      mean_p2=p0**2 + fp2)
         series = moments.integrate(initial, params, self.horizon, self.delta)
         files = [emit_csv(self.out_dir / "moments_ode.csv", _MOMENTS,
                           [[getattr(s, c) for c in _MOMENTS] for s in series])]

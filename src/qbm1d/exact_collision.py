@@ -56,7 +56,9 @@ from scipy.special import wofz
 
 from .errors import ZeroRelativeMomentum
 from .packets import CollisionPair, EvolvedPacket
-from .thermal import ThermalGasSpec, mean_relative_speed
+# unused here; the benchmark's tracer patches this binding too
+# (perfbench/layers.py), and its traced runs raise KeyError without it
+from .thermal import mean_relative_speed  # noqa: F401
 
 __all__ = [
     "CollisionPair",
@@ -71,9 +73,7 @@ __all__ = [
     "momentum_marginal",
     "momentum_marginal_profile",
     "outgoing_fidelity",
-    "ldht_number",
     "collision_ratios",
-    "validity_report",
 ]
 
 
@@ -367,14 +367,8 @@ momentum_marginal_profile = momentum_marginal  # former name; the benchmark's tr
 
 
 # ---------------------------------------------------------------------------
-# validity diagnostics
+# collision diagnostics
 # ---------------------------------------------------------------------------
-
-def ldht_number(pair: CollisionPair, gas: ThermalGasSpec) -> float:
-    """The low-density/high-temperature parameter of the gas for this pair."""
-    return math.sqrt(2.0) * (1 + pair.alpha) * gas.number_density * pair.hbar / math.sqrt(
-        math.pi * gas.gas_mass * gas.kT)
-
 
 def collision_ratios(pair: CollisionPair, init: COMInitialCondition) -> dict:
     """overlap_ratio, the initial separation over the combined widths, and
@@ -383,18 +377,6 @@ def collision_ratios(pair: CollisionPair, init: COMInitialCondition) -> dict:
     return {"overlap_ratio": abs(init.x_g - init.x) / float(widths),
             "momentum_ratio": abs(init.p_g) * pair.gas_width
             * float(np.sqrt(1 + pair.alpha)) / pair.hbar}
-
-
-def validity_report(pair: CollisionPair, init: COMInitialCondition,
-                    gas: ThermalGasSpec, delta: float) -> dict:
-    """Diagnostics of the collision model, unthresholded: ``collision_ratios``,
-    collision_time, ldht_number, coarse_graining_ratio (collision time over
-    delta) and step_collision_probability (collision probability per step)."""
-    t_c = collision_time(pair, init.p_g)
-    rate = gas.number_density * mean_relative_speed(gas, init.p, pair.brownian_mass)
-    return {**collision_ratios(pair, init), "collision_time": t_c,
-            "ldht_number": ldht_number(pair, gas), "coarse_graining_ratio": t_c / delta,
-            "step_collision_probability": rate * delta}
 
 
 # ---------------------------------------------------------------------------

@@ -56,14 +56,6 @@ class GaussianPacket:
         pref = np.exp(-1j * x * p / (2 * hb)) / np.sqrt(np.sqrt(np.pi) * s)
         return pref * np.exp(1j * np.asarray(xq) * p / hb - (x - np.asarray(xq)) ** 2 / (2 * s**2))
 
-    @property
-    def position_variance(self) -> float:
-        return self.width**2 / 2
-
-    @property
-    def momentum_variance(self) -> float:
-        return self.hbar**2 / (2 * self.width**2)
-
     def evolve(self, t: float) -> "EvolvedPacket":
         """Free evolution for time t >= 0.
 
@@ -98,14 +90,18 @@ class EvolvedPacket:
         pk = self.packet
         return pk.center + pk.momentum * self.t / pk.mass
 
-    @property
-    def position_variance(self) -> float:
-        pk = self.packet
-        return (pk.width**2 + (pk.hbar * self.t) ** 2 / (pk.mass**2 * pk.width**2)) / 2
+    def covariance(self):
+        """(Var x, <{x, p}> - 2 <x><p>, Var p) of the packet at its age t:
 
-    @property
-    def momentum_variance(self) -> float:
-        return self.packet.momentum_variance
+            sigma^2/2 + hbar^2 t^2 / (2 m^2 sigma^2),  hbar^2 t / (m sigma^2),
+            hbar^2 / (2 sigma^2),
+
+        the free spreading of the position density from the minimum-
+        uncertainty packet; the momentum density never changes.
+        """
+        pk = self.packet
+        s2, hb2, spread = pk.width**2, pk.hbar**2, self.t / pk.mass
+        return s2 / 2 + hb2 * spread**2 / (2 * s2), hb2 * spread / s2, hb2 / (2 * s2)
 
     def quadratic_form(self):
         """Coefficients (a, b, c) with amplitude(x) = exp(-a x^2 + b x + c).

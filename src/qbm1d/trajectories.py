@@ -59,7 +59,7 @@ __all__ = [
     "ValidityWarning",
     "collision_rate",
     "sample_collision_partner",
-    "step_probabilities",
+    "regime",
     "step_ensemble",
     "run",
     "excess_position_msd",
@@ -81,16 +81,12 @@ class EnsembleStats:
     Each moment is the ensemble mean of the label moment plus the packet's
     own pure-state covariance, its floor; the symmetrized cross moment of a
     label (x, p) is 2 x p.  A packet of width sigma that starts at t = 0
-    spreads freely, so at time t its floors are
-
-        <x^2>: sigma^2/2 + hbar^2 t^2 / (2 m^2 sigma^2)
-        <{x,p}>: hbar^2 t / (m sigma^2)
-        <p^2>: hbar^2 / (2 sigma^2)
-
-    and collisions leave them as they are.  With matched widths
-    (m sigma^2 = m_g sigma_g^2) both free packets have the complex width
-    sigma^2 + i hbar t / m per unit mass, so in the mass-weighted coordinates
-    (sqrt(m) x, sqrt(m_g) x_g) the pair is an isotropic Gaussian of age t.
+    spreads freely, so at time t its floors are the covariance of a free
+    packet of age t (``EvolvedPacket.covariance``), and collisions leave them
+    as they are.  With matched widths (m sigma^2 = m_g sigma_g^2) both free
+    packets have the complex width sigma^2 + i hbar t / m per unit mass, so
+    in the mass-weighted coordinates (sqrt(m) x, sqrt(m_g) x_g) the pair is an
+    isotropic Gaussian of age t.
     The label map conserves momentum and kinetic energy and acts alike on
     positions and velocities, so in those coordinates it is one orthogonal
     map: it moves the centres and keeps the isotropic shape.  The outgoing
@@ -117,9 +113,8 @@ class EnsembleStats:
         """The label moments ``mean`` of x, p, x^2, {x, p} = 2 x p and p^2 at
         time t, with their standard errors ``se``, plus the floors."""
         mx, mp, mx2, mxp, mp2 = map(float, mean)
-        s2, hb2, spread = pair.brownian_width**2, pair.hbar**2, t / pair.brownian_mass
-        return cls(float(t), int(n), mx, mp, mx2 + s2 / 2 + hb2 * spread**2 / (2 * s2),
-                   mxp + hb2 * spread / s2, mp2 + hb2 / (2 * s2), *map(float, se))
+        fx2, fxp, fp2 = pair.brownian_packet(0.0, 0.0).evolve(t).covariance()
+        return cls(float(t), int(n), mx, mp, mx2 + fx2, mxp + fxp, mp2 + fp2, *map(float, se))
 
 
 _I, _J = np.array([(i, j) for i in range(5) for j in range(5 - i)]).T   # orders i + j <= 4
@@ -226,24 +221,34 @@ def sample_collision_partner(p, gas: ThermalGasSpec, pair: CollisionPair, rng):
                               f"{_MAX_ROUNDS} rejection rounds")
 
 
-def step_probabilities(gas: ThermalGasSpec, pair: CollisionPair, delta: float, p=None) -> dict:
-    """rate * delta by law: under the thermal laws of both particles (v_g - v
-    is normal with variance (1 + alpha) kT/m_g) and, given labels p, at max |p|."""
+def regime(gas: ThermalGasSpec, pair: CollisionPair, delta: float, p=None) -> dict:
+    """The coarse-graining regime at step delta, unthresholded: the typical
+    collision time t_typ, at the gas's thermal momentum; coarse_graining_ratio
+    t_typ / delta; rate * delta by law, under the thermal laws of both
+    particles (v_g - v is normal with variance (1 + alpha) kT/m_g) and, given
+    labels p, at max |p|; and the low-density/high-temperature number.  The
+    regime needs t_typ << delta << 1/rate (``_check_regime``)."""
+    t_typ = collision_time(pair, gas.thermal_momentum)
     rates = {"thermal-law": gas.number_density * mean_relative_speed(
         gas, 0.0, pair.brownian_mass, temperature=gas.temperature * (1 + pair.alpha))}
     if p is not None:
         rates["initial-label"] = collision_rate(np.max(np.abs(p)), gas, pair)
-    return {law: float(rate * delta) for law, rate in rates.items()}
+    return {"typical_collision_time": t_typ, "coarse_graining_ratio": t_typ / delta,
+            "step_collision_probability_by_law": {law: float(rate * delta)
+                                                  for law, rate in rates.items()},
+            "ldht_number": math.sqrt(2.0) * (1 + pair.alpha) * gas.number_density * pair.hbar
+            / math.sqrt(math.pi * gas.gas_mass * gas.kT)}
 
 
 def _check_regime(gas: ThermalGasSpec, pair: CollisionPair, delta: float, p=None):
-    """StepTooLarge when a ``step_probabilities`` rate * delta exceeds 0.1,
-    where two collisions in one step are not negligible; a ValidityWarning
-    when delta < 3 typical collision times."""
-    for law, prob in step_probabilities(gas, pair, delta, p).items():
+    """StepTooLarge when a ``regime`` rate * delta exceeds 0.1, where two
+    collisions in one step are not negligible; a ValidityWarning when delta <
+    3 typical collision times."""
+    report = regime(gas, pair, delta, p)
+    for law, prob in report["step_collision_probability_by_law"].items():
         if prob > _MAX_STEP_PROBABILITY:
             raise StepTooLarge(f"{law} rate*delta = {prob:.3f} > {_MAX_STEP_PROBABILITY}")
-    t_typ = collision_time(pair, gas.thermal_momentum)
+    t_typ = report["typical_collision_time"]
     if delta < 3 * t_typ:
         warnings.warn(
             f"coarse step delta = {delta:.3g} is not large against the "

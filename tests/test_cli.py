@@ -220,24 +220,83 @@ def test_thermal_law_step_too_large_exits_before_any_step(kind, tmp_path, capsys
 
 
 @pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
-def test_trajectories_summary_reports_the_gated_step_probabilities(tmp_path, monkeypatch):
-    # at the defaults the gate reads rate * delta = 0.0570 under the thermal
-    # laws and 0.0564 at p0 = 0; the summary writes the numbers it compared
-    seen, probabilities = [], trajectories.step_probabilities
+def test_gate_and_summaries_read_one_regime_report(tmp_path, monkeypatch):
+    # at the trajectories defaults the gate reads rate * delta = 0.0570 under
+    # the thermal laws and 0.0564 at p0 = 0; a collide at the same gas, delta
+    # and lab momentum p = 0 writes the same report as the trajectories summary
+    seen, regime = [], trajectories.regime
 
     def spy(*args):
-        seen.append((sys._getframe(1).f_code.co_name, probabilities(*args)))
+        seen.append((sys._getframe(1).f_code.co_name, regime(*args)))
         return seen[-1][1]
 
-    monkeypatch.setattr(trajectories, "step_probabilities", spy)
-    ini = _write_ini(tmp_path / "c.ini", {})
-    assert cli.main(["trajectories", str(ini), "--out-dir", str(tmp_path)]) == 0
-    reported = json.loads((tmp_path / "summary.json").read_text())["diagnostics"][
+    monkeypatch.setattr(trajectories, "regime", spy)
+    reported = {}
+    for kind, cfg in (("trajectories", SMOKE["trajectories"]),
+                      ("collide", {"alpha": 0.02, "sigma": 8.0, "number_density": 0.02,
+                                   "delta": 0.5, "x": 0.0, "p": 0.0, "gas_x": -100.0,
+                                   "gas_p": 1.0, "n_times": 2, "n_x": 5, "n_p": 5,
+                                   "fidelity_times": "0.0"})):
+        ini = _write_ini(tmp_path / f"{kind}.ini", cfg)
+        assert cli.main([kind, str(ini), "--out-dir", str(tmp_path / kind)]) == 0
+        reported[kind] = json.loads((tmp_path / kind / "summary.json").read_text())["diagnostics"]
+    report = reported["trajectories"]
+    assert [caller for caller, _ in seen] == ["_check_regime", "run", "run"]
+    assert all(result == report for _, result in seen)
+    assert {key: reported["collide"][key] for key in report} == report
+    assert report["step_collision_probability_by_law"] == {
+        "thermal-law": pytest.approx(0.0570, abs=5e-5),
+        "initial-label": pytest.approx(0.0564, abs=5e-5)}
+
+
+def test_collide_summary_reports_collision_ratios_and_time(tmp_path):
+    # the COM labels x = 10, p = -2 at alpha = 0.3, sigma = 4: 5.2 combined
+    # widths apart, the relative momentum 16.65 times its uncertainty
+    ini = _write_ini(tmp_path / "c.ini", {"alpha": 0.3, "sigma": 4.0, "x": 10.0, "p": -2.0,
+                                          "gas_x": -10.0 / 0.3, "gas_p": 2.0, "n_times": 2,
+                                          "n_x": 5, "n_p": 5, "fidelity_times": "0.0"})
+    assert cli.main(["collide", str(ini), "--out-dir", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    diagnostics = summary["diagnostics"]
+    assert diagnostics["overlap_ratio"] == pytest.approx(5.20, abs=0.01)
+    assert diagnostics["momentum_ratio"] == pytest.approx(16.65, abs=0.01)
+    assert diagnostics["collision_time"] == summary["collision_time"] == pytest.approx(
+        2.718, abs=1e-3)
+    assert diagnostics["coarse_graining_ratio"] == pytest.approx(
+        diagnostics["typical_collision_time"] / 10.0, rel=1e-15)
+
+
+def test_collide_reports_the_rate_at_its_lab_momentum(tmp_path):
+    # lab labels x = 0, p = 2 against a gas packet at rest at x_g = 5: the COM
+    # momentum is -(alpha p - p_g)/(1 + alpha) = -0.46, but the thermal gas
+    # sees the lab momentum, so the initial-label rate * delta is 0.225 (the
+    # COM momentum's rate gave 0.150)
+    ini = _write_ini(tmp_path / "c.ini", {"alpha": 0.3, "sigma": 1.0, "x": 0.0, "p": 2.0,
+                                          "gas_x": 5.0, "gas_p": 0.0, "n_times": 2,
+                                          "n_x": 5, "n_p": 5, "fidelity_times": "0.0"})
+    cfg = cli.ScenarioConfig.load("collide", str(ini), out_dir=tmp_path)
+    assert cli.run_scenario(cfg) == 0
+    by_law = json.loads((tmp_path / "summary.json").read_text())["diagnostics"][
         "step_collision_probability_by_law"]
-    gated = [result for caller, result in seen if caller == "_check_regime"]
-    assert gated == [reported] and all(result == reported for _, result in seen)
-    assert reported == {"thermal-law": pytest.approx(0.0570, abs=5e-5),
-                        "initial-label": pytest.approx(0.0564, abs=5e-5)}
+    want = float(trajectories.collision_rate(2.0, cfg.gas, cfg.pair)) * cfg.delta
+    assert by_law["initial-label"] == pytest.approx(want, rel=1e-15)
+    assert want == pytest.approx(0.225, abs=5e-4)
+
+
+@pytest.mark.parametrize("text", [
+    "[scenario]\nhorizon = 1.0\nhorizon = 2.0\n",
+    "horizon = 1.0\n",
+    "[scenario]\nhorizon\n",
+], ids=["repeated-key", "no-section-header", "no-equals-sign"])
+def test_malformed_ini_is_a_config_error(text, tmp_path, capsys):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(text)
+    with pytest.raises(ConfigError) as exc:
+        cli.ScenarioConfig.load("moments", str(ini))
+    assert exc.value.field == "config"
+    assert cli.main(["moments", str(ini), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_import_loads_neither_scipy_linalg_nor_fft():

@@ -63,11 +63,11 @@ class TestFreeEvolution:
         np.testing.assert_allclose(psi_t, ev.amplitude(xs), atol=1e-10)
         dens = np.abs(psi_t) ** 2 * dx
         var_fft = np.sum(xs**2 * dens) - np.sum(xs * dens) ** 2
-        assert var_fft == pytest.approx(ev.position_variance, abs=1e-6)
+        assert var_fft == pytest.approx(ev.covariance()[0], abs=1e-6)
 
     def test_momentum_density_unchanged(self):
         pkt = GaussianPacket(0.3, -0.8, 1.1, 1.0)
-        assert pkt.evolve(5.0).momentum_variance == pkt.momentum_variance
+        assert pkt.evolve(5.0).covariance()[2] == pkt.evolve(0.0).covariance()[2]
 
     def test_negative_time_raises(self):
         # on every route: evolve, and direct construction as in outgoing_fidelity

@@ -50,7 +50,7 @@ def _free_packet_moments(pair, p0, t):
     time t, by quadrature of its amplitude exp(-a x^2 + b x + c)."""
     packet = pair.brownian_packet(0.0, p0).evolve(t)
     a, b, _ = packet.quadratic_form()
-    half = 12 * np.sqrt(packet.position_variance)
+    half = 12 * np.sqrt(packet.covariance()[0])
     xs = np.linspace(packet.center - half, packet.center + half, 4001)
     psi = packet.amplitude(xs)
     p_psi = -1j * pair.hbar * (-2 * a * xs + b) * psi
@@ -764,3 +764,26 @@ class TestStepCheck:
             tr.run(p, p, gas, pair, 1.0, 0.5, seed=0, gas_flight_window=-0.5)
         with pytest.raises(ValueError, match="gas_flight_window"):
             tr.excess_position_msd(10, gas, pair, 0.5, 1.0, 0, gas_flight_window=-0.5)
+
+
+class TestRegime:
+    def test_ldht_proportional_to_density(self, pair):
+        def ldht(n_g):
+            gas = ThermalGasSpec(temperature=1.0, number_density=n_g, gas_mass=pair.gas_mass,
+                                 packet_width=pair.gas_width)
+            return tr.regime(gas, pair, 10.0)["ldht_number"]
+
+        assert ldht(1e-9) < 1e-8
+        assert ldht(0.02) == pytest.approx(2 * ldht(0.01), rel=1e-12)
+
+    def test_warns_below_three_typical_collision_times(self, pair):
+        gas = ThermalGasSpec(temperature=1.0, number_density=1e-3, gas_mass=pair.gas_mass,
+                             packet_width=pair.gas_width)
+        report = tr.regime(gas, pair, 1.0)
+        t_typ = report["typical_collision_time"]
+        assert report["coarse_graining_ratio"] == t_typ
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", tr.ValidityWarning)
+            tr._check_regime(gas, pair, 3 * t_typ)
+        with pytest.warns(tr.ValidityWarning, match="typical collision time"):
+            tr._check_regime(gas, pair, 3 * t_typ * (1 - 1e-9))
