@@ -24,6 +24,9 @@ t = k delta, k = 0, ..., round(horizon / delta).  ``trajectories`` and
 ``collide`` write the coarse-graining regime report of ``trajectories.regime``
 in their ``diagnostics``, at their delta and initial Brownian momentum;
 ``collide`` adds its collision's ``collision_ratios`` and ``collision_time``.
+Both gate it with ``trajectories._check_regime``, but one collision takes no
+coarse step, so ``collide`` lists a rate * delta above 0.1 as a validity
+warning.  ``collide`` holds one ``ec.LabFrameCollision`` of its labels.
 """
 
 from __future__ import annotations
@@ -34,14 +37,14 @@ import json
 import sys
 import warnings
 from dataclasses import MISSING, dataclass, field, fields, replace
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
 
 from . import channel, exact_collision as ec, grid_oracle, moments, trajectories
-from .errors import ConfigError, QBM1DError
+from .errors import ConfigError, QBM1DError, StepTooLarge
 from .packets import CollisionPair, classical_collision_map
 from .thermal import ThermalGasSpec
 
@@ -293,18 +296,25 @@ class CollideConfig(_Gas, _Marginals):
     fidelity_times: tuple[float, ...] | None = _key(
         None, lambda v: v is None or _times_ok(v), "need one or more times, each >= 0")
 
+    @cached_property
+    def lab(self) -> ec.LabFrameCollision:
+        return ec.LabFrameCollision(self.pair, self.gas_x, self.gas_p, self.x, self.p)
+
     def check(self):
-        # the COM momentum that ec.LabFrameCollision reduces the labels to
         _require(self.gas_x != self.x, "gas_x", "must differ from x")
-        a = self.pair.alpha
-        s = -1 if self.gas_x > self.x else 1
-        _require(s * ((a * self.p - self.gas_p) / (1 + a)) < 0, "p",
-                 "packets recede from each other and never collide")
+        try:
+            self.lab
+        except ValueError as exc:
+            raise ConfigError("scenario.p",
+                              "packets recede from each other and never collide") from exc
 
     def run(self):
-        pair = self.pair
-        lab = ec.LabFrameCollision(pair, self.gas_x, self.gas_p, self.x, self.p)
+        pair, lab = self.pair, self.lab
         init = lab.com_init
+        try:
+            trajectories._check_regime(self.gas, pair, self.delta, self.p)
+        except StepTooLarge as exc:      # one collision takes no coarse step
+            warnings.warn(str(exc), trajectories.ValidityWarning)
         t_c = ec.collision_time(pair, init.p_g)
         _, files, numerics = self._write_marginals(
             t_c, lab.position_marginal, partial(lab.momentum_marginal, return_nodes=True))

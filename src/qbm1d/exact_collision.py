@@ -36,9 +36,9 @@ All closed forms below live in the COM frame with
     p = -p_g,   x = -alpha x_g,   x_g < x,   p_g > p,
 
 where unprimed symbols are the Brownian packet label and the ``_g`` pair is
-the gas packet label.  ``LabFrameCollision`` handles general inputs by a
-Galilean reduction plus (if needed) a spatial reflection, and maps marginal
-densities back.
+the gas packet label.  ``com_condition`` makes every such record from the
+Brownian label; ``LabFrameCollision`` reduces lab labels to one, once, by a
+Galilean boost plus (if needed) a spatial reflection, and maps marginals back.
 
 The wavefunction implemented here agrees with the textbook-style spectral
 construction to machine precision, reduces exactly to the initial product
@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import wofz
@@ -62,7 +63,6 @@ from .thermal import mean_relative_speed  # noqa: F401
 
 __all__ = [
     "CollisionPair",
-    "COMInitialCondition",
     "LabFrameCollision",
     "com_condition",
     "collision_time",
@@ -79,26 +79,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class COMInitialCondition:
-    """Initial packet labels in the COM frame (approaching configuration)."""
+    """Initial packet labels in the COM frame, as ``com_condition`` makes them."""
 
     x_g: float
     p_g: float
     x: float
     p: float
 
-    def __post_init__(self):
-        if not _close(self.p, -self.p_g):
-            raise ValueError("COM frame requires p = -p_g")
-        if not self.x_g < self.x:
-            raise ValueError("requires x_g < x (gas to the left)")
-        if not self.p_g > self.p:
-            raise ValueError("requires p_g > p (approaching packets)")
-
 
 def com_condition(pair: CollisionPair, x: float, p: float) -> COMInitialCondition:
     """Canonical COM condition from the Brownian label alone (x > 0, p < 0)."""
-    if x <= 0 or p >= 0:
-        raise ValueError("canonical COM configuration needs x > 0 and p < 0")
+    if not (x > 0 and p < 0):
+        raise ValueError("canonical COM configuration needs x > 0 and p < 0: "
+                         "the packets coincide or are receding")
     return COMInitialCondition(x_g=-x / pair.alpha, p_g=-p, x=x, p=p)
 
 
@@ -400,8 +393,7 @@ class LabFrameCollision:
     p: float
 
     def __post_init__(self):
-        # force construction errors to surface early
-        self.com_init
+        self.com_init   # bad labels raise at construction
 
     @property
     def com_offset(self) -> float:
@@ -416,19 +408,12 @@ class LabFrameCollision:
     def reflection(self) -> int:
         return -1 if self.x_g > self.x else 1
 
-    @property
+    @cached_property
     def com_init(self) -> COMInitialCondition:
-        pr = self.pair
-        a = pr.alpha
-        if self.x_g == self.x:
-            raise ValueError("packet centers coincide; no collision geometry")
-        s = self.reflection
-        x_c = a * (self.x - self.x_g) / (1 + a)
-        p_c = (a * self.p - self.p_g) / (1 + a)
-        x_c, p_c = s * x_c, s * p_c
-        if p_c >= 0:
-            raise ValueError("receding configuration: packets never collide")
-        return COMInitialCondition(x_g=-x_c / a, p_g=-p_c, x=x_c, p=p_c)
+        """``com_condition`` of the COM-frame Brownian label, built at construction."""
+        a, s = self.pair.alpha, self.reflection
+        return com_condition(self.pair, s * (a * (self.x - self.x_g) / (1 + a)),
+                             s * ((a * self.p - self.p_g) / (1 + a)))
 
     def position_marginal(self, t: float, x_prime):
         """Brownian position density in the lab frame at time t."""
@@ -436,14 +421,11 @@ class LabFrameCollision:
         return position_marginal(self.pair, self.com_init, t,
                                  self.reflection * (np.asarray(x_prime, dtype=float) - shift))
 
-    def com_momentum(self, p_prime):
-        """COM-frame Brownian momenta of the lab-frame momenta ``p_prime``."""
-        shift = self.pair.brownian_mass * self.boost_velocity
-        return self.reflection * (np.asarray(p_prime, dtype=float) - shift)
-
     def momentum_marginal(self, t: float, p_prime, return_nodes=False):
         """Brownian momentum density in the lab frame at time t."""
-        return momentum_marginal(self.pair, self.com_init, t, self.com_momentum(p_prime),
+        shift = self.pair.brownian_mass * self.boost_velocity
+        return momentum_marginal(self.pair, self.com_init, t,
+                                 self.reflection * (np.asarray(p_prime, dtype=float) - shift),
                                  return_nodes)
 
     def brownian_momentum_mean(self, t: float) -> float:

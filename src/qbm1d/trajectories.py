@@ -241,19 +241,22 @@ def regime(gas: ThermalGasSpec, pair: CollisionPair, delta: float, p=None) -> di
 
 
 def _check_regime(gas: ThermalGasSpec, pair: CollisionPair, delta: float, p=None):
-    """StepTooLarge when a ``regime`` rate * delta exceeds 0.1, where two
-    collisions in one step are not negligible; a ValidityWarning when delta <
-    3 typical collision times."""
+    """ValueError when the gas's mass is not the pair's; a ValidityWarning
+    when delta < 3 typical collision times; then StepTooLarge when a
+    ``regime`` rate * delta exceeds 0.1, where two collisions in one step are
+    not negligible."""
+    if not abs(gas.gas_mass - pair.gas_mass) <= 1e-12 * pair.gas_mass:
+        raise ValueError(f"gas mass {gas.gas_mass!r} is not the pair's {pair.gas_mass!r}")
     report = regime(gas, pair, delta, p)
-    for law, prob in report["step_collision_probability_by_law"].items():
-        if prob > _MAX_STEP_PROBABILITY:
-            raise StepTooLarge(f"{law} rate*delta = {prob:.3f} > {_MAX_STEP_PROBABILITY}")
     t_typ = report["typical_collision_time"]
     if delta < 3 * t_typ:
         warnings.warn(
             f"coarse step delta = {delta:.3g} is not large against the "
             f"typical collision time {t_typ:.3g}; the instantaneous-collision "
             "picture is strained", ValidityWarning, stacklevel=3)
+    for law, prob in report["step_collision_probability_by_law"].items():
+        if prob > _MAX_STEP_PROBABILITY:
+            raise StepTooLarge(f"{law} rate*delta = {prob:.3f} > {_MAX_STEP_PROBABILITY}")
 
 
 def _gaps(p, gas: ThermalGasSpec, pair: CollisionPair, delta: float, cap: int, rng):
@@ -322,8 +325,8 @@ def run(x0, p0, gas: ThermalGasSpec, pair: CollisionPair, horizon: float,
     ``x0``/``p0``, arrays of initial labels, are copied.  One rng stream, the
     first child of ``SeedSequence(seed)``, drives every path, so an identical
     seed reproduces the results bit for bit.  The collision kernel and the
-    binned sums are in the module docstring.  ``_check_regime`` checks delta
-    against the thermal laws and max |p0| before any draw.
+    binned sums are in the module docstring.  ``_check_regime`` checks the gas,
+    and delta against the thermal laws and max |p0|, before any draw.
     """
     a = np.array(x0, dtype=float)          # intercepts a = x - p t/m, x at t = 0
     p = np.array(p0, dtype=float)
@@ -352,7 +355,7 @@ def excess_position_msd(n: int, gas: ThermalGasSpec, pair: CollisionPair,
     position gap from contact collisions; the changes of its square are
     binned by step.  The slope of msd in time is the excess position
     diffusion rate at this delta.  Paths start with thermal momenta.
-    ``_check_regime`` checks delta against the thermal laws before any draw.
+    ``_check_regime`` checks the gas, and delta by the thermal laws, before any draw.
     """
     _check_regime(gas, pair, delta)
     rng = np.random.default_rng(seed)

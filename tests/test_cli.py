@@ -241,12 +241,24 @@ def test_gate_and_summaries_read_one_regime_report(tmp_path, monkeypatch):
         assert cli.main([kind, str(ini), "--out-dir", str(tmp_path / kind)]) == 0
         reported[kind] = json.loads((tmp_path / kind / "summary.json").read_text())["diagnostics"]
     report = reported["trajectories"]
-    assert [caller for caller, _ in seen] == ["_check_regime", "run", "run"]
+    assert [caller for caller, _ in seen] == ["_check_regime", "run", "_check_regime", "run"]
     assert all(result == report for _, result in seen)
     assert {key: reported["collide"][key] for key in report} == report
     assert report["step_collision_probability_by_law"] == {
         "thermal-law": pytest.approx(0.0570, abs=5e-5),
         "initial-label": pytest.approx(0.0564, abs=5e-5)}
+
+
+def test_collide_outside_the_regime_lists_a_validity_warning(tmp_path):
+    # the smoke config reads thermal-law rate * delta = 0.124, above the 0.1
+    # that trajectories refuses; one collision takes no coarse step, so
+    # collide exits 0 and lists it, the only warning
+    ini = _write_ini(tmp_path / "c.ini", SMOKE["collide"])
+    with pytest.warns(trajectories.ValidityWarning, match="rate"):
+        assert cli.main(["collide", str(ini), "--out-dir", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["numerics"]["validity_warnings"] == ["thermal-law rate*delta = 0.124 > 0.1"]
+    assert summary["tolerance_failures"] == []
 
 
 def test_collide_summary_reports_collision_ratios_and_time(tmp_path):

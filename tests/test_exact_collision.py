@@ -329,7 +329,7 @@ def _around(b):
 
 
 class TestCOMCheck:
-    # the checks compare scalars by np.isclose's rule, |a - b| <= 1e-9 |b|
+    # the check compares scalars by np.isclose's rule, |a - b| <= 1e-9 |b|
     @pytest.mark.parametrize("b", [10.0, 1.0 / 3.0, 7.5e-300])
     def test_check_com_agrees_with_isclose(self, b):
         pair = CollisionPair.matched(1.0, 0.3, 4.0)
@@ -342,20 +342,6 @@ class TestCOMCheck:
             except ValueError:
                 ok = False
             assert ok == np.isclose(x, -0.3 * x_g, rtol=1e-9, atol=0.0), x
-            verdicts.append(ok)
-        assert True in verdicts and False in verdicts
-
-    @pytest.mark.parametrize("p_g", [2.0, 1.0 / 3.0, 7.5e-300])
-    def test_com_condition_agrees_with_isclose(self, p_g):
-        verdicts = []
-        for p in _around(-p_g):
-            try:
-                ec.COMInitialCondition(x_g=-1.0, p_g=p_g, x=1.0, p=p)
-                ok = True
-            except ValueError:
-                ok = False
-            # the other checks need p_g > p; every p near -p_g meets it
-            assert ok == (np.isclose(p, -p_g, rtol=1e-9, atol=0.0) and p_g > p), p
             verdicts.append(ok)
         assert True in verdicts and False in verdicts
 
@@ -613,6 +599,31 @@ class TestLabFrame:
     def test_receding_raises(self, pair):
         with pytest.raises(ValueError, match="receding"):
             ec.LabFrameCollision(pair, x_g=-30.0, p_g=-1.0, x=10.0, p=1.0)
+
+    def test_coinciding_centres_raise(self, pair):
+        # the COM label is x = 0, which com_condition refuses; its message
+        # names both ways that labels fail to collide
+        with pytest.raises(ValueError, match="the packets coincide or are receding"):
+            ec.LabFrameCollision(pair, x_g=3.0, p_g=1.0, x=3.0, p=-1.0)
+
+    def test_com_condition_built_once(self, pair, init, t_c, monkeypatch):
+        # com_condition makes the COM record once, at construction, and every
+        # marginal and mean at every time reuses it
+        calls, com_condition = [], ec.com_condition
+
+        def spy(*args):
+            calls.append(args)
+            return com_condition(*args)
+
+        monkeypatch.setattr(ec, "com_condition", spy)
+        lab = ec.LabFrameCollision(pair, -init.x_g, -init.p_g, -init.x, -init.p)
+        assert len(calls) == 1
+        for t in (0.0, t_c, 3 * t_c):
+            lab.position_marginal(t, [-10.0, 0.0])
+            lab.momentum_marginal(t, [-2.0, 2.0])
+            lab.brownian_momentum_mean(t)
+        assert len(calls) == 1
+        assert lab.com_init == init
 
     def test_position_mean_flows(self, pair, init, t_c):
         # position mean moves continuously from +10 toward the wall and back out

@@ -754,6 +754,26 @@ class TestStepCheck:
         monkeypatch.undo()
         tr.run(x[:123], p[:123], gas, pair, edge * (1 + 1e-6), edge * (1 + 1e-6), seed=6)
 
+    def test_gas_of_another_mass_raises(self, gas, pair):
+        # partners drawn at the gas's mass 3.0 and mapped at the pair's 0.3
+        # settled near <p^2> = 3.5, where the pair's own gas settles near 1.15
+        heavy = dataclasses.replace(gas, gas_mass=10 * pair.gas_mass)
+        p = np.zeros(10)
+        with pytest.raises(ValueError, match="gas mass"):
+            tr.run(p, p, heavy, pair, 1.0, 0.5, seed=0)
+        with pytest.raises(ValueError, match="gas mass"):
+            tr.excess_position_msd(10, heavy, pair, 0.5, 1.0, 0)
+        with pytest.raises(ValueError, match="gas mass"):
+            tr._check_regime(heavy, pair, 0.5)
+
+    def test_warning_comes_before_the_step_check(self, gas, pair):
+        # delta below 3 typical collision times and rate * delta above 0.1:
+        # both are reported, the warning first
+        dense = dataclasses.replace(gas, number_density=10.0)
+        with pytest.warns(tr.ValidityWarning, match="typical collision time"):
+            with pytest.raises(StepTooLarge, match="thermal-law"):
+                tr._check_regime(dense, pair, 1.0)
+
     def test_negative_flight_window_raises(self, gas, pair):
         p = np.zeros(10)
         with pytest.raises(ValueError, match="gas_flight_window"):
