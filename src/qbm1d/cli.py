@@ -20,13 +20,13 @@ with its resolved value, plus ``kind``; identical config and seed give
 byte-identical outputs.  Its ``numerics.validity_warnings`` lists the text
 of every ``ValidityWarning`` the scenario raised, which still go to stderr.
 ``trajectories`` and ``moments`` write their rows at the same times
-t = k delta, k = 0, ..., round(horizon / delta).  ``trajectories`` and
-``collide`` write the coarse-graining regime report of ``trajectories.regime``
-in their ``diagnostics``, at their delta and initial Brownian momentum;
-``collide`` adds its collision's ``collision_ratios`` and ``collision_time``.
-Both gate it with ``trajectories._check_regime``, but one collision takes no
-coarse step, so ``collide`` lists a rate * delta above 0.1 as a validity
-warning.  ``collide`` holds one ``ec.LabFrameCollision`` of its labels.
+t = k delta, k = 0, ..., round(horizon / delta).  ``trajectories``, ``moments``
+and ``collide`` write ``trajectories.regime``'s coarse-graining report in their
+``diagnostics``, at their delta and initial Brownian momentum, and gate it with
+``trajectories._check_regime``; ``collide`` adds ``collision_ratios`` and
+``collision_time``.  The ODE and one collision take no random coarse step, so
+``moments`` and ``collide`` list a rate * delta above 0.1 as a validity
+warning (``_Gas._regime``).  ``collide`` holds one ``ec.LabFrameCollision``.
 """
 
 from __future__ import annotations
@@ -181,6 +181,16 @@ class _Gas(ScenarioConfig):
                               gas_mass=pair.gas_mass, packet_width=pair.gas_width,
                               hbar=self.hbar, k_B=self.boltzmann_k)
 
+    def _regime(self, delta, p) -> dict:
+        """``trajectories.regime`` at delta and labels p, gated, with a rate *
+        delta above 0.1 a validity warning: no random coarse step is taken."""
+        pair, gas = self.pair, self.gas
+        try:
+            trajectories._check_regime(gas, pair, delta, p)
+        except StepTooLarge as exc:
+            warnings.warn(str(exc), trajectories.ValidityWarning)
+        return trajectories.regime(gas, pair, delta, p)
+
 
 @dataclass(frozen=True, kw_only=True)
 class _Ensemble(_Gas):
@@ -270,7 +280,7 @@ class Fig1Config(_ComFrame, _Marginals):
     def run(self):
         pair = self.pair
         init = ec.com_condition(pair, self.x, self.p)
-        t_c = ec.collision_time(pair, init.p_g)
+        t_c = ec.collision_time(pair, init.p)
         times, files, numerics = self._write_marginals(
             t_c, lambda t, xs: ec.position_marginal(pair, init, t, xs),
             lambda t, ps: ec.momentum_marginal(pair, init, t, ps, return_nodes=True))
@@ -311,23 +321,20 @@ class CollideConfig(_Gas, _Marginals):
     def run(self):
         pair, lab = self.pair, self.lab
         init = lab.com_init
-        try:
-            trajectories._check_regime(self.gas, pair, self.delta, self.p)
-        except StepTooLarge as exc:      # one collision takes no coarse step
-            warnings.warn(str(exc), trajectories.ValidityWarning)
-        t_c = ec.collision_time(pair, init.p_g)
+        regime = self._regime(self.delta, self.p)
+        t_c = ec.collision_time(pair, init.p)
         _, files, numerics = self._write_marginals(
             t_c, lab.position_marginal, partial(lab.momentum_marginal, return_nodes=True))
         fid_times = self.fidelity_times or [float(v) for v in np.linspace(0.0, 5 * t_c, 11)]
         fid_rows = [(float(t), ec.outgoing_fidelity(pair, init, t)) for t in fid_times]
-        files.append(emit_csv(self.out_dir / "fidelity.csv", ["t", "outgoing_fidelity"],
-                              fid_rows))
+        files.append(emit_csv(self.out_dir / "fidelity.csv", ["t", "outgoing_fidelity"], fid_rows))
+        x_g, p_g = init.gas_label(pair)
         return {"collision_time": t_c, "outputs": [f.name for f in files], "numerics": numerics,
-                "com_condition": {"x_g": init.x_g, "p_g": init.p_g, "x": init.x, "p": init.p,
+                "com_condition": {"x_g": x_g, "p_g": p_g, "x": init.x, "p": init.p,
                                   "reflection": lab.reflection, "com_offset": lab.com_offset,
                                   "boost_velocity": lab.boost_velocity},
                 "diagnostics": {**ec.collision_ratios(pair, init), "collision_time": t_c,
-                                **trajectories.regime(self.gas, pair, self.delta, self.p)}}, []
+                                **regime}}, []
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -345,7 +352,7 @@ class OracleVerifyConfig(_ComFrame):
     def run(self):
         pair = self.pair
         init = ec.com_condition(pair, self.x, self.p)
-        t_c = ec.collision_time(pair, init.p_g)
+        t_c = ec.collision_time(pair, init.p)
         times = [u * t_c for u in self.times_collision_units]
         finest = max(self.grid_sizes)
         base = grid_oracle.default_grid(pair, init, finest, t_max=max(times))
@@ -461,7 +468,8 @@ class MomentsConfig(_Ensemble):
                           [[getattr(s, c) for c in _MOMENTS] for s in series])]
         return {"friction_constant": params.f, "artifact_rate": params.artifact_rate,
                 "slow_particle_ratio": params.slow_particle_ratio(p0),
-                "outputs": [f.name for f in files]}, []
+                "outputs": [f.name for f in files],
+                "diagnostics": self._regime(self.delta, p0)}, []
 
 
 @dataclass(frozen=True, kw_only=True)

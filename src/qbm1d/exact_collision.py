@@ -33,12 +33,13 @@ Conventions
 -----------
 All closed forms below live in the COM frame with
 
-    p = -p_g,   x = -alpha x_g,   x_g < x,   p_g > p,
+    x > 0,   p < 0,   x_g = -x / alpha,   p_g = -p,
 
 where unprimed symbols are the Brownian packet label and the ``_g`` pair is
-the gas packet label.  ``com_condition`` makes every such record from the
-Brownian label; ``LabFrameCollision`` reduces lab labels to one, once, by a
-Galilean boost plus (if needed) a spatial reflection, and maps marginals back.
+the gas packet label, fixed by it: a COM record holds (x, p) alone, and its
+``gas_label`` derives (x_g, p_g).  ``com_condition`` makes every record;
+``LabFrameCollision`` reduces lab labels to one, once, by a Galilean boost
+plus (if needed) a spatial reflection, and maps marginals back.
 
 The wavefunction implemented here agrees with the textbook-style spectral
 construction to machine precision, reduces exactly to the initial product
@@ -79,52 +80,43 @@ __all__ = [
 
 @dataclass(frozen=True)
 class COMInitialCondition:
-    """Initial packet labels in the COM frame, as ``com_condition`` makes them."""
+    """The Brownian label (x, p) in the COM frame; it and alpha fix the gas label."""
 
-    x_g: float
-    p_g: float
     x: float
     p: float
 
+    def gas_label(self, pair: CollisionPair) -> tuple[float, float]:
+        """The gas packet label (x_g, p_g) = (-x / alpha, -p)."""
+        return -self.x / pair.alpha, -self.p
+
 
 def com_condition(pair: CollisionPair, x: float, p: float) -> COMInitialCondition:
-    """Canonical COM condition from the Brownian label alone (x > 0, p < 0)."""
+    """Canonical COM condition from the Brownian label (x > 0, p < 0); ``pair``
+    is the pair it is used with, the one whose alpha gives the gas label."""
     if not (x > 0 and p < 0):
         raise ValueError("canonical COM configuration needs x > 0 and p < 0: "
                          "the packets coincide or are receding")
-    return COMInitialCondition(x_g=-x / pair.alpha, p_g=-p, x=x, p=p)
-
-
-def _close(a, b):
-    """np.isclose(a, b, rtol=1e-9, atol=0) for scalars, at a fraction of its cost."""
-    return abs(a - b) <= 1e-9 * abs(b) if math.isfinite(b) else a == b
-
-
-def _check_com(pair: CollisionPair, init: COMInitialCondition):
-    if not _close(init.x, -pair.alpha * init.x_g):
-        raise ValueError("COM frame requires x = -alpha x_g")
+    return COMInitialCondition(x=x, p=p)
 
 
 def collision_time(pair: CollisionPair, p_g: float) -> float:
     """Duration of the collision, sqrt(8/(1+alpha)) sigma_g m_g / |p_g|."""
     if p_g == 0:
         raise ZeroRelativeMomentum("collision time undefined for p_g = 0")
-    a = pair.alpha
-    return math.sqrt(8.0 / (1.0 + a)) * pair.gas_width * pair.gas_mass / abs(p_g)
+    return math.sqrt(8.0 / (1.0 + pair.alpha)) * pair.gas_width * pair.gas_mass / abs(p_g)
 
 
 def _core(pair: CollisionPair, init: COMInitialCondition, t: float):
-    """Shared complex coefficients of the closed-form solution at time t."""
-    a = pair.alpha
-    s = pair.brownian_width
-    hb = pair.hbar
-    m = pair.brownian_mass
+    """Shared complex coefficients (st, X, G, pref, m0) of the closed-form
+    solution at time t; X = x + i p sigma^2 / hbar is the complex label."""
+    a, s, hb, m = pair.alpha, pair.brownian_width, pair.hbar, pair.brownian_mass
     x, p = init.x, init.p
     st = s**2 + 1j * hb * t / m
-    G = (x + 1j * p * s**2 / hb) / st
+    X = x + 1j * p * s**2 / hb
+    G = X / st
     pref = s * a**0.25 / (np.sqrt(np.pi) * st)
-    m0 = -(1 + a) * (x + p * t / m) * (x + 1j * p * s**2 / hb) / (2 * a * st)
-    return st, G, pref, m0
+    m0 = -(1 + a) * (x + p * t / m) * X / (2 * a * st)
+    return st, X, G, pref, m0
 
 
 def wavefunction(pair: CollisionPair, init: COMInitialCondition, t: float, x_g_prime, x_prime):
@@ -141,15 +133,13 @@ def wavefunction(pair: CollisionPair, init: COMInitialCondition, t: float, x_g_p
     it is 1 to double precision only for packets that start well apart, e.g.
     0.632 at alpha = 1, sigma = 1, x = 0.5, p = -0.5.
     """
-    _check_com(pair, init)
-    a = pair.alpha
-    st, G, pref, m0 = _core(pair, init, t)
+    st, _, G, pref, m0 = _core(pair, init, t)
     xg = np.asarray(x_g_prime, dtype=float)
     xb = np.asarray(x_prime, dtype=float)
     d = xb - xg
     # one exponent per image term keeps each finite: exp(+-d G) alone
     # overflows, and the envelope underflows, for packets many widths apart
-    log_env = -(xb**2 + a * xg**2) / (2 * st) + m0
+    log_env = -(xb**2 + pair.alpha * xg**2) / (2 * st) + m0
     out = pref * (np.exp(log_env + d * G) - np.exp(log_env - d * G))
     return np.where(d > 0, out, 0.0)
 
@@ -198,21 +188,21 @@ def _halfline(A, B, extra_log):
 def _factorized(pair: CollisionPair, init: COMInitialCondition, t: float):
     """Pieces of psi = C U(u) D(d) at time t.
 
-    Returns (st, G, log C, A, log integral |U|^2 du) with A = alpha kappa /
-    (1+alpha) the rate of the Gaussian exp(-A d^2) in |D|^2 and kappa =
-    Re(1/st).
+    Returns (st, G, log C, A, log integral |U|^2 du, X, log pref) with A =
+    alpha kappa / (1+alpha) the rate of the Gaussian exp(-A d^2) in |D|^2,
+    kappa = Re(1/st), and X and pref as ``_core`` gives them.
     """
-    _check_com(pair, init)
     a = pair.alpha
-    st, G, pref, m0 = _core(pair, init, t)
+    st, X, G, pref, m0 = _core(pair, init, t)
     kappa = pair.brownian_width**2 / abs(st) ** 2
-    return (st, G, np.log(pref) + m0, a * kappa / (1 + a),
-            0.5 * np.log(np.pi / ((1 + a) * kappa)))
+    log_pref = np.log(pref)
+    return (st, G, log_pref + m0, a * kappa / (1 + a),
+            0.5 * np.log(np.pi / ((1 + a) * kappa)), X, log_pref)
 
 
 def _density_moments(pair: CollisionPair, init: COMInitialCondition, t: float):
     """I0 and I1 of each term of |psi|^2 after the u integral, and (st, G)."""
-    st, G, log_c, A, log_u = _factorized(pair, init, t)
+    st, G, log_c, A, log_u, *_ = _factorized(pair, init, t)
     i0, i1 = _halfline(A, _exponents(G), 2 * np.real(log_c) + log_u)
     return st, G, i0, i1
 
@@ -243,8 +233,9 @@ def outgoing_fidelity(pair: CollisionPair, init: COMInitialCondition, t: float) 
     linear term in u, so the overlap is the u integral times half-line
     integrals in d.  Raises ValueError for t < 0, as EvolvedPacket does.
     """
-    st, G, log_c, A, log_u = _factorized(pair, init, t)
-    _, b_g, c_g = EvolvedPacket(pair.gas_packet(-init.x_g, -init.p_g), t).quadratic_form()
+    _, G, log_c, A, log_u, *_ = _factorized(pair, init, t)
+    x_g, p_g = init.gas_label(pair)
+    _, b_g, c_g = EvolvedPacket(pair.gas_packet(-x_g, -p_g), t).quadratic_form()
     _, b_b, c_b = EvolvedPacket(pair.brownian_packet(-init.x, -init.p), t).quadratic_form()
     a = pair.alpha
     b_d = np.conj(a * b_b - b_g) / (1 + a)
@@ -264,8 +255,7 @@ def position_marginal(pair: CollisionPair, init: COMInitialCondition, t: float, 
     the density is a sum of four complementary error functions.  Vectorized
     over ``x_prime``; returns a float for a scalar.
     """
-    _check_com(pair, init)
-    st, G, pref, m0 = _core(pair, init, t)
+    st, _, G, pref, m0 = _core(pair, init, t)
     kappa = pair.brownian_width**2 / abs(st) ** 2
     xb = np.asarray(x_prime, dtype=float)
     base = 2 * np.log(abs(pref)) + 2 * np.real(m0) - kappa * xb**2
@@ -333,15 +323,14 @@ def momentum_marginal(pair: CollisionPair, init: COMInitialCondition, t: float, 
     then caps the spacing.  Vectorized over ``p_prime``; returns a float for
     a scalar.  ``return_nodes`` also returns the number of q nodes evaluated.
     """
-    st, G, log_c, A, _ = _factorized(pair, init, t)
+    st, G, log_c, A, _, X, log_pref = _factorized(pair, init, t)
     ps = np.asarray(p_prime, dtype=float)
     flat = ps.ravel()
     g, q, w, start, width = _q_rule(pair, G, A, flat)
     a_d, k = pair.alpha / (2 * (1 + pair.alpha) * st), q / pair.hbar
     # full-line exponents in closed form: B^2/4A + log C sums two parts of
     # ~(1+alpha) x^2/(2 alpha sigma^2) each that cancel
-    X = init.x + 1j * init.p * pair.brownian_width**2 / pair.hbar
-    full = np.log(_core(pair, init, t)[2]) + (1 + pair.alpha) / (2 * pair.alpha) * (
+    full = log_pref + (1 + pair.alpha) / (2 * pair.alpha) * (
         1j * X * (init.p / pair.hbar - np.array([[2.0], [-2.0]]) * k) - k**2 * st)
     f = w * np.abs(_halfline_upper(a_d, G - 1j * k, 0.0, log_c, full[0])
                    - _halfline_upper(a_d, -G - 1j * k, 0.0, log_c, full[1])) ** 2
@@ -367,8 +356,9 @@ def collision_ratios(pair: CollisionPair, init: COMInitialCondition) -> dict:
     """overlap_ratio, the initial separation over the combined widths, and
     momentum_ratio, the relative momentum over its quantum uncertainty."""
     widths = np.hypot(pair.gas_width, pair.brownian_width)
-    return {"overlap_ratio": abs(init.x_g - init.x) / float(widths),
-            "momentum_ratio": abs(init.p_g) * pair.gas_width
+    x_g, p_g = init.gas_label(pair)
+    return {"overlap_ratio": abs(x_g - init.x) / float(widths),
+            "momentum_ratio": abs(p_g) * pair.gas_width
             * float(np.sqrt(1 + pair.alpha)) / pair.hbar}
 
 

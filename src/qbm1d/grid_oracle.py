@@ -107,32 +107,32 @@ def default_grid(pair: CollisionPair, init: COMInitialCondition, n: int,
                  t_max: float = 0.0) -> GridParams:
     """Extents wide enough for the initial supports plus drift to t_max."""
     a = pair.alpha
+    x_g, p_g = init.gas_label(pair)
     s_r = np.sqrt((pair.brownian_width**2 + pair.gas_width**2) / 2)
     s_R = pair.brownian_width / np.sqrt(2 * (1 + a))
-    r0 = init.x - init.x_g
-    v_rel = abs(init.p / pair.brownian_mass - init.p_g / pair.gas_mass)
+    r0 = init.x - x_g
+    v_rel = abs(init.p / pair.brownian_mass - p_g / pair.gas_mass)
     drift = v_rel * t_max
     spread = pair.hbar * t_max / (pair.reduced_mass * 2 * s_r) if t_max else 0.0
     r_len = r0 + max(drift, 0.0) + 12 * (s_r + spread) + 10.0
-    R_half = 12 * s_R + abs(init.x + init.x_g) + 10.0
+    R_half = 12 * s_R + abs(init.x + x_g) + 10.0
     return GridParams(n_R=n, n_r=n, R_halfwidth=R_half, r_length=r_len)
 
 
 def _validate(pair: CollisionPair, init: COMInitialCondition, params: GridParams):
-    a = pair.alpha
-    hb = pair.hbar
-    s = pair.brownian_width
+    a, hb, s = pair.alpha, pair.hbar, pair.brownian_width
+    x_g, p_g = init.gas_label(pair)
     # relative and total momentum content: mean and std of each
     for name, step, p_name, mean, std in (
-            ("dr", params.dr, "p_max", (a * init.p - init.p_g) / (1 + a),
+            ("dr", params.dr, "p_max", (a * init.p - p_g) / (1 + a),
              hb * np.sqrt(a / (2 * (1 + a))) / s),
-            ("dR", params.dR, "P_max", init.p + init.p_g, hb * np.sqrt(1 + a) / (s * np.sqrt(2)))):
+            ("dR", params.dR, "P_max", init.p + p_g, hb * np.sqrt(1 + a) / (s * np.sqrt(2)))):
         limit = np.pi * hb / (4 * (abs(mean) + 5 * std))
         if step >= limit:
             raise GridTooCoarse(f"{name} = {step:.4g} >= pi*hbar/(4 {p_name}) = {limit:.4g}")
     # tail mass beyond the r box and both R edges; the mirrored state has none behind the wall
-    r0, s_r = init.x - init.x_g, np.sqrt((s**2 + pair.gas_width**2) / 2)
-    R0, s_R = (init.x + a * init.x_g) / (1 + a), s / np.sqrt(2 * (1 + a))
+    r0, s_r = init.x - x_g, np.sqrt((s**2 + pair.gas_width**2) / 2)
+    R0, s_R = (init.x + a * x_g) / (1 + a), s / np.sqrt(2 * (1 + a))
     mass = 0.5 * (erfc((params.r_length - r0) / (np.sqrt(2) * s_r))
                   + erfc((params.R_halfwidth - R0) / (np.sqrt(2) * s_R))
                   + erfc((params.R_halfwidth + R0) / (np.sqrt(2) * s_R)))
@@ -144,8 +144,8 @@ def discretize(pair: CollisionPair, init: COMInitialCondition, params: GridParam
                validate: bool = True) -> GridWavefunction:
     """Sample the wall-respecting initial state as its two factors.
 
-    The state is the packet product minus its mirror image in the wall,
-    psi(R, r) - psi(R, -r), as in the closed form at t = 0.  With matched
+    The state is the product of the packets at ``init``'s and its gas label
+    minus its mirror image in the wall, psi(R, r) - psi(R, -r), as at t = 0.  With matched
     widths the product is U(R) D(r): chi is its cut through the packet
     centres (R0, r0) over the value there, phi its mirrored cut at R0.
     ``validate=False`` skips the Nyquist/support guards; deliberate for
@@ -155,10 +155,11 @@ def discretize(pair: CollisionPair, init: COMInitialCondition, params: GridParam
         _validate(pair, init, params)
     R, r = params.axes()
     a = pair.alpha
-    gas = pair.gas_packet(init.x_g, init.p_g).amplitude
+    x_g, p_g = init.gas_label(pair)
+    gas = pair.gas_packet(x_g, p_g).amplitude
     brownian = pair.brownian_packet(init.x, init.p).amplitude
-    R0 = (init.x + a * init.x_g) / (1 + a)
-    chi = gas(R - R0 + init.x_g) * brownian(R - R0 + init.x) / (gas(init.x_g) * brownian(init.x))
+    R0 = (init.x + a * x_g) / (1 + a)
+    chi = gas(R - R0 + x_g) * brownian(R - R0 + init.x) / (gas(x_g) * brownian(init.x))
     s = np.concatenate([r, -r]) / (1 + a)
     cut = gas(R0 - s) * brownian(R0 + a * s)
     return GridWavefunction(chi=chi, phi=cut[:r.size] - cut[r.size:], R=R, r=r, t=0.0)

@@ -59,12 +59,12 @@ def test_scenario_runs_and_reruns_identically(kind, tmp_path):
         assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("kind,listed", [("trajectories", 1), ("moments", 0),
+@pytest.mark.parametrize("kind,listed", [("trajectories", 1), ("moments", 1),
                                          ("delta-scan", 4)])
 def test_summary_lists_validity_warnings(kind, listed, tmp_path):
-    # the trajectories defaults and each of delta-scan's four deltas take
-    # delta below 3 typical collision times; each warning is listed and still
-    # shown
+    # the trajectories and moments defaults and each of delta-scan's four
+    # deltas take delta below 3 typical collision times; each warning is
+    # listed and still shown
     ini = _write_ini(tmp_path / f"{kind}.ini", SMOKE[kind])
     with warnings.catch_warnings(record=True) as shown:
         warnings.simplefilter("always")
@@ -241,12 +241,25 @@ def test_gate_and_summaries_read_one_regime_report(tmp_path, monkeypatch):
         assert cli.main([kind, str(ini), "--out-dir", str(tmp_path / kind)]) == 0
         reported[kind] = json.loads((tmp_path / kind / "summary.json").read_text())["diagnostics"]
     report = reported["trajectories"]
-    assert [caller for caller, _ in seen] == ["_check_regime", "run", "_check_regime", "run"]
+    assert [caller for caller, _ in seen] == ["_check_regime", "run", "_check_regime", "_regime"]
     assert all(result == report for _, result in seen)
     assert {key: reported["collide"][key] for key in report} == report
     assert report["step_collision_probability_by_law"] == {
         "thermal-law": pytest.approx(0.0570, abs=5e-5),
         "initial-label": pytest.approx(0.0564, abs=5e-5)}
+
+
+def test_moments_gates_and_reports_its_regime(tmp_path):
+    # the moment ODE runs at the trajectories defaults, delta = 0.5 against
+    # t_typ = 22.4: it lists the one warning, exits 0 and reports the regime
+    ini = _write_ini(tmp_path / "m.ini", {})
+    cfg = cli.ScenarioConfig.load("moments", str(ini), out_dir=tmp_path)
+    with pytest.warns(trajectories.ValidityWarning, match="typical collision time 22.4"):
+        assert cli.run_scenario(cfg) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert len(summary["numerics"]["validity_warnings"]) == 1
+    assert summary["diagnostics"] == trajectories.regime(cfg.gas, cfg.pair, 0.5, 0.0)
+    assert summary["tolerance_failures"] == []
 
 
 def test_collide_outside_the_regime_lists_a_validity_warning(tmp_path):

@@ -1,11 +1,11 @@
+import dataclasses
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from qbm1d import exact_collision as ec
+from qbm1d import exact_collision as ec, grid_oracle
 from qbm1d.errors import ZeroRelativeMomentum
 from qbm1d.packets import CollisionPair, EvolvedPacket
 
@@ -23,7 +23,7 @@ def init(pair):
 
 @pytest.fixture(scope="module")
 def t_c(pair, init):
-    return ec.collision_time(pair, init.p_g)
+    return ec.collision_time(pair, init.p)
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +64,7 @@ def _halfplane_nodes(pair, init, t, n_u=128, n_d=256, n_std=12.0):
     box; the extent comes from the free packets' centres and variances.
     """
     a = pair.alpha
-    gas = EvolvedPacket(pair.gas_packet(init.x_g, init.p_g), t)
+    gas = EvolvedPacket(pair.gas_packet(*init.gas_label(pair)), t)
     br = EvolvedPacket(pair.brownian_packet(init.x, init.p), t)
     var_br, var_gas = br.covariance()[0], gas.covariance()[0]
     d_hi = abs(br.center - gas.center) + n_std * np.sqrt(var_br + var_gas)
@@ -87,7 +87,8 @@ def _grid_sums(pair, init, t, h=1e-5):
     dens = W * np.abs(psi) ** 2
     d_xb = (psi_at(XG, XB + h) - psi_at(XG, XB - h)) / (2 * h)
     d_xg = (psi_at(XG + h, XB) - psi_at(XG - h, XB)) / (2 * h)
-    gas_out = EvolvedPacket(pair.gas_packet(-init.x_g, -init.p_g), t)
+    x_g, p_g = init.gas_label(pair)
+    gas_out = EvolvedPacket(pair.gas_packet(-x_g, -p_g), t)
     br_out = EvolvedPacket(pair.brownian_packet(-init.x, -init.p), t)
     target = gas_out.amplitude(XG) * br_out.amplitude(XB)
     return {
@@ -122,7 +123,7 @@ def _quad_momentum_marginal(pair, init, t, p_prime):
     exact half-line transform of psi over x' > x_g'."""
     a = pair.alpha
     hb = pair.hbar
-    st, G, pref, m0 = ec._core(pair, init, t)
+    st, _, G, pref, m0 = ec._core(pair, init, t)
     A = 1.0 / (2 * st)
     c = init.x + init.p * t / pair.brownian_mass
     std_g = abs(st) / (pair.brownian_width * np.sqrt(2.0 * a))
@@ -182,7 +183,7 @@ def _xg_rule_momentum_marginal(pair, init, t, ps):
     """Momentum density as the x_g' integral of |F(x_g', p')|^2, F the exact
     half-line transform of psi over x' > x_g', on the rule of _gas_nodes."""
     a = pair.alpha
-    st, G, pref, m0 = ec._core(pair, init, t)
+    st, _, G, pref, m0 = ec._core(pair, init, t)
     xg, w = _gas_nodes(pair, init, t)
     A = 1.0 / (2 * st)
     base = -a * xg**2 / (2 * st) + m0
@@ -296,7 +297,7 @@ class TestWavefunction:
         xg = np.linspace(-80, 40, n)
         xb = np.linspace(-40, 60, n)
         XG, XB = np.meshgrid(xg, xb, indexing="ij")
-        prod = (pair.gas_packet(init.x_g, init.p_g).amplitude(XG)
+        prod = (pair.gas_packet(*init.gas_label(pair)).amplitude(XG)
                 * pair.brownian_packet(init.x, init.p).amplitude(XB))
         prod = np.where(XG < XB, prod, 0.0)
         w0 = ec.wavefunction(pair, init, 0.0, XG, XB)
@@ -320,30 +321,24 @@ class TestWavefunction:
             assert ec.two_particle_norm(pair, init, t) == pytest.approx(expected, abs=1e-12)
 
 
-def _around(b):
-    """Values on both sides of np.isclose(., b, rtol=1e-9, atol=0)'s boundary,
-    a few ulps apart, with b itself and values far off."""
-    edges = (b + 1e-9 * abs(b), b - 1e-9 * abs(b))
-    return [b, -b, 2 * b, 0.0, np.inf, np.nan] + [
-        float(e + k * np.spacing(e)) for e in edges for k in range(-3, 4)]
+class TestCOMRecord:
+    def test_holds_only_the_brownian_label(self, pair, init):
+        # the gas label is fixed by the Brownian one, so a record that pairs
+        # p = -2 with a gas momentum of 5 (fidelity 8.1e-77 and a momentum
+        # ratio of 41.6 when it could be built) cannot be built
+        assert [f.name for f in dataclasses.fields(ec.COMInitialCondition)] == ["x", "p"]
+        assert init.gas_label(pair) == (-10.0 / 0.3, 2.0)
+        with pytest.raises(TypeError):
+            ec.COMInitialCondition(x_g=-10.0 / 0.3, p_g=5.0, x=10.0, p=-2.0)
 
-
-class TestCOMCheck:
-    # the check compares scalars by np.isclose's rule, |a - b| <= 1e-9 |b|
-    @pytest.mark.parametrize("b", [10.0, 1.0 / 3.0, 7.5e-300])
-    def test_check_com_agrees_with_isclose(self, b):
-        pair = CollisionPair.matched(1.0, 0.3, 4.0)
-        x_g = -b / 0.3
-        verdicts = []
-        for x in _around(-0.3 * x_g):
-            try:   # the labels _check_com reads, some of which no condition admits
-                ec._check_com(pair, SimpleNamespace(x=x, x_g=x_g))
-                ok = True
-            except ValueError:
-                ok = False
-            assert ok == np.isclose(x, -0.3 * x_g, rtol=1e-9, atol=0.0), x
-            verdicts.append(ok)
-        assert True in verdicts and False in verdicts
+    def test_gas_label_readers_keep_their_values(self, pair, init, t_c):
+        # at the fig1 defaults, bit for bit the values of the record that
+        # stored (x_g, p_g) = (-x / alpha, -p) next to (x, p)
+        assert ec.outgoing_fidelity(pair, init, 3 * t_c) == 0.9999644196233486
+        assert ec.collision_ratios(pair, init) == {"overlap_ratio": 5.204164998665332,
+                                                   "momentum_ratio": 16.653327995729065}
+        grid = grid_oracle.default_grid(pair, init, 1024, t_max=3 * t_c)
+        assert (grid.R_halfwidth, grid.r_length) == (63.10166963474336, 230.6415071945789)
 
 
 class TestPositionMarginal:
@@ -481,7 +476,7 @@ class TestMomentumMarginal:
         # the reach of D: densities of a table, computed alone, bit for bit
         pair = CollisionPair.matched(1.0, 0.3, 1.0)
         init = ec.com_condition(pair, 60.0, -2.0)
-        _, G, _, A, _ = ec._factorized(pair, init, 90.0)
+        _, G, _, A, *_ = ec._factorized(pair, init, 90.0)
         assert abs(G.real) * np.sqrt(2 / A) < ec._WALL_R
         ps = np.linspace(-4.0, 4.0, 241)
         table = ec.momentum_marginal(pair, init, 90.0, ps)
@@ -529,7 +524,7 @@ class TestClosedFormsAgainstGrid:
     @pytest.mark.parametrize("t", [0.0, 4.0, 5.0, 13.6])
     def test_matches_halfplane_sum(self, pair, init, t):
         grid = _grid_sums(pair, init, t)
-        lab = ec.LabFrameCollision(pair, init.x_g, init.p_g, init.x, init.p)
+        lab = ec.LabFrameCollision(pair, *init.gas_label(pair), init.x, init.p)
         closed = {
             "norm": ec.two_particle_norm(pair, init, t),
             "x_mean": _lab_position_mean(lab, t),
@@ -569,9 +564,10 @@ class TestLabFrame:
         # moments must transform as x -> X0 + V t + x_com, p -> m V + p_com
         V, X0 = 0.7, 3.0
         M = pair.total_mass
+        x_g, p_g = init.gas_label(pair)
         lab = ec.LabFrameCollision(
             pair,
-            x_g=init.x_g + X0, p_g=init.p_g + pair.gas_mass * V,
+            x_g=x_g + X0, p_g=p_g + pair.gas_mass * V,
             x=init.x + X0, p=init.p + pair.brownian_mass * V)
         assert lab.reflection == 1
         assert lab.boost_velocity == pytest.approx(V, rel=1e-12)
@@ -585,8 +581,8 @@ class TestLabFrame:
 
     def test_reflected_scenario(self, pair, init):
         # gas on the right moving left: the mirror image of the canonical case
-        lab = ec.LabFrameCollision(pair, x_g=-init.x_g, p_g=-init.p_g,
-                                   x=-init.x, p=-init.p)
+        x_g, p_g = init.gas_label(pair)
+        lab = ec.LabFrameCollision(pair, x_g=-x_g, p_g=-p_g, x=-init.x, p=-init.p)
         assert lab.reflection == -1
         xs = np.linspace(-26, 6, 81)
         dens = lab.position_marginal(0.0, xs)
@@ -616,7 +612,8 @@ class TestLabFrame:
             return com_condition(*args)
 
         monkeypatch.setattr(ec, "com_condition", spy)
-        lab = ec.LabFrameCollision(pair, -init.x_g, -init.p_g, -init.x, -init.p)
+        x_g, p_g = init.gas_label(pair)
+        lab = ec.LabFrameCollision(pair, -x_g, -p_g, -init.x, -init.p)
         assert len(calls) == 1
         for t in (0.0, t_c, 3 * t_c):
             lab.position_marginal(t, [-10.0, 0.0])
@@ -627,7 +624,7 @@ class TestLabFrame:
 
     def test_position_mean_flows(self, pair, init, t_c):
         # position mean moves continuously from +10 toward the wall and back out
-        lab = ec.LabFrameCollision(pair, init.x_g, init.p_g, init.x, init.p)
+        lab = ec.LabFrameCollision(pair, *init.gas_label(pair), init.x, init.p)
         means = [_lab_position_mean(lab, t) for t in (0.0, 2.5, 5.0, 9.0)]
         assert means[0] == pytest.approx(10.0, abs=1e-6)
         assert means[1] < means[0]
