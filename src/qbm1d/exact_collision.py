@@ -259,11 +259,10 @@ def position_marginal(pair: CollisionPair, init: COMInitialCondition, t: float, 
     kappa = pair.brownian_width**2 / abs(st) ** 2
     xb = np.asarray(x_prime, dtype=float)
     base = 2 * np.log(abs(pref)) + 2 * np.real(m0) - kappa * xb**2
-    total = 0.0
-    for sign, beta in zip(_SIGNS, _exponents(G)):
-        # term exp(beta (x' - x_g')) over x_g' < x'; substitute v = -x_g' > -x'
-        total = total + sign * _halfline_upper(pair.alpha * kappa, beta, -xb, base + beta * xb)
-    out = np.real(total)
+    # term k is exp(beta_k (x' - x_g')) over x_g' < x'; substitute v = -x_g' > -x'
+    beta = _exponents(G).reshape((4,) + (1,) * xb.ndim)
+    terms = _halfline_upper(pair.alpha * kappa, beta, -xb, base + beta * xb)
+    out = np.real(sum(sign * term for sign, term in zip(_SIGNS, terms)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -332,8 +331,8 @@ def momentum_marginal(pair: CollisionPair, init: COMInitialCondition, t: float, 
     # ~(1+alpha) x^2/(2 alpha sigma^2) each that cancel
     full = log_pref + (1 + pair.alpha) / (2 * pair.alpha) * (
         1j * X * (init.p / pair.hbar - np.array([[2.0], [-2.0]]) * k) - k**2 * st)
-    f = w * np.abs(_halfline_upper(a_d, G - 1j * k, 0.0, log_c, full[0])
-                   - _halfline_upper(a_d, -G - 1j * k, 0.0, log_c, full[1])) ** 2
+    plus, minus = _halfline_upper(a_d, np.array([[G], [-G]]) - 1j * k, 0.0, log_c, full)
+    f = w * np.abs(plus - minus) ** 2
     out = np.empty(flat.size)
     rows = max(1, _BLOCK // width)
     for i in range(0, flat.size, rows):
