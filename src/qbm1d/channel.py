@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.fft import fft, ifft
-from scipy.special import erf, erfcinv
 
+from ._special import erf
 from .errors import EmptyRegion, GridTooCoarse, GridTooSmall, NegativeEigenvalueBeyondTolerance
 from .packets import CollisionPair, GaussianPacket
 from .thermal import ThermalGasSpec, adjusted_temperature, mean_relative_speed
@@ -108,6 +108,9 @@ class PhaseSpaceMesh:
 
 # largest packet mass that grid_packets lets fall off the grid
 _PACKET_MASS_TOL = 1e-6
+# erfcinv(2 _PACKET_MASS_TOL): a centre this far inside a grid end, in packet
+# widths, loses _PACKET_MASS_TOL off it
+_PACKET_MASS_REACH = 3.3611785626256494
 # grid noise in the eigenvalues that operator_sqrt clamps to zero
 _CLAMP_TOL = 1e-6
 
@@ -425,8 +428,7 @@ def build_projection(region: PhaseSpaceRegion, pair: CollisionPair,
     hb, sig, m = pair.hbar, pair.brownian_width, region.brownian_mass
     p_stop = region.p_g / region.gas_mass * m  # v_rel = 0
     p_half = _SUM_P_SPAN_STD * hb / sig + abs(p_stop)
-    # a centre this far inside a grid end loses _PACKET_MASS_TOL off it (3.36 sigma)
-    bounds = grid.x[[0, -1]] + np.array([1, -1]) * sig * erfcinv(2 * _PACKET_MASS_TOL)
+    bounds = grid.x[[0, -1]] + np.array([1, -1]) * sig * _PACKET_MASS_REACH
     kinks = p_stop - m * (bounds - region.x_g) / region.delta
     edges = np.unique(np.clip(np.r_[-p_half, p_stop, kinks, p_half], -p_half, p_half))
     ps, w = _panel_rule(edges, hb / sig)

@@ -54,8 +54,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import wofz
 
+from ._special import wofz
 from .errors import ZeroRelativeMomentum
 from .packets import CollisionPair, EvolvedPacket
 # unused here; the benchmark's tracer patches this binding too

@@ -15,17 +15,18 @@ two 1-D factors and forms the n_R x n_r amplitudes only on request.
 
 The r-grid holds only interior points r_j = j * dr, j = 1..n_r; the wall
 value psi(r=0) = 0 is implied by the basis, which also makes the
-probability current through the wall vanish identically.  ``propagate``
-imports scipy.fft, so a process that never runs the oracle does not load it.
+probability current through the wall vanish identically.  Both transforms
+are numpy FFTs; the DST-I is one of the odd extension (``_special.dst1``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
+from ._special import dst1
 from .errors import GridTooCoarse, GridTooSmall
 from .exact_collision import COMInitialCondition, wavefunction
 from .packets import CollisionPair
@@ -133,9 +134,9 @@ def _validate(pair: CollisionPair, init: COMInitialCondition, params: GridParams
     # tail mass beyond the r box and both R edges; the mirrored state has none behind the wall
     r0, s_r = init.x - x_g, np.sqrt((s**2 + pair.gas_width**2) / 2)
     R0, s_R = (init.x + a * x_g) / (1 + a), s / np.sqrt(2 * (1 + a))
-    mass = 0.5 * (erfc((params.r_length - r0) / (np.sqrt(2) * s_r))
-                  + erfc((params.R_halfwidth - R0) / (np.sqrt(2) * s_R))
-                  + erfc((params.R_halfwidth + R0) / (np.sqrt(2) * s_R)))
+    mass = 0.5 * (math.erfc((params.r_length - r0) / (np.sqrt(2) * s_r))
+                  + math.erfc((params.R_halfwidth - R0) / (np.sqrt(2) * s_R))
+                  + math.erfc((params.R_halfwidth + R0) / (np.sqrt(2) * s_R)))
     if mass > 1e-10:
         raise GridTooSmall(f"support truncation {mass:.3e} > 1e-10; enlarge extents")
 
@@ -171,11 +172,10 @@ def propagate(state: GridWavefunction, pair: CollisionPair, t: float) -> GridWav
         raise ValueError("t must be >= 0")
     if t == 0:
         return GridWavefunction(state.chi.copy(), state.phi.copy(), state.R, state.r, state.t)
-    from scipy import fft as sfft
     kR, kappa = state._wavenumbers()
     h = -0.5j * pair.hbar * t
-    chi = sfft.ifft(sfft.fft(state.chi) * np.exp(h * kR**2 / pair.total_mass))
-    phi = sfft.idst(sfft.dst(state.phi, type=1) * np.exp(h * kappa**2 / pair.reduced_mass), type=1)
+    chi = np.fft.ifft(np.fft.fft(state.chi) * np.exp(h * kR**2 / pair.total_mass))
+    phi = dst1(dst1(state.phi) * np.exp(h * kappa**2 / pair.reduced_mass)) / (2 * (state.r.size + 1))
     return GridWavefunction(chi=chi, phi=phi, R=state.R, r=state.r, t=state.t + t)
 
 

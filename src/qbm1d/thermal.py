@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scipy.special import erf
-
+from ._special import erf
 from .errors import NonPositiveAdjustedTemperature
 
 __all__ = [

@@ -17,7 +17,9 @@ collision are Geometric(min(rate(p) delta, 1)), the law of a Bernoulli draw
 per step at a draw per collision.  The collision kernel keeps a pool of up
 to _BLOCK paths with a collision step k in the horizon: each round tops it
 up with the next paths in index order, draws one collision of each path in
-it, and then the next gaps from the outgoing momenta.
+it, and then the next gaps from the outgoing momenta.  The rates of the
+paths not yet in the pool are evaluated _BLOCK at a time, not per round;
+no rate evaluation takes more than _BLOCK paths.
 
 The flight offset
 -----------------
@@ -206,15 +208,14 @@ def sample_collision_partner(p, gas: ThermalGasSpec, pair: CollisionPair, rng):
     if not np.all(finite := np.isfinite(b)):
         raise PartnerNotConverged(f"{np.sum(~finite)} partner draws against non-finite momenta")
     z, pending = np.empty(b.size), np.arange(b.size)
+    bk, a = b, np.abs(b)                    # of the pending draws
     for _ in range(_MAX_ROUNDS):
-        k, bk = pending.size, b[pending]
-        u, v, n = rng.random(k), rng.random(k), rng.standard_normal((2, k))
-        a = np.abs(bk)
+        (u, v), n = rng.random((2, pending.size)), rng.standard_normal((2, pending.size))
         cand = np.where(u * (_RAYLEIGH_MASS + a) < _RAYLEIGH_MASS,
                         np.copysign(np.hypot(n[0], n[1]), n[0]), n[1])
         keep = v * (np.abs(cand) + a) <= np.abs(cand - bk)
         z[pending[keep]] = cand[keep]
-        pending = pending[~keep]
+        pending, bk, a = pending[~keep], bk[~keep], a[~keep]
         if not pending.size:
             return gas.gas_mass * su * z.reshape(p.shape)
     raise PartnerNotConverged(f"{pending.size} partner draws not accepted in "
@@ -259,13 +260,18 @@ def _check_regime(gas: ThermalGasSpec, pair: CollisionPair, delta: float, p=None
             raise StepTooLarge(f"{law} rate*delta = {prob:.3f} > {_MAX_STEP_PROBABILITY}")
 
 
-def _gaps(p, gas: ThermalGasSpec, pair: CollisionPair, delta: float, cap: int, rng):
-    """Steps to each path's next collision, Geometric(min(rate(p) delta, 1)),
-    capped at ``cap``: a NaN rate collides at once (its partner draw raises
-    PartnerNotConverged); a rate of 0, which rng.geometric refuses, and tiny
-    ones, whose gaps reach 2^63 - 1 and would wrap k + gap, take the cap."""
-    q = np.fmin(collision_rate(p, gas, pair) * delta, 1.0)
-    gap = np.full(p.size, cap)
+def _step_probability(p, gas: ThermalGasSpec, pair: CollisionPair, delta: float):
+    """min(rate(p) delta, 1), a path's chance to collide in one step."""
+    return np.fmin(collision_rate(p, gas, pair) * delta, 1.0)
+
+
+def _gaps(q, cap: int, rng):
+    """Steps to each path's next collision, Geometric(q), q the paths'
+    ``_step_probability``, capped at ``cap``: a NaN rate collides at once (its
+    partner draw raises PartnerNotConverged); a rate of 0, which rng.geometric
+    refuses, and tiny ones, whose gaps reach 2^63 - 1 and would wrap k + gap,
+    take the cap."""
+    gap = np.full(q.size, cap)
     gap[q > 0] = np.minimum(rng.geometric(q[q > 0]), cap)
     return gap
 
@@ -279,16 +285,21 @@ def _collisions(p, gas, pair, delta, n_steps, rng, gas_flight_window):
         raise ValueError("gas_flight_window must be >= 0")
     flight = gas_flight_window * delta
     k, hit, start = np.zeros(p.size, dtype=int), np.zeros(0, dtype=int), 0
+    fresh, at = np.zeros(0), 0      # step probabilities of paths at, at + 1, ...
     while hit.size or start < p.size:
-        new = np.arange(start, min(start + _BLOCK - hit.size, p.size))
-        start += new.size
-        k[new] = _gaps(p[new], gas, pair, delta, n_steps + 1, rng)
-        hit = np.concatenate([hit, new[k[new] <= n_steps]])
+        end = min(start + _BLOCK - hit.size, p.size)
+        if end > start:
+            if end > at + fresh.size:
+                fresh, at = _step_probability(p[start:start + _BLOCK], gas, pair, delta), start
+            new = np.arange(start, end)
+            k[new] = _gaps(fresh[start - at:end - at], n_steps + 1, rng)
+            hit = np.concatenate([hit, new[k[new] <= n_steps]])
+            start = end
         if hit.size:
             p_g = sample_collision_partner(p[hit], gas, pair, rng)
             eta = rng.uniform(-flight, flight, hit.size) if flight else np.zeros(hit.size)
             yield hit, k[hit], eta, p_g
-            k[hit] += _gaps(p[hit], gas, pair, delta, n_steps + 1, rng)
+            k[hit] += _gaps(_step_probability(p[hit], gas, pair, delta), n_steps + 1, rng)
             hit = hit[k[hit] <= n_steps]
 
 

@@ -324,25 +324,32 @@ def test_malformed_ini_is_a_config_error(text, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_import_loads_neither_scipy_linalg_nor_fft():
-    # a fresh interpreter: importing the CLI adds neither scipy.linalg nor
-    # scipy.fft to what scipy.special, which the CLI needs, loads itself
-    # (scipy.special imports scipy.linalg before scipy 1.17); the grid oracle
-    # loads scipy.fft when it first transforms
+def test_runs_without_scipy():
+    # a fresh interpreter in which scipy cannot be imported: every qbm1d
+    # module imports, and the grid oracle, the collision channel and the
+    # trajectory ensemble run; scipy is an oracle of the tests alone
     code = """
-import sys
-import scipy.special
-before = set(sys.modules)
-import qbm1d.cli
-from qbm1d import exact_collision as ec, grid_oracle
+import importlib, pkgutil, sys
+sys.modules["scipy"] = None
+import numpy as np
+import qbm1d
+for mod in pkgutil.iter_modules(qbm1d.__path__):
+    importlib.import_module("qbm1d." + mod.name)
+from qbm1d import channel, exact_collision as ec, grid_oracle, trajectories
 from qbm1d.packets import CollisionPair
-added = {"scipy.linalg", "scipy.fft"} & (set(sys.modules) - before)
-assert not added, added
+from qbm1d.thermal import ThermalGasSpec
 pair = CollisionPair.matched(1.0, 0.3, 1.0)
 init = ec.com_condition(pair, 3.0, -1.0)
 state = grid_oracle.discretize(pair, init, grid_oracle.default_grid(pair, init, 256))
-grid_oracle.propagate(state, pair, 1.0)
-assert "scipy.fft" in sys.modules
+assert abs(grid_oracle.propagate(state, pair, 1.0).norm() - state.norm()) < 1e-12
+grid = channel.SpatialGrid(n=192, length=24.0)
+psi = channel.grid_packet(grid, pair.brownian_packet(1.0, 0.5))
+rho = channel.OperatorGrid(np.outer(psi, psi.conj()), grid)
+assert abs(channel.apply_collision_channel(rho, pair, (-2.0, 1.5), t=0.5).trace() - 1) < 1e-3
+gas = ThermalGasSpec(temperature=1.0, number_density=0.02, gas_mass=pair.gas_mass,
+                     packet_width=pair.gas_width)
+assert len(trajectories.run(np.zeros(100), np.zeros(100), gas, pair, 10.0, 2.5, seed=0)) == 5
+assert not any(name.split(".")[0] == "scipy" for name in sys.modules if sys.modules[name])
 """
     src = str(Path(cli.__file__).parents[1])
     result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},

@@ -563,7 +563,7 @@ class TestGaps:
         p = np.linspace(-3.0, 3.0, 101)
         delta = 1.0 / float(tr.collision_rate(0.0, gas, pair))   # the rate is least at 0
         np.testing.assert_array_equal(
-            tr._gaps(p, gas, pair, delta, 10, np.random.default_rng(0)), 1)
+            tr._gaps(tr._step_probability(p, gas, pair, delta), 10, np.random.default_rng(0)), 1)
         rounds = _Rounds(monkeypatch, delta)
         tr.step_ensemble(np.zeros_like(p), p.copy(), gas, pair, delta, np.random.default_rng(0))
         (hit, *_), = rounds.by_step(1)
@@ -576,7 +576,7 @@ class TestGaps:
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         np.testing.assert_array_equal(
-            tr._gaps(np.linspace(-1.0, 1.0, 5), gas, pair, 0.5, 41, rng), 41)
+            tr._gaps(tr._step_probability(np.linspace(-1.0, 1.0, 5), gas, pair, 0.5), 41, rng), 41)
         assert rng.bit_generator.state == state
 
     @pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
@@ -590,7 +590,7 @@ class TestGaps:
         q = tr.collision_rate(p, gas, pair) * 0.5
         assert np.all(np.random.default_rng(2).geometric(q) == np.iinfo(np.int64).max)
         np.testing.assert_array_equal(
-            tr._gaps(p, gas, pair, 0.5, 41, np.random.default_rng(2)), 41)
+            tr._gaps(tr._step_probability(p, gas, pair, 0.5), 41, np.random.default_rng(2)), 41)
         monkeypatch.setattr(tr, "sample_collision_partner", _no_step)
         x = np.random.default_rng(3).normal(0.0, 2.0, 500)
         series = tr.run(x, p, gas, pair, 20.0, 0.5, seed=4)
@@ -623,7 +623,7 @@ class TestGaps:
         empty = ThermalGasSpec(temperature=1.0, number_density=1e-300,
                                gas_mass=pair.gas_mass, packet_width=pair.gas_width)
         calls, gaps = [], tr._gaps
-        monkeypatch.setattr(tr, "_gaps", lambda p, *a: calls.append(p.size) or gaps(p, *a))
+        monkeypatch.setattr(tr, "_gaps", lambda q, *a: calls.append(q.size) or gaps(q, *a))
         monkeypatch.setattr(tr, "sample_collision_partner", _no_step)
         rounds = _Rounds(monkeypatch, 1.0)
         ts, msd = tr.excess_position_msd(tr._BLOCK + 1, empty, pair, 1.0, 1e6, seed=0)
@@ -634,6 +634,19 @@ class TestGaps:
         tr.excess_position_msd(100, gas, pair, 0.5, 5000.0, seed=0)
         per_path = np.bincount(np.concatenate([r[0] for r in rounds.rounds]), minlength=100)
         assert len(rounds.rounds) - 1 == per_path.max() and per_path.sum() > 10**4
+
+
+    @pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
+    def test_rate_evaluations_take_at_most_a_block(self, gas, pair, monkeypatch):
+        # the paths not yet in the pool have their rates evaluated a block at
+        # a time, each round's hits once; no evaluation exceeds _BLOCK paths
+        sizes, rate = [], tr.collision_rate
+        monkeypatch.setattr(tr, "collision_rate",
+                            lambda p, *a: sizes.append(np.size(p)) or rate(p, *a))
+        n = 2 * tr._BLOCK + 100
+        p = np.random.default_rng(0).normal(0.0, 1.0, n)
+        tr.run(np.zeros(n), p, gas, pair, 20.0, 0.5, seed=0)
+        assert max(sizes) == tr._BLOCK and sum(sizes) > n
 
 
 class TestThinnedDraw:
