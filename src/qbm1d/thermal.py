@@ -15,7 +15,8 @@ the sigma_g-independent Maxwell-Boltzmann law at T:
 
 The mixture is homogeneous: every physical rate depends on the packet
 centres only through the number density n_g, so no normalization length
-enters.
+enters.  The mean relative speed is a folded normal mean, closed form in
+erf (``_special.erf``, Cephes' algorithm in numpy).
 """
 
 from __future__ import annotations

@@ -97,6 +97,11 @@ class TestWofz:
                                      * mpmath.erfc(-1j * mpmath.mpc(v))) for v in z])
         assert np.max(np.abs(_special.wofz(z) - want) / np.abs(want)) <= 2e-15
 
+    def test_value_does_not_depend_on_the_batch(self):
+        z = np.random.default_rng(2).choice(_upper_half_plane(61, 73), 1000)
+        parts = [_special.wofz(z[i:i + 7]) for i in range(0, z.size, 7)]
+        assert _special.wofz(z).tobytes() == np.concatenate(parts).tobytes()
+
     def test_shapes(self):
         z = np.array([[0.5 + 0.5j, 2.0], [0.0, 30j]])
         assert _special.wofz(z).shape == (2, 2)
