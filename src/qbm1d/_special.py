@@ -5,9 +5,8 @@ within the rounding of exp.  ``wofz`` is the Faddeeva function w(z) =
 exp(-z^2) erfc(-iz) in the closed upper half-plane, by Weideman's N = 48
 rational series (J. A. C. Weideman, SIAM J. Numer. Anal. 31, 1497 (1994)).
 ``dst1`` is scipy.fft's unnormalized type-I DST, an FFT of the odd extension.
-Each element is computed by the same operations whatever array it is in,
-so no value depends on the batch.  A call costs some tens of numpy
-operations whatever its size, so few calls of many points are cheapest.
+No value depends on the array it is computed in.  A call costs some tens of
+numpy operations whatever its size, so few calls of many points are cheapest.
 """
 
 from __future__ import annotations
@@ -104,9 +103,7 @@ def wofz(z):
 
 
 def dst1(x):
-    """Type-I DST along the last axis, y_k = 2 sum_j x_j sin(pi (j+1)(k+1)/(n+1)),
-    from the FFT of the odd extension of length 2(n+1); dst1(dst1(x)) = 2(n+1) x."""
-    n = x.shape[-1]
-    zero = np.zeros(x.shape[:-1] + (1,), dtype=x.dtype)
-    ext = np.concatenate([zero, x, zero, -x[..., ::-1]], axis=-1)
-    return 1j * np.fft.fft(ext)[..., 1:n + 1]
+    """Type-I DST of a vector, y_k = 2 sum_j x_j sin(pi (j+1)(k+1)/(n+1)), from
+    the FFT of its odd extension of length 2(n+1); dst1(dst1(x)) = 2(n+1) x."""
+    ext = np.concatenate([[0.0], x, [0.0], -x[::-1]])
+    return 1j * np.fft.fft(ext)[1:x.size + 1]
