@@ -166,8 +166,8 @@ def _halfline_upper(A, B, c, extra_log, full_log=None):
     is within 2e-15 of it relative.  Vectorized and broadcast, so stacked
     terms take one call: each element takes the branch that cannot
     overflow; where Re z < 0 the complementary branch routes the growth
-    through the full-line value exp(full_log = B^2/4A + extra_log), and its
-    difference full - tail carries w's relative error times full / tail.
+    through the full-line value exp(full_log = B^2/4A + extra_log), and the
+    difference full - tail carries w's relative error times |tail / (full - tail)|.
     """
     sqA = np.sqrt(A)
     z = (2 * A * c - B) / (2 * sqA)

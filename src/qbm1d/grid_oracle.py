@@ -175,7 +175,7 @@ def propagate(state: GridWavefunction, pair: CollisionPair, t: float) -> GridWav
     kR, kappa = state._wavenumbers()
     h = -0.5j * pair.hbar * t
     chi = np.fft.ifft(np.fft.fft(state.chi) * np.exp(h * kR**2 / pair.total_mass))
-    phi = dst1(dst1(state.phi) * np.exp(h * kappa**2 / pair.reduced_mass)) / (2 * (state.r.size + 1))
+    phi = dst1(dst1(state.phi) * np.exp(h * kappa**2 / pair.reduced_mass)) / (2 * kappa.size + 2)
     return GridWavefunction(chi=chi, phi=phi, R=state.R, r=state.r, t=state.t + t)
 
 

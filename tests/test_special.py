@@ -73,6 +73,7 @@ class TestWofz:
     def test_matches_scipy_at_the_arguments_fig1_and_collide_reach(self, tmp_path, monkeypatch):
         args = []
         monkeypatch.setattr(ec, "wofz", lambda z: args.append(np.ravel(z)) or _special.wofz(z))
+        # fig1 at its defaults; collide, which needs its labels, at CI's config
         (tmp_path / "fig1.ini").write_text("[scenario]\n")
         (tmp_path / "collide.ini").write_text(
             "[scenario]\nalpha = 0.7\nsigma = 1.0\nx = 3.0\np = -1.0\n"
