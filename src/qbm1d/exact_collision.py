@@ -20,10 +20,11 @@ with s_t = sigma^2 + i hbar t/m and D = 0 for d <= 0.  The u integral is a
 plain Gaussian; every term left in d is a polynomial times exp(-A d^2 + B d)
 on the half line with one A = alpha kappa/(1+alpha), kappa = Re(1/s_t).  So
 one kernel, ``_halfline`` (the n = 0, 1 half-line moments via the Faddeeva
-function), gives the norm, the mean position and momenta and the overlap
-with the outgoing product state in closed form.  Prefactor logarithms are
-folded into its exponent, which keeps it finite at separations of many
-widths.  The position marginal is a sum of four complementary error
+function), gives the norm and the mean position and momenta in closed
+form.  The outgoing product state is D's image term on the whole line, so
+its overlap with psi is two of the norm's four terms.  Prefactor logarithms
+are folded into the kernel's exponent, which keeps it finite at separations
+of many widths.  The position marginal is a sum of four complementary error
 functions in x_g'.  The momentum marginal is a Gaussian smoothing of |D~|^2,
 D~ the transform of D (two more half-line terms) over the momentum q
 conjugate to d, by one composite Gauss-Legendre rule in q that all p'
@@ -57,7 +58,7 @@ import numpy as np
 
 from ._special import wofz
 from .errors import ZeroRelativeMomentum
-from .packets import CollisionPair, EvolvedPacket
+from .packets import CollisionPair
 # unused here; the benchmark's tracer patches this binding too
 # (perfbench/layers.py), and its traced runs raise KeyError without it
 from .thermal import mean_relative_speed  # noqa: F401
@@ -192,8 +193,9 @@ def _halfline(A, B, extra_log):
 def _factorized(pair: CollisionPair, init: COMInitialCondition, t: float):
     """Pieces of psi = C U(u) D(d) at time t.
 
-    Returns (st, G, log C, A, log integral |U|^2 du, X, log pref) with A =
-    alpha kappa / (1+alpha) the rate of the Gaussian exp(-A d^2) in |D|^2,
+    Returns (st, G, log C, A, log integral |U|^2 du, a_d, X, log pref) with
+    a_d = alpha / (2 (1+alpha) st) the rate of the Gaussian exp(-a_d d^2) in
+    D, A = 2 Re a_d = alpha kappa / (1+alpha) that of exp(-A d^2) in |D|^2,
     kappa = Re(1/st), and X and pref as ``_core`` gives them.
     """
     a = pair.alpha
@@ -201,14 +203,14 @@ def _factorized(pair: CollisionPair, init: COMInitialCondition, t: float):
     kappa = pair.brownian_width**2 / abs(st) ** 2
     log_pref = np.log(pref)
     return (st, G, log_pref + m0, a * kappa / (1 + a),
-            0.5 * np.log(np.pi / ((1 + a) * kappa)), X, log_pref)
+            0.5 * np.log(np.pi / ((1 + a) * kappa)), a / (2 * (1 + a) * st), X, log_pref)
 
 
 def _density_moments(pair: CollisionPair, init: COMInitialCondition, t: float):
-    """I0 and I1 of each term of |psi|^2 after the u integral, and (st, G)."""
-    st, G, log_c, A, log_u, *_ = _factorized(pair, init, t)
+    """I0 and I1 of each term of |psi|^2 after the u integral, and (a_d, G)."""
+    _, G, log_c, A, log_u, a_d, *_ = _factorized(pair, init, t)
     i0, i1 = _halfline(A, _exponents(G), 2 * np.real(log_c) + log_u)
-    return st, G, i0, i1
+    return a_d, G, i0, i1
 
 
 def two_particle_norm(pair: CollisionPair, init: COMInitialCondition, t: float) -> float:
@@ -223,9 +225,8 @@ def brownian_momentum_mean(pair: CollisionPair, init: COMInitialCondition, t: fl
     d/dx' = d/du / (1+alpha) + d/dd; the u part vanishes because |U|^2 is
     even, and D* dD/dd is a sum of the same half-line terms.
     """
-    st, G, i0, i1 = _density_moments(pair, init, t)
-    q = pair.alpha / (2 * (1 + pair.alpha) * st)
-    return pair.hbar * float(np.imag(G * (_FLUX_SIGNS @ i0) - 2 * q * (_SIGNS @ i1)))
+    a_d, G, i0, i1 = _density_moments(pair, init, t)
+    return pair.hbar * float(np.imag(G * (_FLUX_SIGNS @ i0) - 2 * a_d * (_SIGNS @ i1)))
 
 
 def outgoing_fidelity(pair: CollisionPair, init: COMInitialCondition, t: float) -> float:
@@ -233,19 +234,16 @@ def outgoing_fidelity(pair: CollisionPair, init: COMInitialCondition, t: float) 
 
     The target is the freely evolving product of packets with labels
     (-x_g, -p_g) and (-x, -p): the outgoing state of a completed collision.
-    Its quadratic form equals that of psi and, in the COM frame, it has no
-    linear term in u, so the overlap is the u integral times half-line
-    integrals in d.  Raises ValueError for t < 0, as EvolvedPacket does.
+    It is, up to sign, the image term of psi, C U(u) e^{-dG} exp(-a_d d^2),
+    taken on the whole line, so the overlap is the image term's overlap with
+    psi on d > 0: the direct-image cross term of |psi|^2 minus the image
+    term's own weight, terms 2 and 1 of ``_density_moments``.  Raises
+    ValueError for t < 0.
     """
-    _, G, log_c, A, log_u, *_ = _factorized(pair, init, t)
-    x_g, p_g = init.gas_label(pair)
-    _, b_g, c_g = EvolvedPacket(pair.gas_packet(-x_g, -p_g), t).quadratic_form()
-    _, b_b, c_b = EvolvedPacket(pair.brownian_packet(-init.x, -init.p), t).quadratic_form()
-    a = pair.alpha
-    b_d = np.conj(a * b_b - b_g) / (1 + a)
-    i0, _ = _halfline(A, np.array([b_d + G, b_d - G]),
-                      np.conj(c_b + c_g) + log_c + log_u)
-    return float(abs(i0[0] - i0[1]) ** 2)
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    _, _, i0, _ = _density_moments(pair, init, t)
+    return float(abs(i0[2] - i0[1]) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -326,11 +324,11 @@ def momentum_marginal(pair: CollisionPair, init: COMInitialCondition, t: float, 
     then caps the spacing.  Vectorized over ``p_prime``; returns a float for
     a scalar.  ``return_nodes`` also returns the number of q nodes evaluated.
     """
-    st, G, log_c, A, _, X, log_pref = _factorized(pair, init, t)
+    st, G, log_c, A, _, a_d, X, log_pref = _factorized(pair, init, t)
     ps = np.asarray(p_prime, dtype=float)
     flat = ps.ravel()
     g, q, w, start, width = _q_rule(pair, G, A, flat)
-    a_d, k = pair.alpha / (2 * (1 + pair.alpha) * st), q / pair.hbar
+    k = q / pair.hbar
     # full-line exponents in closed form: B^2/4A + log C sums two parts of
     # ~(1+alpha) x^2/(2 alpha sigma^2) each that cancel
     full = log_pref + (1 + pair.alpha) / (2 * pair.alpha) * (
@@ -420,8 +418,3 @@ class LabFrameCollision:
         return momentum_marginal(self.pair, self.com_init, t,
                                  self.reflection * (np.asarray(p_prime, dtype=float) - shift),
                                  return_nodes)
-
-    def brownian_momentum_mean(self, t: float) -> float:
-        s = self.reflection
-        return (self.pair.brownian_mass * self.boost_velocity
-                + s * brownian_momentum_mean(self.pair, self.com_init, t))

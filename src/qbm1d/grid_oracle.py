@@ -104,39 +104,43 @@ class GridWavefunction:
                      * self.dR * self.dr)
 
 
+def _factors(pair: CollisionPair, init: COMInitialCondition, t: float):
+    """(centre, width) of the R and of the r factor, freely spread to time t:
+    a width w, of an amplitude exp(-(y - c)^2 / 2 w^2) as of a packet, grows
+    to w sqrt(1 + (hbar t / (M w^2))^2), M the total or the reduced mass.  R
+    is centred at the COM frame's 0; r0 + v_rel t bounds the centres of phi's terms."""
+    s = pair.brownian_width
+    x_g, p_g = init.gas_label(pair)
+    v_rel = abs(init.p / pair.brownian_mass - p_g / pair.gas_mass)
+    return [(c, w * math.sqrt(1 + (pair.hbar * t / (M * w**2)) ** 2))
+            for c, w, M in ((0.0, s / math.sqrt(1 + pair.alpha), pair.total_mass),
+                            (init.x - x_g + v_rel * t, math.hypot(s, pair.gas_width),
+                             pair.reduced_mass))]
+
+
 def default_grid(pair: CollisionPair, init: COMInitialCondition, n: int,
                  t_max: float = 0.0) -> GridParams:
-    """Extents wide enough for the initial supports plus drift to t_max."""
-    a = pair.alpha
-    x_g, p_g = init.gas_label(pair)
-    s_r = np.sqrt((pair.brownian_width**2 + pair.gas_width**2) / 2)
-    s_R = pair.brownian_width / np.sqrt(2 * (1 + a))
-    r0 = init.x - x_g
-    v_rel = abs(init.p / pair.brownian_mass - p_g / pair.gas_mass)
-    drift = v_rel * t_max
-    spread = pair.hbar * t_max / (pair.reduced_mass * 2 * s_r) if t_max else 0.0
-    r_len = r0 + max(drift, 0.0) + 12 * (s_r + spread) + 10.0
-    R_half = 12 * s_R + abs(init.x + x_g) + 10.0
+    """An n x n grid whose R half-width and r length are each the factor's
+    centre plus 12 of its widths plus 10, at t_max (``_factors``)."""
+    R_half, r_len = (c + 12 * w + 10.0 for c, w in _factors(pair, init, t_max))
     return GridParams(n_R=n, n_r=n, R_halfwidth=R_half, r_length=r_len)
 
 
 def _validate(pair: CollisionPair, init: COMInitialCondition, params: GridParams):
-    a, hb, s = pair.alpha, pair.hbar, pair.brownian_width
+    a, hb = pair.alpha, pair.hbar
     x_g, p_g = init.gas_label(pair)
-    # relative and total momentum content: mean and std of each
-    for name, step, p_name, mean, std in (
-            ("dr", params.dr, "p_max", (a * init.p - p_g) / (1 + a),
-             hb * np.sqrt(a / (2 * (1 + a))) / s),
-            ("dR", params.dR, "P_max", init.p + p_g, hb * np.sqrt(1 + a) / (s * np.sqrt(2)))):
-        limit = np.pi * hb / (4 * (abs(mean) + 5 * std))
+    (R0, w_R), (r0, w_r) = _factors(pair, init, 0.0)
+    # relative and total momentum content: mean and std hbar / (sqrt(2) w) of each
+    for name, step, p_name, mean, w in (
+            ("dr", params.dr, "p_max", (a * init.p - p_g) / (1 + a), w_r),
+            ("dR", params.dR, "P_max", init.p + p_g, w_R)):
+        limit = np.pi * hb / (4 * (abs(mean) + 5 * hb / (np.sqrt(2) * w)))
         if step >= limit:
             raise GridTooCoarse(f"{name} = {step:.4g} >= pi*hbar/(4 {p_name}) = {limit:.4g}")
     # tail mass beyond the r box and both R edges; the mirrored state has none behind the wall
-    r0, s_r = init.x - x_g, np.sqrt((s**2 + pair.gas_width**2) / 2)
-    R0, s_R = (init.x + a * x_g) / (1 + a), s / np.sqrt(2 * (1 + a))
-    mass = 0.5 * (math.erfc((params.r_length - r0) / (np.sqrt(2) * s_r))
-                  + math.erfc((params.R_halfwidth - R0) / (np.sqrt(2) * s_R))
-                  + math.erfc((params.R_halfwidth + R0) / (np.sqrt(2) * s_R)))
+    mass = 0.5 * (math.erfc((params.r_length - r0) / w_r)
+                  + math.erfc((params.R_halfwidth - R0) / w_R)
+                  + math.erfc((params.R_halfwidth + R0) / w_R))
     if mass > 1e-10:
         raise GridTooSmall(f"support truncation {mass:.3e} > 1e-10; enlarge extents")
 

@@ -387,11 +387,13 @@ def test_delta_scan_rare_fast_path_passes(tmp_path):
     assert summary["tolerance_failures"] == []
 
 
-@pytest.mark.parametrize("cfg", [{}, {"alpha": 0.02, "sigma": 8.0, "x": 30.0, "p": -1.0}],
-                         ids=["defaults", "190-widths-apart"])
+@pytest.mark.parametrize("cfg", [{}, {"alpha": 0.02, "sigma": 8.0, "x": 30.0, "p": -1.0},
+                                 {"alpha": 1.0, "sigma": 1.0, "x": 5.0, "p": -0.5}],
+                         ids=["defaults", "190-widths-apart", "spreading-R"])
 def test_oracle_verify_at_default_grids(cfg, tmp_path):
     # the far-apart closed form used to be NaN on every row, and the gate
-    # read the NaN as an error of 0
+    # read the NaN as an error of 0; at alpha = 1 the R factor spreads past
+    # a box that held only its initial width (finest-grid error 8.9e-2)
     ini = _write_ini(tmp_path / "oracle.ini", cfg)
     for name in ("first", "second"):
         assert cli.main(["oracle-verify", str(ini), "--out-dir", str(tmp_path / name)]) == 0

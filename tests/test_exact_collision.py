@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from qbm1d import exact_collision as ec, grid_oracle
 from qbm1d.errors import ZeroRelativeMomentum
@@ -332,13 +332,13 @@ class TestCOMRecord:
             ec.COMInitialCondition(x_g=-10.0 / 0.3, p_g=5.0, x=10.0, p=-2.0)
 
     def test_gas_label_readers_keep_their_values(self, pair, init, t_c):
-        # at the fig1 defaults, bit for bit the values of the record that
-        # stored (x_g, p_g) = (-x / alpha, -p) next to (x, p)
-        assert ec.outgoing_fidelity(pair, init, 3 * t_c) == 0.9999644196233486
+        # at the fig1 defaults, bit for bit: the ratios are those of the record
+        # that stored (x_g, p_g) = (-x / alpha, -p) next to (x, p)
+        assert ec.outgoing_fidelity(pair, init, 3 * t_c) == 0.9999644196233448
         assert ec.collision_ratios(pair, init) == {"overlap_ratio": 5.204164998665332,
                                                    "momentum_ratio": 16.653327995729065}
         grid = grid_oracle.default_grid(pair, init, 1024, t_max=3 * t_c)
-        assert (grid.R_halfwidth, grid.r_length) == (63.10166963474336, 230.6415071945789)
+        assert (grid.R_halfwidth, grid.r_length) == (57.248555909180524, 236.1301864149656)
 
 
 class TestPositionMarginal:
@@ -517,6 +517,19 @@ class TestOutgoingFidelity:
         vals = [ec.outgoing_fidelity(pair, init, float(t)) for t in ts]
         assert all(b >= a - 1e-6 for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("alpha,sigma,x,p", [(0.3, 1.0, 60.0, -1.0), (3.0, 1.0, 40.0, -1.0),
+                                                 (0.3, 2.0, 40.0, -0.3), (1.0, 1.0, 50.0, -0.5)])
+    def test_completed_collision_limit(self, alpha, sigma, x, p):
+        # long after the meeting the image term holds the approaching half of
+        # the incoming relative momentum, of weight 1 - Phi(-r), r = sqrt(2)
+        # momentum_ratio; the direct term's receding half interferes with it
+        # by a term that falls as 1/d0^2 (3e-6 to 4e-5 here)
+        pair = CollisionPair.matched(1.0, alpha, sigma)
+        init = ec.com_condition(pair, x, p)
+        r = np.sqrt(2) * ec.collision_ratios(pair, init)["momentum_ratio"]
+        assert ec.outgoing_fidelity(pair, init, 1e4 * abs(x / p)) == pytest.approx(
+            (1 - special.ndtr(-r)) ** 2, abs=1e-4)
+
 
 class TestClosedFormsAgainstGrid:
     # t = 5 is the contact time, where Re G = 0 and the interference terms of
@@ -560,10 +573,9 @@ class TestLargeSeparation:
 
 class TestLabFrame:
     def test_boosted_scenario_matches_com(self, pair, init):
-        # boost the canonical configuration by V and shift by X0; the marginal
-        # moments must transform as x -> X0 + V t + x_com, p -> m V + p_com
+        # boost the canonical configuration by V and shift by X0; the marginals
+        # must transform as x -> X0 + V t + x_com, p -> m V + p_com
         V, X0 = 0.7, 3.0
-        M = pair.total_mass
         x_g, p_g = init.gas_label(pair)
         lab = ec.LabFrameCollision(
             pair,
@@ -574,10 +586,12 @@ class TestLabFrame:
         ci = lab.com_init
         assert ci.x == pytest.approx(init.x, rel=1e-12)
         assert ci.p == pytest.approx(init.p, rel=1e-12)
+        xs, ps = np.linspace(-20.0, 20.0, 41), np.linspace(-3.0, 3.0, 25)
         for t in (0.0, 4.0):
-            com_mean_p = ec.brownian_momentum_mean(pair, init, t)
-            assert lab.brownian_momentum_mean(t) == pytest.approx(
-                pair.brownian_mass * V + com_mean_p, abs=1e-8)
+            np.testing.assert_allclose(lab.position_marginal(t, X0 + V * t + xs),
+                                       ec.position_marginal(pair, init, t, xs), atol=1e-12)
+            np.testing.assert_allclose(lab.momentum_marginal(t, pair.brownian_mass * V + ps),
+                                       ec.momentum_marginal(pair, init, t, ps), atol=1e-12)
 
     def test_reflected_scenario(self, pair, init):
         # gas on the right moving left: the mirror image of the canonical case
@@ -604,7 +618,7 @@ class TestLabFrame:
 
     def test_com_condition_built_once(self, pair, init, t_c, monkeypatch):
         # com_condition makes the COM record once, at construction, and every
-        # marginal and mean at every time reuses it
+        # marginal at every time reuses it
         calls, com_condition = [], ec.com_condition
 
         def spy(*args):
@@ -618,7 +632,6 @@ class TestLabFrame:
         for t in (0.0, t_c, 3 * t_c):
             lab.position_marginal(t, [-10.0, 0.0])
             lab.momentum_marginal(t, [-2.0, 2.0])
-            lab.brownian_momentum_mean(t)
         assert len(calls) == 1
         assert lab.com_init == init
 

@@ -175,7 +175,7 @@ class TestCompareToAnalytic:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_matches_full_grid_route(self, case, n_R, n_r, units):
         # oracle-verify's extents; n = 96 aliases the fixture in r (error
-        # 1.41), n_R = 32 under-resolves R (errors 2e-3 to 0.1)
+        # 1.41), n_R = 32 under-resolves R (errors 8e-4 to 0.3)
         pair, init, t_c = _case(case)
         box = go.default_grid(pair, init, n_r, t_max=3 * t_c)
         params = go.GridParams(n_R, n_r, box.R_halfwidth, box.r_length)
