@@ -16,19 +16,17 @@ and the Jacobian is 1:
     psi = C U(u) D(d),   U = exp(-(1+alpha) u^2 / 2 s_t),
     D = exp(-alpha d^2 / 2 (1+alpha) s_t) (e^{dG} - e^{-dG})  for d > 0,
 
-with s_t = sigma^2 + i hbar t/m and D = 0 for d <= 0.  The u integral is a
-plain Gaussian; every term left in d is a polynomial times exp(-A d^2 + B d)
-on the half line with one A = alpha kappa/(1+alpha), kappa = Re(1/s_t).  So
-one kernel, ``_halfline`` (the n = 0, 1 half-line moments via the Faddeeva
-function), gives the norm and the mean position and momenta in closed
-form.  The outgoing product state is D's image term on the whole line, so
-its overlap with psi is two of the norm's four terms.  Prefactor logarithms
-are folded into the kernel's exponent, which keeps it finite at separations
-of many widths.  The position marginal is a sum of four complementary error
-functions in x_g'.  The momentum marginal is a Gaussian smoothing of |D~|^2,
-D~ the transform of D (two more half-line terms) over the momentum q
-conjugate to d, by one composite Gauss-Legendre rule in q that all p'
-share; the transform of U only contributes the time-independent Gaussian.
+with s_t = sigma^2 + i hbar t/m and D = 0 for d <= 0.  |psi|^2 is four
+Gaussian terms cut at the wall: the free direct and image product states,
+of whole-plane weight 1, and their cross terms, of weight ov = <image|direct>,
+constant in t.  Each term is its weight times its share on the physical
+side, one kernel, ``_halfline_upper`` (via the Faddeeva function), so the
+norm, <p>, the position marginal and the outgoing fidelity (the outgoing
+product state is D's image term on the whole line) are closed forms, exact
+at separations of many widths.  The momentum marginal is a Gaussian
+smoothing of |D~|^2, D~ the transform of D (two more half-line terms) over
+the momentum q conjugate to d, by one composite Gauss-Legendre rule in q
+that all p' share; the transform of U only contributes a fixed Gaussian.
 
 Conventions
 -----------
@@ -159,63 +157,56 @@ def _exponents(G):
     return np.array([2 * G.real, -2 * G.real, 2j * G.imag, -2j * G.imag])
 
 
-def _halfline_upper(A, B, c, extra_log, full_log=None):
+def _halfline_upper(A, B, c, extra_log, full_log):
     """exp(extra_log) * integral_c^inf exp(-A u^2 + B u) du, stable form.
 
     Uses erfc(z) = exp(-z^2) w(iz), w the Faddeeva function, called only in
     the closed upper half-plane, where ``_special.wofz`` (Weideman's series)
     is within 2e-15 of it relative.  Vectorized and broadcast, so stacked
     terms take one call: each element takes the branch that cannot
-    overflow; where Re z < 0 the complementary branch routes the growth
-    through the full-line value exp(full_log = B^2/4A + extra_log), and the
-    difference full - tail carries w's relative error times |tail / (full - tail)|.
+    overflow; where Re z < 0 the complementary branch subtracts the tail
+    below c from the whole-line value sqrt(pi/A) exp(full_log), which each
+    caller forms in closed form (never as B^2/4A + extra_log, two parts that
+    cancel for packets far apart), and carries w's error times
+    |tail / (full - tail)|.
     """
     sqA = np.sqrt(A)
     z = (2 * A * c - B) / (2 * sqA)
     upper = np.real(z) >= 0
     tail = (0.5 * np.sqrt(np.pi / A) * np.exp(-A * c**2 + B * c + extra_log)
             * wofz(1j * np.where(upper, z, -z)))
-    full_log = B**2 / (4 * A) + extra_log if full_log is None else full_log
     full = np.sqrt(np.pi / A) * np.exp(np.where(upper, -np.inf, full_log))
     return np.where(upper, tail, full - tail)
 
 
-def _halfline(A, B, extra_log):
-    """exp(extra_log) * integral_0^inf d^n exp(-A d^2 + B d) dd for n = 0, 1.
-
-    The n = 1 integral follows from integrating the derivative of the
-    integrand: 2A I1 = exp(extra_log) + B I0.
-    """
-    i0 = _halfline_upper(A, B, 0.0, extra_log)
-    return i0, (np.exp(extra_log) + B * i0) / (2 * A)
-
-
 def _factorized(pair: CollisionPair, init: COMInitialCondition, t: float):
-    """Pieces of psi = C U(u) D(d) at time t.
-
-    Returns (st, G, log C, A, log integral |U|^2 du, a_d, X, log pref) with
-    a_d = alpha / (2 (1+alpha) st) the rate of the Gaussian exp(-a_d d^2) in
-    D, A = 2 Re a_d = alpha kappa / (1+alpha) that of exp(-A d^2) in |D|^2,
-    kappa = Re(1/st), and X and pref as ``_core`` gives them.
-    """
-    a = pair.alpha
+    """Pieces of psi = C U(u) D(d) at time t: (st, G, log C, A, kappa,
+    log w, a_d, X, log pref).  a_d = alpha / (2 (1+alpha) st) is the rate of
+    exp(-a_d d^2) in D, A = 2 Re a_d that of |D|^2, kappa = Re(1/st), X and
+    pref are ``_core``'s, and w are the whole-plane weights (1, 1, ov, ov) of
+    the terms of |psi|^2, ov = exp(-(1+alpha) |X|^2 / (alpha sigma^2))."""
+    a, s = pair.alpha, pair.brownian_width
     st, X, G, pref, m0 = _core(pair, init, t)
-    kappa = pair.brownian_width**2 / abs(st) ** 2
+    kappa = s**2 / abs(st) ** 2
+    log_ov = -(1 + a) * abs(X) ** 2 / (a * s**2)
     log_pref = np.log(pref)
-    return (st, G, log_pref + m0, a * kappa / (1 + a),
-            0.5 * np.log(np.pi / ((1 + a) * kappa)), a / (2 * (1 + a) * st), X, log_pref)
+    return (st, G, log_pref + m0, a * kappa / (1 + a), kappa,
+            np.array([0.0, 0.0, log_ov, log_ov]), a / (2 * (1 + a) * st), X, log_pref)
 
 
 def _density_moments(pair: CollisionPair, init: COMInitialCondition, t: float):
-    """I0 and I1 of each term of |psi|^2 after the u integral, and (a_d, G)."""
-    _, G, log_c, A, log_u, a_d, *_ = _factorized(pair, init, t)
-    i0, i1 = _halfline(A, _exponents(G), 2 * np.real(log_c) + log_u)
-    return a_d, G, i0, i1
+    """(a_d, G, A, B, I0): after the u integral term k of |psi|^2 is a
+    multiple of exp(-A d^2 + B_k d) whose whole-line integral is w_k, and
+    I0_k is its integral over d > 0."""
+    _, G, log_c, A, kappa, log_w, a_d, *_ = _factorized(pair, init, t)
+    B = _exponents(G)
+    extra = 2 * np.real(log_c) + 0.5 * np.log(np.pi / ((1 + pair.alpha) * kappa))
+    return a_d, G, A, B, _halfline_upper(A, B, 0.0, extra, log_w - 0.5 * np.log(np.pi / A))
 
 
 def two_particle_norm(pair: CollisionPair, init: COMInitialCondition, t: float) -> float:
     """Two-particle norm integral of |psi(t)|^2, in closed form."""
-    _, _, i0, _ = _density_moments(pair, init, t)
+    *_, i0 = _density_moments(pair, init, t)
     return float(np.real(_SIGNS @ i0))
 
 
@@ -223,10 +214,12 @@ def brownian_momentum_mean(pair: CollisionPair, init: COMInitialCondition, t: fl
     """<p_hat> of the Brownian particle at time t (exact expectation).
 
     d/dx' = d/du / (1+alpha) + d/dd; the u part vanishes because |U|^2 is
-    even, and D* dD/dd is a sum of the same half-line terms.
+    even, and D* dD/dd is a sum of the same half-line terms and their first
+    moments I1_k.  Since 2A I1_k = e^{extra} + B_k I0_k and the signs sum to
+    0, sum_k s_k I1_k = sum_k s_k B_k I0_k / 2A.
     """
-    a_d, G, i0, i1 = _density_moments(pair, init, t)
-    return pair.hbar * float(np.imag(G * (_FLUX_SIGNS @ i0) - 2 * a_d * (_SIGNS @ i1)))
+    a_d, G, A, B, i0 = _density_moments(pair, init, t)
+    return pair.hbar * float(np.imag(G * (_FLUX_SIGNS @ i0) - a_d / A * (_SIGNS * B) @ i0))
 
 
 def outgoing_fidelity(pair: CollisionPair, init: COMInitialCondition, t: float) -> float:
@@ -242,7 +235,7 @@ def outgoing_fidelity(pair: CollisionPair, init: COMInitialCondition, t: float) 
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    _, _, i0, _ = _density_moments(pair, init, t)
+    *_, i0 = _density_moments(pair, init, t)
     return float(abs(i0[2] - i0[1]) ** 2)
 
 
@@ -254,17 +247,20 @@ def position_marginal(pair: CollisionPair, init: COMInitialCondition, t: float, 
     """Brownian position density p(t, x') = integral dx_g' |psi|^2, closed form.
 
     Each term of |psi|^2 is a Gaussian in x_g' cut at the wall x_g' < x', so
-    the density is a sum of four complementary error functions.  Vectorized
-    over ``x_prime``; returns a float for a scalar.
+    the density is a sum of four complementary error functions.  On the
+    whole line term k is w_k sqrt(kappa/pi) exp(-kappa (x' - beta_k/2kappa)^2):
+    the free direct packet at Re G / kappa = x + p t / m, its image, and the
+    cross terms at +-i Im G / kappa.  Vectorized over ``x_prime``; returns a
+    float for a scalar.
     """
-    st, _, G, pref, m0 = _core(pair, init, t)
-    kappa = pair.brownian_width**2 / abs(st) ** 2
-    xb = np.asarray(x_prime, dtype=float)
-    base = 2 * np.log(abs(pref)) + 2 * np.real(m0) - kappa * xb**2
+    _, G, log_c, _, kappa, log_w, *_ = _factorized(pair, init, t)
+    xb, beta = np.asarray(x_prime, dtype=float)[..., None], _exponents(G)
     # term k is exp(beta_k (x' - x_g')) over x_g' < x'; substitute v = -x_g' > -x'
-    beta = _exponents(G).reshape((4,) + (1,) * xb.ndim)
-    terms = _halfline_upper(pair.alpha * kappa, beta, -xb, base + beta * xb)
-    out = np.real(sum(sign * term for sign, term in zip(_SIGNS, terms)))
+    full = (log_w + np.log(kappa * np.sqrt(pair.alpha) / np.pi)
+            - kappa * (xb - beta / (2 * kappa)) ** 2)
+    terms = _halfline_upper(pair.alpha * kappa, beta, -xb,
+                            2 * np.real(log_c) - kappa * xb**2 + beta * xb, full)
+    out = np.real(terms @ _SIGNS)
     return float(out) if out.ndim == 0 else out
 
 
@@ -324,7 +320,7 @@ def momentum_marginal(pair: CollisionPair, init: COMInitialCondition, t: float, 
     then caps the spacing.  Vectorized over ``p_prime``; returns a float for
     a scalar.  ``return_nodes`` also returns the number of q nodes evaluated.
     """
-    st, G, log_c, A, _, a_d, X, log_pref = _factorized(pair, init, t)
+    st, G, log_c, A, _, _, a_d, X, log_pref = _factorized(pair, init, t)
     ps = np.asarray(p_prime, dtype=float)
     flat = ps.ravel()
     g, q, w, start, width = _q_rule(pair, G, A, flat)
@@ -354,13 +350,16 @@ momentum_marginal_profile = momentum_marginal  # former name; the benchmark's tr
 # ---------------------------------------------------------------------------
 
 def collision_ratios(pair: CollisionPair, init: COMInitialCondition) -> dict:
-    """overlap_ratio, the initial separation over the combined widths, and
-    momentum_ratio, the relative momentum over its quantum uncertainty."""
+    """overlap_ratio, the initial separation over the combined widths;
+    momentum_ratio m, the relative momentum over its quantum uncertainty; and
+    label_map_error, the share Phi(-sqrt(2) m) = erfc(m)/2 of the incoming
+    relative momentum that points away from the wall and never collides,
+    as exp(-m^2) Re w(im) / 2, which does not round to 0 where 1 - erf(m) does."""
     widths = np.hypot(pair.gas_width, pair.brownian_width)
     x_g, p_g = init.gas_label(pair)
-    return {"overlap_ratio": abs(x_g - init.x) / float(widths),
-            "momentum_ratio": abs(p_g) * pair.gas_width
-            * float(np.sqrt(1 + pair.alpha)) / pair.hbar}
+    m = abs(p_g) * pair.gas_width * float(np.sqrt(1 + pair.alpha)) / pair.hbar
+    return {"overlap_ratio": abs(x_g - init.x) / float(widths), "momentum_ratio": m,
+            "label_map_error": 0.5 * math.exp(-m * m) * float(wofz(1j * m).real)}
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,7 @@ def test_fig1_and_collide_report_the_collision_ratios(tmp_path, monkeypatch):
         reported.append(json.loads((tmp_path / kind / "summary.json").read_text())["diagnostics"])
     assert len(calls) == 2 and calls[0] == calls[1]
     want = ratios(*calls[0])
-    assert set(want) == {"overlap_ratio", "momentum_ratio"}
+    assert set(want) == {"overlap_ratio", "momentum_ratio", "label_map_error"}
     for diagnostics in reported:
         assert {key: diagnostics[key] for key in want} == want
 

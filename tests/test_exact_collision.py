@@ -118,6 +118,12 @@ def _quad_position_marginal(pair, init, t, x_prime):
     return val
 
 
+def _halfline_upper(A, B, c, extra_log):
+    """``ec._halfline_upper`` with the generic whole-line exponent B^2/4A +
+    extra_log, independent of the closed-form weights the library passes."""
+    return ec._halfline_upper(A, B, c, extra_log, B**2 / (4 * A) + extra_log)
+
+
 def _quad_momentum_marginal(pair, init, t, p_prime):
     """Adaptive quadrature over the gas coordinate of |F(x_g', p')|^2, F the
     exact half-line transform of psi over x' > x_g'."""
@@ -132,8 +138,8 @@ def _quad_momentum_marginal(pair, init, t, p_prime):
 
     def F(xg):
         base = -a * xg**2 / (2 * st) + m0
-        plus = ec._halfline_upper(A, G - 1j * p_prime / hb, xg, base - G * xg)
-        minus = ec._halfline_upper(A, -G - 1j * p_prime / hb, xg, base + G * xg)
+        plus = _halfline_upper(A, G - 1j * p_prime / hb, xg, base - G * xg)
+        minus = _halfline_upper(A, -G - 1j * p_prime / hb, xg, base + G * xg)
         return pref * (plus - minus) / np.sqrt(2 * np.pi * hb)
 
     with warnings.catch_warnings():
@@ -191,8 +197,8 @@ def _xg_rule_momentum_marginal(pair, init, t, ps):
     rows = max(1, _BLOCK // xg.size)
     for i in range(0, ps.size, rows):
         k = 1j * ps[i:i + rows, None] / pair.hbar
-        F = (ec._halfline_upper(A, G - k, xg, base - G * xg)
-             - ec._halfline_upper(A, -G - k, xg, base + G * xg))
+        F = (_halfline_upper(A, G - k, xg, base - G * xg)
+             - _halfline_upper(A, -G - k, xg, base + G * xg))
         out[i:i + rows] = np.abs(F) ** 2 @ w
     return abs(pref) ** 2 / (2 * np.pi * pair.hbar) * out
 
@@ -208,10 +214,11 @@ def _gl_rule(lo, hi, panel, n=16):
 
 def _lab_position_mean(lab, t):
     """Closed-form lab-frame Brownian position mean at time t.  In the COM
-    frame <x'> = <u> + alpha <d>/(1 + alpha), and <u> = 0."""
-    _, _, _, i1 = ec._density_moments(lab.pair, lab.com_init, t)
+    frame <x'> = <u> + alpha <d>/(1 + alpha), and <u> = 0; <d> is the signed
+    sum of the terms' first moments, sum_k s_k B_k I0_k / 2A."""
+    _, _, A, B, i0 = ec._density_moments(lab.pair, lab.com_init, t)
     a = lab.pair.alpha
-    com_mean = a / (1 + a) * float(np.real(ec._SIGNS @ i1))
+    com_mean = a / (1 + a) * float(np.real((ec._SIGNS * B) @ i0)) / (2 * A)
     return lab.com_offset + lab.boost_velocity * t + lab.reflection * com_mean
 
 
@@ -220,6 +227,9 @@ def _lab_position_mean(lab, t):
 MOMENTUM_CONFIGS = [(0.3, 4.0, 10.0, -2.0), (0.7, 3.0, 6.0, -2.0),
                     (1.0, 2.0, 6.0, -2.0), (5.0, 1.0, 4.0, -1.0),
                     (0.02, 8.0, 30.0, -1.0), (0.3, 1.0, 60.0, -2.0)]
+# (alpha, sigma, x, p) of completed collisions at momentum ratios 0.7 to 2.1
+COMPLETED_CONFIGS = [(0.3, 1.0, 60.0, -1.0), (3.0, 1.0, 40.0, -1.0),
+                     (0.3, 2.0, 40.0, -0.3), (1.0, 1.0, 50.0, -0.5)]
 
 
 class TestCollisionTime:
@@ -334,9 +344,10 @@ class TestCOMRecord:
     def test_gas_label_readers_keep_their_values(self, pair, init, t_c):
         # at the fig1 defaults, bit for bit: the ratios are those of the record
         # that stored (x_g, p_g) = (-x / alpha, -p) next to (x, p)
-        assert ec.outgoing_fidelity(pair, init, 3 * t_c) == 0.9999644196233448
+        assert ec.outgoing_fidelity(pair, init, 3 * t_c) == 0.9999644196233548
         assert ec.collision_ratios(pair, init) == {"overlap_ratio": 5.204164998665332,
-                                                   "momentum_ratio": 16.653327995729065}
+                                                   "momentum_ratio": 16.653327995729065,
+                                                   "label_map_error": 6.078245439993482e-123}
         grid = grid_oracle.default_grid(pair, init, 1024, t_max=3 * t_c)
         assert (grid.R_halfwidth, grid.r_length) == (57.248555909180524, 236.1301864149656)
 
@@ -517,18 +528,33 @@ class TestOutgoingFidelity:
         vals = [ec.outgoing_fidelity(pair, init, float(t)) for t in ts]
         assert all(b >= a - 1e-6 for a, b in zip(vals, vals[1:]))
 
-    @pytest.mark.parametrize("alpha,sigma,x,p", [(0.3, 1.0, 60.0, -1.0), (3.0, 1.0, 40.0, -1.0),
-                                                 (0.3, 2.0, 40.0, -0.3), (1.0, 1.0, 50.0, -0.5)])
+    @pytest.mark.parametrize("alpha,sigma,x,p", COMPLETED_CONFIGS)
     def test_completed_collision_limit(self, alpha, sigma, x, p):
         # long after the meeting the image term holds the approaching half of
-        # the incoming relative momentum, of weight 1 - Phi(-r), r = sqrt(2)
-        # momentum_ratio; the direct term's receding half interferes with it
-        # by a term that falls as 1/d0^2 (3e-6 to 4e-5 here)
+        # the incoming relative momentum Q ~ N(p, s^2), of weight 1 - Phi(-r),
+        # r = |p|/s = sqrt(2) momentum_ratio, and the outgoing momentum is |Q|;
+        # the direct term's receding half interferes with it by a term that
+        # falls as 1/d0^2 (fidelity 3e-6 to 4e-5 here, <p'> 1e-7 to 3e-5)
         pair = CollisionPair.matched(1.0, alpha, sigma)
         init = ec.com_condition(pair, x, p)
         r = np.sqrt(2) * ec.collision_ratios(pair, init)["momentum_ratio"]
-        assert ec.outgoing_fidelity(pair, init, 1e4 * abs(x / p)) == pytest.approx(
+        t = 1e4 * abs(x / p)
+        assert ec.outgoing_fidelity(pair, init, t) == pytest.approx(
             (1 - special.ndtr(-r)) ** 2, abs=1e-4)
+        folded_mean = (abs(p) / r * np.sqrt(2 / np.pi) * np.exp(-r**2 / 2)
+                       + abs(p) * (1 - 2 * special.ndtr(-r)))
+        assert ec.brownian_momentum_mean(pair, init, t) == pytest.approx(folded_mean, abs=1e-4)
+
+    @pytest.mark.parametrize("alpha,sigma,x,p", [*COMPLETED_CONFIGS, (0.3, 4.0, 10.0, -2.0)])
+    def test_label_map_error(self, alpha, sigma, x, p):
+        # Phi(-sqrt(2) m) = erfc(m)/2, m the momentum ratio: 6.1e-123 at the
+        # fig1 defaults (the last row), where 1 - erf(m) is 0.  The oracle
+        # takes m itself: ndtr(-sqrt(2) m) rounds sqrt(2) m, which at m = 16.65
+        # moves the value by 1.1e-13
+        pair = CollisionPair.matched(1.0, alpha, sigma)
+        ratios = ec.collision_ratios(pair, ec.com_condition(pair, x, p))
+        assert ratios["label_map_error"] == pytest.approx(
+            special.erfc(ratios["momentum_ratio"]) / 2, rel=1e-13, abs=0)
 
 
 class TestClosedFormsAgainstGrid:
@@ -560,15 +586,42 @@ class TestClosedFormsAgainstGrid:
         assert val == pytest.approx(0.2516246, abs=1e-7)
 
 
+FREE_AT_START = [(0.3, 1.0, 60.0, -2.0), (3.0, 1.0, 40.0, -1.0), (0.02, 8.0, 40.0, -1.0)]
+
+
 class TestLargeSeparation:
+    # each term's whole-line weight is a free-evolution invariant, 1 or the
+    # image overlap (below 1e-300 here), read in closed form; rebuilt from
+    # exponents of some 1e3 that cancel, it lost 1e-12, and the norm and the
+    # fidelity read above 1
     @pytest.mark.parametrize("alpha,sigma,x,p", [(0.3, 1.0, 60.0, -2.0),
                                                  (0.02, 8.0, 40.0, -1.0),
-                                                 (1.0, 0.5, 20.0, -5.0)])
+                                                 (1.0, 0.5, 20.0, -5.0),
+                                                 (0.3, 1.0, 60.0, -1.0)])
     def test_unit_norm(self, alpha, sigma, x, p):
         pair = CollisionPair.matched(1.0, alpha, sigma)
         init = ec.com_condition(pair, x, p)
-        for t in (0.0, abs(x / p), 3 * abs(x / p)):
-            assert ec.two_particle_norm(pair, init, t) == pytest.approx(1.0, abs=1e-10)
+        for units in (0.0, 1.0, 3.0, 1e4):
+            t = units * abs(x / p)
+            assert ec.two_particle_norm(pair, init, t) == pytest.approx(1.0, abs=1e-14)
+            assert ec.outgoing_fidelity(pair, init, t) <= 1 + 1e-14
+
+    # the wall cuts below 1e-300 of the product state at these, so at t = 0
+    # <p> is p and the position density is N(x, sigma^2/2) to rounding
+    @pytest.mark.parametrize("alpha,sigma,x,p", FREE_AT_START)
+    def test_free_momentum_mean_at_start(self, alpha, sigma, x, p):
+        pair = CollisionPair.matched(1.0, alpha, sigma)
+        init = ec.com_condition(pair, x, p)
+        assert ec.brownian_momentum_mean(pair, init, 0.0) == pytest.approx(p, abs=1e-14)
+
+    @pytest.mark.parametrize("alpha,sigma,x,p", FREE_AT_START)
+    def test_free_position_density_at_start(self, alpha, sigma, x, p):
+        pair = CollisionPair.matched(1.0, alpha, sigma)
+        init = ec.com_condition(pair, x, p)
+        xs = np.linspace(x - 3 * sigma, x + 3 * sigma, 121)
+        ref = np.exp(-((xs - x) / sigma) ** 2) / (np.sqrt(np.pi) * sigma)
+        np.testing.assert_allclose(ec.position_marginal(pair, init, 0.0, xs), ref,
+                                   rtol=1e-14, atol=0)
 
 
 class TestLabFrame:
