@@ -288,19 +288,19 @@ def _state_moments(rho: OperatorGrid, hbar: float):
 
 
 def _pointer_nodes(rho: OperatorGrid, pair: CollisionPair, pointer_mesh: PhaseSpaceMesh):
-    """Axes (x_t, p_t) of the pointer quadrature mesh of apply_collision_channel.
-
-    Centered on the state's phase-space support, widened by the smearing
-    and packet widths.
-    """
+    """Axes (x_t, p_t) of the pointer quadrature mesh of apply_collision_channel,
+    centred on the state's phase-space support and widened by the smearing and
+    packet widths.  A step is the smearing width clipped to [1/2, 1] packet
+    width (sigma in x, hbar/sigma in p), or a packet width at alpha = 1, over
+    points_per_std: the floor bounds the node count as the smearing -> 0."""
     hb = pair.hbar
     wx, wp = smearing_widths(pair)
-    sig = pair.brownian_width
+    sig, sig_p = pair.brownian_width, hb / pair.brownian_width
     mx, sx, mp, sp = _state_moments(rho, hb)
     span_x = pointer_mesh.span_std * np.hypot(np.hypot(sx, sig / np.sqrt(2)), wx)
     span_p = pointer_mesh.span_std * np.hypot(np.hypot(sp, hb / (sig * np.sqrt(2))), wp)
-    step_x = min(sig, sig if wx == 0 else wx) / pointer_mesh.points_per_std
-    step_p = min(hb / sig, hb / sig if wp == 0 else wp) / pointer_mesh.points_per_std
+    step_x = (np.clip(wx, sig / 2, sig) if wx else sig) / pointer_mesh.points_per_std
+    step_p = (np.clip(wp, sig_p / 2, sig_p) if wp else sig_p) / pointer_mesh.points_per_std
     xts = np.arange(mx - span_x, mx + span_x + step_x / 2, step_x)
     pts = np.arange(mp - span_p, mp + span_p + step_p / 2, step_p)
     return xts, pts

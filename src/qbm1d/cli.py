@@ -438,8 +438,8 @@ class TrajectoriesConfig(_Ensemble):
     def run(self):
         pair, gas = self.pair, self.gas
         series = trajectories.run(
-            np.zeros(self.n_traj), np.full(self.n_traj, self.p0), gas, pair, self.horizon,
-            self.delta, seed=self.seed + 1, gas_flight_window=self.gas_flight_window)
+            np.broadcast_to(0.0, self.n_traj), np.broadcast_to(self.p0, self.n_traj), gas, pair,
+            self.horizon, self.delta, seed=self.seed + 1, gas_flight_window=self.gas_flight_window)
         columns = _MOMENTS + ["se_" + c for c in _MOMENTS[1:]]
         files = [emit_csv(self.out_dir / "moments.csv", columns,
                           [[getattr(s, c) for c in columns] for s in series])]

@@ -15,11 +15,11 @@ Geometric gaps
 Between collisions p does not change, so the steps to a path's next
 collision are Geometric(min(rate(p) delta, 1)), the law of a Bernoulli draw
 per step at a draw per collision.  The collision kernel keeps a pool of up
-to _BLOCK paths with a collision step k in the horizon: each round tops it
-up with the next paths in index order, draws one collision of each path in
-it, and then the next gaps from the outgoing momenta.  The rates of the
-paths not yet in the pool are evaluated _BLOCK at a time, not per round;
-no rate evaluation takes more than _BLOCK paths.
+to _BLOCK paths with a collision step k in the horizon.  Each round tops it
+up with the next paths in index order, draws a partner and a flight for
+each path in it, writes the label map's outgoing momenta into p, and draws
+the next gaps from them: the momentum process is the kernel's alone.  The
+rates of paths not yet in the pool are evaluated _BLOCK at a time.
 
 The flight offset
 -----------------
@@ -33,11 +33,12 @@ coarse-graining artifact under study; w = 0 (contact collisions) has none.
 Free-flight intercepts
 ----------------------
 Between collisions a label flies freely, x = a + p t/m, so ``run`` carries
-each path's intercept a = x - p t/m; a collision in step k flies to contact
-at a + p ((k - 1) delta + tau)/m and gets a new intercept.  The moments come
-from sums of alpha^i pi^j (1 <= i + j <= 4), alpha = a - a_c, pi = p - p_c
-the deviations from the initial mean labels; each collision's change of its
-path's terms is binned by step, so a run costs O(collisions) beyond a row
+each path's intercept a = x - p t/m.  A collision at t = (k - 1) delta + tau
+flies to contact at a + p_in t/m on its incoming momentum and leaves on the
+kernel's outgoing p with a new intercept (``_collide``).  The moments come
+from sums of alpha^i pi^j (i + j <= 4) of the deviations alpha = a - a_c,
+pi = p - p_c from the initial mean labels; each collision's after - before
+of each term is binned by step, so a run costs O(collisions) beyond a row
 per step.  As x - a_c - p_c t/m = alpha + pi t/m, the moments are
 polynomials in t/m of the sums.  Centred sums keep the cancellation at
 rounding: identical initial labels have SEs of exactly 0.
@@ -122,7 +123,6 @@ class EnsembleStats:
 _I, _J = np.array([(i, j) for i in range(5) for j in range(5 - i)]).T   # orders i + j <= 4
 _BINOM = np.array([[math.comb(i, k) for k in range(5)] for i in range(5)], dtype=float)
 _POWER = np.subtract.outer(np.arange(5), np.arange(5)).clip(0)
-_AT = np.searchsorted(_I, np.arange(5))      # the first row of each order in alpha
 _BLOCK = 4096
 
 
@@ -134,25 +134,27 @@ def _pascal(m):
 
 class _LabelSums:
     """Sums of alpha^i pi^j over the paths, flat over (_I, _J), of the labels'
-    deviations alpha = a - a_c, pi = p - p_c from their means at t = 0.  Blocks
-    of up to _BLOCK paths reuse one workspace, sparing fresh arrays' page faults."""
+    deviations alpha = a - a_c, pi = p - p_c from their means at t = 0.  One workspace
+    holds the powers of _BLOCK paths' labels before and after a collision."""
 
     def __init__(self, a, p):
         self.n, self.a_c, self.p_c = a.size, np.mean(a), np.mean(p)
-        self.work = np.ones((2 * _I.size + 10, _BLOCK))   # 2 terms slots, powers; 0th stay 1
-        self.initial = sum((self.terms(a[s:s + _BLOCK], p[s:s + _BLOCK]).sum(axis=1)
-                            for s in range(0, a.size, _BLOCK)), np.zeros(_I.size))
+        self.powers = np.ones((2, 2, 5, _BLOCK))   # [side, alpha or pi, power, path]
+        self.rows, self.initial = np.empty((2, _BLOCK)), np.zeros(_I.size)
+        for s in range(0, a.size, _BLOCK):
+            for m, (row,) in enumerate(self.terms((a[s:s + _BLOCK], p[s:s + _BLOCK]))):
+                self.initial[m] += row.sum()
 
-    def terms(self, a, p, slot=0):
-        """[m, path] = alpha^_I[m] pi^_J[m] of (a, p), in the workspace's ``slot``."""
-        powers = self.work[-10:, :a.size].reshape(2, 5, -1)
-        terms = self.work[slot * _I.size:(slot + 1) * _I.size, :a.size]
-        powers[:, 1] = a - self.a_c, p - self.p_c
+    def terms(self, *sides):
+        """Yield alpha^_I[m] pi^_J[m] of each side (a, p) per m, in rows the next m overwrites."""
+        n = sides[0][0].size
+        powers, rows = self.powers[:len(sides), :, :, :n], self.rows[:len(sides), :n]
+        for side, (a, p) in zip(powers, sides):
+            side[:, 1] = a - self.a_c, p - self.p_c
         for k in range(2, 5):
-            np.multiply(powers[:, k - 1], powers[:, 1], out=powers[:, k])
-        for i, at in enumerate(_AT):         # the rows of order i in alpha
-            np.multiply(powers[0, i], powers[1, :5 - i], out=terms[at:at + 5 - i])
-        return terms
+            np.multiply(powers[:, :, k - 1], powers[:, :, 1], out=powers[:, :, k])
+        for i, j in zip(_I, _J):
+            yield np.multiply(powers[:, 0, i], powers[:, 1, j], out=rows)
 
     def stats(self, ts, sums, pair: CollisionPair) -> list[EnsembleStats]:
         """EnsembleStats at the times ``ts`` from the ``sums`` [m, time] then.
@@ -277,10 +279,10 @@ def _gaps(q, cap: int, rng):
 
 
 def _collisions(p, gas, pair, delta, n_steps, rng, gas_flight_window):
-    """The collision kernel (module docstring): rounds (hit, k, eta, p_g) in
-    steps 1, ..., n_steps of distinct paths ``hit``, their steps, flights
-    eta ~ U(-w delta, w delta), w = gas_flight_window (0 at w = 0, drawing
-    nothing), and partners; the caller writes the outgoing p[hit] back."""
+    """The collision kernel (module docstring): rounds (hit, k, eta, p_g, p_in) of
+    distinct paths ``hit`` in their steps k = 1, ..., n_steps, flights eta ~ U(-w delta,
+    w delta), w = gas_flight_window (0 at w = 0, drawing nothing), partners and
+    incoming momenta; p[hit] holds the outgoing momenta, which the next gaps take."""
     if gas_flight_window < 0:
         raise ValueError("gas_flight_window must be >= 0")
     flight = gas_flight_window * delta
@@ -296,23 +298,22 @@ def _collisions(p, gas, pair, delta, n_steps, rng, gas_flight_window):
             hit = np.concatenate([hit, new[k[new] <= n_steps]])
             start = end
         if hit.size:
-            p_g = sample_collision_partner(p[hit], gas, pair, rng)
+            p_g = sample_collision_partner(p_in := p[hit], gas, pair, rng)
             eta = rng.uniform(-flight, flight, hit.size) if flight else np.zeros(hit.size)
-            yield hit, k[hit], eta, p_g
+            p[hit] = classical_collision_map(pair, 0.0, p_g, 0.0, p_in)[3]
+            yield hit, k[hit], eta, p_g, p_in
             k[hit] += _gaps(_step_probability(p[hit], gas, pair, delta), n_steps + 1, rng)
             hit = hit[k[hit] <= n_steps]
 
 
-def _collide(a, p, hit, t, eta, p_g, pair: CollisionPair):
-    """Collide the paths ``hit`` at the instants t, in place on intercepts a and
-    momenta p: each flies to contact, takes the label map against the gas
-    label displaced by its flight eta and gets its outgoing intercept."""
-    ph = p[hit]
-    xh = a[hit] + ph / pair.brownian_mass * t                # contact position
-    x_g_label = xh - (p_g / pair.gas_mass) * eta             # unresolved flight
-    _, _, x_out, p_out = classical_collision_map(pair, x_g_label, p_g, xh, ph)
-    a[hit] = x_out - p_out / pair.brownian_mass * t
-    p[hit] = p_out
+def _collide(a, p, hit, t, eta, p_g, p_in, pair: CollisionPair):
+    """Move the intercepts a of the paths ``hit``, collided at the instants t,
+    in place: each flies to contact at its incoming momentum p_in, takes the
+    label map against the gas label displaced by its flight eta and departs
+    at the kernel's outgoing momentum p[hit]."""
+    x = a[hit] + p_in / pair.brownian_mass * t               # contact position
+    x_g = x - (p_g / pair.gas_mass) * eta                    # unresolved flight
+    a[hit] = classical_collision_map(pair, x_g, p_g, x, p_in)[2] - p[hit] / pair.brownian_mass * t
 
 
 def step_ensemble(x, p, gas: ThermalGasSpec, pair: CollisionPair, delta: float,
@@ -323,8 +324,8 @@ def step_ensemble(x, p, gas: ThermalGasSpec, pair: CollisionPair, delta: float,
     float ``p`` in place, which is returned; ``x`` is not modified."""
     a = np.array(x, dtype=float)
     p = np.asarray(p, dtype=float)
-    for hit, _, eta, p_g in _collisions(p, gas, pair, delta, 1, rng, gas_flight_window):
-        _collide(a, p, hit, rng.uniform(0.0, delta, hit.size), eta, p_g, pair)
+    for hit, _, eta, p_g, p_in in _collisions(p, gas, pair, delta, 1, rng, gas_flight_window):
+        _collide(a, p, hit, rng.uniform(0.0, delta, hit.size), eta, p_g, p_in, pair)
     return a + p / pair.brownian_mass * delta, p
 
 
@@ -346,12 +347,12 @@ def run(x0, p0, gas: ThermalGasSpec, pair: CollisionPair, horizon: float,
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     sums = _LabelSums(a, p)
     bins = np.zeros((_I.size, n_steps + 1))          # [m, k]: the changes in step k
-    for hit, k, eta, p_g in _collisions(p, gas, pair, delta, n_steps, rng, gas_flight_window):
-        old = sums.terms(a[hit], p[hit])
-        _collide(a, p, hit, (k - 1) * delta + rng.uniform(0.0, delta, hit.size), eta, p_g, pair)
-        change = np.subtract(sums.terms(a[hit], p[hit], 1), old, out=old)
-        for row, terms in zip(bins, change):
-            row += np.bincount(k, terms, n_steps + 1)
+    for hit, k, eta, p_g, p_in in _collisions(p, gas, pair, delta, n_steps, rng,
+                                              gas_flight_window):
+        a_in, t = a[hit], (k - 1) * delta + rng.uniform(0.0, delta, hit.size)
+        _collide(a, p, hit, t, eta, p_g, p_in, pair)
+        for row, (before, after) in zip(bins, sums.terms((a_in, p_in), (a[hit], p[hit]))):
+            row += np.bincount(k, np.subtract(after, before, out=after), n_steps + 1)
     return sums.stats(np.arange(n_steps + 1) * delta,
                       sums.initial[:, None] + np.cumsum(bins, axis=1), pair)
 
@@ -361,8 +362,8 @@ def excess_position_msd(n: int, gas: ThermalGasSpec, pair: CollisionPair,
                         gas_flight_window: float = 1.0):
     """(times, msd): the mean square of the summed flight offsets.
 
-    A path carries its momentum, moved by the label map at each collision,
-    and the sum of its flight offsets -2 alpha/(1 + alpha) v_g eta, its
+    A path carries its momentum, which the collision kernel moves, and the
+    sum of its flight offsets -2 alpha/(1 + alpha) v_g eta, its
     position gap from contact collisions; the changes of its square are
     binned by step.  The slope of msd in time is the excess position
     diffusion rate at this delta.  Paths start with thermal momenta.
@@ -374,9 +375,8 @@ def excess_position_msd(n: int, gas: ThermalGasSpec, pair: CollisionPair,
     share = 2 * pair.alpha / (1 + pair.alpha)
     n_steps = int(round(horizon / delta))
     offset, bins = np.zeros(n), np.zeros(n_steps + 1)
-    for hit, k, eta, p_g in _collisions(p, gas, pair, delta, n_steps, rng, gas_flight_window):
+    for hit, k, eta, p_g, _ in _collisions(p, gas, pair, delta, n_steps, rng, gas_flight_window):
         old = offset[hit]
         offset[hit] = new = old - share * (p_g / pair.gas_mass) * eta
         bins += np.bincount(k, new * new - old * old, n_steps + 1)
-        p[hit] = classical_collision_map(pair, 0.0, p_g, 0.0, p[hit])[3]
     return delta * np.arange(n_steps + 1), np.cumsum(bins) / n

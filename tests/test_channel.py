@@ -318,6 +318,21 @@ class TestChannel:
         out = ch.apply_collision_channel(rho, pr, (-2.0, 1.5), t=0.5)
         assert out.trace() == pytest.approx(1.0, abs=1e-3)
 
+    def test_pointer_mesh_bounded_near_equal_mass(self, grid):
+        # the smearing widths vanish as alpha -> 1; stepped on them, the mesh
+        # grew like 1/w^2, to about 1.2e10 nodes at alpha = 0.999
+        pr = CollisionPair.matched(1.0, 0.999, 1.0)
+        psi = ch.grid_packet(grid, pr.brownian_packet(1.0, 0.5))
+        rho = ch.OperatorGrid(np.outer(psi, psi.conj()), grid)
+        xts, pts = ch._pointer_nodes(rho, pr, ch.PhaseSpaceMesh(6.0, 4.5))
+        assert xts.size * pts.size < 2e4
+        out = ch.apply_collision_channel(rho, pr, (-2.0, 1.5), t=0.5)
+        assert out.trace() == pytest.approx(1.0, abs=1e-3)
+        _, _, x_o, p_o = classical_collision_map(pr, -2.0, 1.5, 1.0, 0.5)
+        tgt = ch.grid_packet(grid, pr.brownian_packet(x_o, p_o))
+        tgt = ch.free_evolve_vector(grid, tgt, pr.brownian_mass, 0.5, pr.hbar)
+        assert 1 - out.expectation(tgt) / out.trace() <= 1e-10
+
     def test_output_positive(self, channel_output):
         _, out = channel_output
         lo, _ = out.eigenvalue_range()

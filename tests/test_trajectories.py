@@ -245,8 +245,10 @@ def _law_run(x0, p0, gas, pair, n_steps, delta, seed, at):
 
 class _Rounds:
     """Records the collision kernel's rounds (hit, k, eta, p_g and the
-    momenta p[hit] they were drawn from) and the instants that ``_collide``
-    receives, as tau = t - (k - 1) delta in the step."""
+    incoming momenta p_in they were drawn from) and the instants that
+    ``_collide`` receives, as tau = t - (k - 1) delta in the step.  Asserts
+    that each round leaves p[hit] bit-equal to the label map's outgoing
+    momentum of p_in against p_g."""
 
     def __init__(self, monkeypatch, delta):
         self.delta = delta
@@ -254,10 +256,12 @@ class _Rounds:
         self.rounds, self.taus = [(empty.astype(int), empty.astype(int), empty, empty, empty)], []
         kernel, collide = tr._collisions, tr._collide
 
-        def collisions(p, *args):
-            for hit, k, eta, p_g in kernel(p, *args):
-                self.rounds.append((hit.copy(), k.copy(), eta.copy(), p_g.copy(), p[hit]))
-                yield hit, k, eta, p_g
+        def collisions(p, gas, pair, *args):
+            for hit, k, eta, p_g, p_in in kernel(p, gas, pair, *args):
+                p_out = classical_collision_map(pair, 0.0, p_g, 0.0, p_in)[3]
+                assert p[hit].tobytes() == p_out.tobytes()
+                self.rounds.append((hit.copy(), k.copy(), eta.copy(), p_g.copy(), p_in.copy()))
+                yield hit, k, eta, p_g, p_in
 
         def recording_collide(a, p, hit, t, *args):
             self.taus.append(np.array(t, dtype=float) - (self.rounds[-1][1] - 1) * self.delta)
