@@ -16,9 +16,9 @@ path.  Exit codes: 0 success, 2 configuration/validation failure,
 3 numerical tolerance failure.
 
 Every run writes a ``summary.json`` whose ``config`` block holds every key
-with its resolved value, plus ``kind``; identical config and seed give
-byte-identical outputs.  Its ``numerics.validity_warnings`` lists the text
-of every ``ValidityWarning`` the scenario raised, which still go to stderr.
+with its resolved value, plus ``kind``; identical config, seed and BLAS thread
+count give byte-identical outputs.  ``numerics.validity_warnings`` lists the
+text of every ``ValidityWarning`` the scenario raised, which still go to stderr.
 ``trajectories`` and ``moments`` write their rows at the same times
 t = k delta, k = 0, ..., round(horizon / delta).  ``trajectories``, ``moments``
 and ``collide`` write ``trajectories.regime``'s coarse-graining report in their

@@ -42,6 +42,10 @@ class PartnerNotConverged(QBM1DError):
     """The partner sampler's rejection rounds ran out (a non-finite momentum)."""
 
 
+class TimeTooLate(QBM1DError):
+    """A time at which the momentum rule exceeds its node budget or |s_t|^2 overflows."""
+
+
 class GridMismatch(QBM1DError):
     """Time series to be compared are not on matching time grids."""
 

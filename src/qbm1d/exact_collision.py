@@ -55,7 +55,7 @@ from functools import cached_property
 import numpy as np
 
 from ._special import wofz
-from .errors import ZeroRelativeMomentum
+from .errors import TimeTooLate, ZeroRelativeMomentum
 from .packets import CollisionPair
 # unused here; the benchmark's tracer patches this binding too
 # (perfbench/layers.py), and its traced runs raise KeyError without it
@@ -187,7 +187,10 @@ def _factorized(pair: CollisionPair, init: COMInitialCondition, t: float):
     the terms of |psi|^2, ov = exp(-(1+alpha) |X|^2 / (alpha sigma^2))."""
     a, s = pair.alpha, pair.brownian_width
     st, X, G, pref, m0 = _core(pair, init, t)
-    kappa = s**2 / abs(st) ** 2
+    try:
+        kappa = s**2 / abs(st) ** 2
+    except OverflowError:
+        raise TimeTooLate(f"|s_t|^2 overflows at t = {t:g}") from None
     log_ov = -(1 + a) * abs(X) ** 2 / (a * s**2)
     log_pref = np.log(pref)
     return (st, G, log_pref + m0, a * kappa / (1 + a), kappa,
@@ -273,9 +276,10 @@ position_marginal_profile_grid = position_marginal  # former name; the benchmark
 # distance r, in those stds, below which the spacing follows the reach (the
 # packet's amplitude at the wall, exp(-r^2/4) of its peak, is below rounding
 # from r = 12 on; a rule blind to the wall was off by 1e-9 of the peak
-# density at r = 7.4, by 3e-13 at r = 9.8); the most (p', q) pairs at once
+# density at r = 7.4, by 3e-13 at r = 9.8); the most (p', q) pairs at once;
+# the most nodes one p' sums (late in a slow collision its window grows as t)
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_N_G, _N_STD, _WALL_R, _BLOCK = 9.0, 8.0, 12.0, 1 << 18
+_N_G, _N_STD, _WALL_R, _BLOCK, _MAX_WIDTH = 9.0, 8.0, 12.0, 1 << 18, 1 << 20
 
 
 def _q_rule(pair: CollisionPair, G, A, ps):
@@ -292,6 +296,9 @@ def _q_rule(pair: CollisionPair, G, A, ps):
         h = min(h, hb * math.sqrt(2 * A) / (r + _N_STD))
     H = _GL_NODES.size * h
     n = math.ceil(2 * _N_G * g / H) + 1
+    if n * _GL_NODES.size > _MAX_WIDTH:
+        raise TimeTooLate(f"the momentum rule needs {n * _GL_NODES.size:.3g} nodes a momentum, "
+                          f"above its budget of {_MAX_WIDTH}")
     k0 = np.floor((ps - _N_G * g) / H).astype(np.int64)
     panels = np.unique(k0[:, None] + np.arange(n))
     q = ((panels[:, None] + 0.5 * (_GL_NODES + 1)) * H).ravel()

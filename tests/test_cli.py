@@ -12,47 +12,55 @@ import pytest
 from qbm1d import cli, trajectories
 from qbm1d import exact_collision as ec
 from qbm1d.errors import ConfigError
+from reference_configs import ROWS, write_ini
 
-# one small config per scenario: seconds in total, every tolerance at its default
-SMOKE = {
-    "fig1": {"sigma": 1.0, "x": 3.0, "p": -1.0, "n_times": 2, "n_x": 9, "n_p": 9,
-             "momentum_grid_n": 128, "x_lo": -10.0, "x_hi": 10.0},
-    "collide": {"alpha": 0.7, "sigma": 1.0, "x": 3.0, "p": -1.0,
-                "gas_x": -3.0 / 0.7, "gas_p": 1.0, "n_times": 2, "n_x": 9,
-                "n_p": 9, "momentum_grid_n": 128, "x_lo": -10.0, "x_hi": 10.0,
-                "fidelity_times": "0.5 4.0"},
-    "oracle-verify": {"sigma": 1.0, "x": 3.0, "p": -1.0, "grid_sizes": "64 96",
-                      "times_collision_units": "0 1"},
-    "channel-verify": {"grid_n": 192, "grid_length": 24.0},
-    "trajectories": {"n_traj": 200, "horizon": 20.0},
-    "moments": {"horizon": 20.0},
-    "delta-scan": {"n_traj": 2000, "horizon": 20.0},
-}
+# every row of reference_configs.psv, and one small config per scenario, the
+# row named after it: seconds in total, every tolerance at its default
+SMOKE = {row.name: row.config for row in ROWS if row.name in cli.SCENARIOS}
 
-
-def _write_ini(path, cfg):
-    path.write_text("[scenario]\n" + "".join(f"{k} = {v}\n" for k, v in cfg.items()))
-    return path
+# Most configs here step at a delta under 3 typical collision times to keep runs
+# short, and collide's smoke labels read a thermal-law rate*delta above 0.1:
+# both warn by design.  The tests named *validity_warning* and
+# test_moments_gates_and_reports_its_regime assert those warnings; tests marked
+# with these two ignore them.
+STRAINED_DELTA = pytest.mark.filterwarnings(
+    "ignore:coarse step delta:qbm1d.trajectories.ValidityWarning")
+RATE_ABOVE_GATE = pytest.mark.filterwarnings(
+    "ignore:thermal-law rate:qbm1d.trajectories.ValidityWarning")
 
 
-def test_every_scenario_has_a_smoke_config():
+def test_reference_row_names_are_unique():
+    names = [row.name for row in ROWS]
+    assert len(set(names)) == len(names)
+
+
+def test_every_scenario_has_a_reference_row_named_after_it():
     assert set(SMOKE) == set(cli.SCENARIOS)
+    assert all(row.kind == row.name for row in ROWS if row.name in SMOKE)
 
 
-@pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
-@pytest.mark.parametrize("kind", sorted(SMOKE))
-def test_scenario_runs_and_reruns_identically(kind, tmp_path):
-    ini = _write_ini(tmp_path / f"{kind}.ini", SMOKE[kind])
-    runs = []
-    for name in ("first", "second"):
-        out = tmp_path / name
-        assert cli.main([kind, str(ini), "--seed", "3", "--out-dir", str(out)]) == 0
-        runs.append(out)
+@pytest.mark.parametrize("row", ROWS, ids=[row.name for row in ROWS])
+def test_reference_row_loads(row, tmp_path):
+    # a bad row fails here, before CI runs the table
+    assert row.seed == "" or row.seed == str(int(row.seed))
+    ini = write_ini(tmp_path / f"{row.name}.ini", row.config)
+    cfg = cli.ScenarioConfig.load(row.kind, str(ini), seed=row.seed or None)
+    assert cfg.kind == row.kind
+
+
+@STRAINED_DELTA
+@RATE_ABOVE_GATE
+@pytest.mark.parametrize("row", ROWS, ids=[row.name for row in ROWS])
+def test_scenario_runs_and_reruns_identically(row, tmp_path):
+    ini = write_ini(tmp_path / f"{row.name}.ini", row.config)
+    runs = [tmp_path / "first", tmp_path / "second"]
+    for out in runs:
+        assert cli.main(row.argv(ini, out)) == 0
     summary = json.loads((runs[0] / "summary.json").read_text())
     assert summary["tolerance_failures"] == []
     assert summary["outputs"]
     for name in summary["outputs"]:
-        assert (runs[0] / name).is_file(), name
+        assert (runs[0] / name).stat().st_size > 0, name
     files = sorted(p.name for p in runs[0].iterdir())
     assert files == sorted(p.name for p in runs[1].iterdir())
     for name in files:
@@ -65,7 +73,7 @@ def test_summary_lists_validity_warnings(kind, listed, tmp_path):
     # the trajectories and moments defaults and each of delta-scan's four
     # deltas take delta below 3 typical collision times; each warning is
     # listed and still shown
-    ini = _write_ini(tmp_path / f"{kind}.ini", SMOKE[kind])
+    ini = write_ini(tmp_path / f"{kind}.ini", SMOKE[kind])
     with warnings.catch_warnings(record=True) as shown:
         warnings.simplefilter("always")
         assert cli.main([kind, str(ini), "--out-dir", str(tmp_path)]) == 0
@@ -77,6 +85,7 @@ def test_summary_lists_validity_warnings(kind, listed, tmp_path):
     assert all("typical collision time" in text for text in listed_texts)
 
 
+@RATE_ABOVE_GATE
 def test_fig1_and_collide_report_the_collision_ratios(tmp_path, monkeypatch):
     # collide's smoke labels are fig1's COM frame at alpha = 0.7: both report
     # collision_ratios of the one COM state
@@ -85,7 +94,7 @@ def test_fig1_and_collide_report_the_collision_ratios(tmp_path, monkeypatch):
                         lambda pair, init: calls.append((pair, init)) or ratios(pair, init))
     reported = []
     for kind, cfg in (("fig1", {**SMOKE["fig1"], "alpha": 0.7}), ("collide", SMOKE["collide"])):
-        ini = _write_ini(tmp_path / f"{kind}.ini", cfg)
+        ini = write_ini(tmp_path / f"{kind}.ini", cfg)
         assert cli.main([kind, str(ini), "--out-dir", str(tmp_path / kind)]) == 0
         reported.append(json.loads((tmp_path / kind / "summary.json").read_text())["diagnostics"])
     assert len(calls) == 2 and calls[0] == calls[1]
@@ -97,7 +106,7 @@ def test_fig1_and_collide_report_the_collision_ratios(tmp_path, monkeypatch):
 
 def test_negative_dt_rejected(tmp_path, capsys):
     # dt is no longer a key (the ODE steps by delta), so any dt is rejected
-    ini = _write_ini(tmp_path / "moments.ini", {"dt": -0.01, "horizon": 1.0})
+    ini = write_ini(tmp_path / "moments.ini", {"dt": -0.01, "horizon": 1.0})
     with pytest.raises(ConfigError) as exc:
         cli.ScenarioConfig.load("moments", str(ini))
     assert exc.value.field == "scenario.dt"
@@ -106,10 +115,10 @@ def test_negative_dt_rejected(tmp_path, capsys):
     assert not (tmp_path / "out" / "moments_ode.csv").exists()
 
 
-@pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
+@STRAINED_DELTA
 def test_moment_rows_fall_on_the_trajectory_times(tmp_path):
     # both write t = k delta, k = 0, ..., round(horizon / delta), bit for bit
-    ini = _write_ini(tmp_path / "c.ini", {"horizon": 20.0, "delta": 0.3})
+    ini = write_ini(tmp_path / "c.ini", {"horizon": 20.0, "delta": 0.3})
     tables = []
     for kind, name in (("trajectories", "moments.csv"), ("moments", "moments_ode.csv")):
         assert cli.main([kind, str(ini), "--out-dir", str(tmp_path / kind)]) == 0
@@ -136,7 +145,7 @@ def test_emit_csv_golden_bytes(tmp_path):
 
 def test_scenarios_in_one_process_write_what_separate_processes_write(tmp_path):
     # one parser serves every cli.main call of a process
-    runs = [(kind, _write_ini(tmp_path / f"{kind}.ini", SMOKE[kind]))
+    runs = [(kind, write_ini(tmp_path / f"{kind}.ini", SMOKE[kind]))
             for kind in ("fig1", "oracle-verify")]
     for kind, ini in runs:
         assert cli.main([kind, str(ini), "--out-dir", str(tmp_path / "one" / kind)]) == 0
@@ -158,17 +167,18 @@ def test_scenarios_in_one_process_write_what_separate_processes_write(tmp_path):
 def test_fig1_far_apart_packets(cfg, tmp_path):
     # the momentum marginal used to come from a wavefunction grid that was
     # NaN at t = 0 for these packets, and fig1 died in its spline fit
-    ini = _write_ini(tmp_path / "fig1.ini", {**cfg, "n_times": 3, "n_x": 9, "n_p": 9})
+    ini = write_ini(tmp_path / "fig1.ini", {**cfg, "n_times": 3, "n_x": 9, "n_p": 9})
     assert cli.main(["fig1", str(ini), "--out-dir", str(tmp_path)]) == 0
     for name in ("position_marginal.csv", "momentum_marginal.csv", "momentum_mean.csv"):
         table = np.loadtxt(tmp_path / name, delimiter=",", skiprows=1)
         assert table.size and np.all(np.isfinite(table)), name
 
 
+@RATE_ABOVE_GATE
 @pytest.mark.parametrize("kind", ["fig1", "collide"])
 def test_summary_reports_momentum_rule_nodes(kind, tmp_path):
     # one q-node count per table time, each a whole number of 16-node panels
-    ini = _write_ini(tmp_path / f"{kind}.ini", {**SMOKE[kind], "n_times": 3})
+    ini = write_ini(tmp_path / f"{kind}.ini", {**SMOKE[kind], "n_times": 3})
     assert cli.main([kind, str(ini), "--out-dir", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
     nodes = summary["numerics"]["momentum_rule_nodes"]
@@ -183,7 +193,7 @@ def test_summary_reports_momentum_rule_nodes(kind, tmp_path):
     ({"gas_x": 3.0, "gas_p": 1.0, "x": 3.0, "p": -1.0}, "scenario.gas_x"),
 ], ids=["receding", "receding-mirrored", "coincident"])
 def test_collide_without_collision_rejected(labels, field, tmp_path, capsys):
-    ini = _write_ini(tmp_path / "collide.ini", {"alpha": 0.7, "sigma": 1.0, **labels})
+    ini = write_ini(tmp_path / "collide.ini", {"alpha": 0.7, "sigma": 1.0, **labels})
     with pytest.raises(ConfigError) as exc:
         cli.ScenarioConfig.load("collide", str(ini))
     assert exc.value.field == field
@@ -191,10 +201,11 @@ def test_collide_without_collision_rejected(labels, field, tmp_path, capsys):
     assert field in capsys.readouterr().err
 
 
+@STRAINED_DELTA
 def test_delta_scan_without_flight_window_fails_on_its_slope(tmp_path, capsys):
     # every excess rate is 0, so the log-log slope is undefined
-    ini = _write_ini(tmp_path / "scan.ini", {"n_traj": 200, "horizon": 10.0,
-                                            "gas_flight_window": 0.0})
+    ini = write_ini(tmp_path / "scan.ini", {"n_traj": 200, "horizon": 10.0,
+                                           "gas_flight_window": 0.0})
     assert cli.main(["delta-scan", str(ini), "--out-dir", str(tmp_path)]) == 3
 
     def reject(constant):
@@ -206,6 +217,7 @@ def test_delta_scan_without_flight_window_fails_on_its_slope(tmp_path, capsys):
     assert "slope" in capsys.readouterr().err
 
 
+@STRAINED_DELTA
 @pytest.mark.parametrize("kind", ["trajectories", "delta-scan"])
 def test_thermal_law_step_too_large_exits_before_any_step(kind, tmp_path, capsys, monkeypatch):
     # at n_g = 2 the thermal-law rate * delta exceeds 0.1 at every default delta
@@ -213,13 +225,13 @@ def test_thermal_law_step_too_large_exits_before_any_step(kind, tmp_path, capsys
         raise AssertionError("a step was taken")
 
     monkeypatch.setattr(trajectories, "_collisions", no_step)
-    ini = _write_ini(tmp_path / "c.ini", {"number_density": 2.0, "horizon": 20.0})
+    ini = write_ini(tmp_path / "c.ini", {"number_density": 2.0, "horizon": 20.0})
     assert cli.main([kind, str(ini), "--out-dir", str(tmp_path)]) == 2
     assert "thermal-law rate*delta" in capsys.readouterr().err
     assert not (tmp_path / "summary.json").exists()
 
 
-@pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
+@STRAINED_DELTA
 def test_gate_and_summaries_read_one_regime_report(tmp_path, monkeypatch):
     # at the trajectories defaults the gate reads rate * delta = 0.0570 under
     # the thermal laws and 0.0564 at p0 = 0; a collide at the same gas, delta
@@ -237,7 +249,7 @@ def test_gate_and_summaries_read_one_regime_report(tmp_path, monkeypatch):
                                    "delta": 0.5, "x": 0.0, "p": 0.0, "gas_x": -100.0,
                                    "gas_p": 1.0, "n_times": 2, "n_x": 5, "n_p": 5,
                                    "fidelity_times": "0.0"})):
-        ini = _write_ini(tmp_path / f"{kind}.ini", cfg)
+        ini = write_ini(tmp_path / f"{kind}.ini", cfg)
         assert cli.main([kind, str(ini), "--out-dir", str(tmp_path / kind)]) == 0
         reported[kind] = json.loads((tmp_path / kind / "summary.json").read_text())["diagnostics"]
     report = reported["trajectories"]
@@ -252,7 +264,7 @@ def test_gate_and_summaries_read_one_regime_report(tmp_path, monkeypatch):
 def test_moments_gates_and_reports_its_regime(tmp_path):
     # the moment ODE runs at the trajectories defaults, delta = 0.5 against
     # t_typ = 22.4: it lists the one warning, exits 0 and reports the regime
-    ini = _write_ini(tmp_path / "m.ini", {})
+    ini = write_ini(tmp_path / "m.ini", {})
     cfg = cli.ScenarioConfig.load("moments", str(ini), out_dir=tmp_path)
     with pytest.warns(trajectories.ValidityWarning, match="typical collision time 22.4"):
         assert cli.run_scenario(cfg) == 0
@@ -266,7 +278,7 @@ def test_collide_outside_the_regime_lists_a_validity_warning(tmp_path):
     # the smoke config reads thermal-law rate * delta = 0.124, above the 0.1
     # that trajectories refuses; one collision takes no coarse step, so
     # collide exits 0 and lists it, the only warning
-    ini = _write_ini(tmp_path / "c.ini", SMOKE["collide"])
+    ini = write_ini(tmp_path / "c.ini", SMOKE["collide"])
     with pytest.warns(trajectories.ValidityWarning, match="rate"):
         assert cli.main(["collide", str(ini), "--out-dir", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
@@ -274,13 +286,16 @@ def test_collide_outside_the_regime_lists_a_validity_warning(tmp_path):
     assert summary["tolerance_failures"] == []
 
 
+@RATE_ABOVE_GATE
 def test_collide_summary_reports_collision_ratios_and_time(tmp_path):
     # the COM labels x = 10, p = -2 at alpha = 0.3, sigma = 4: 5.2 combined
-    # widths apart, the relative momentum 16.65 times its uncertainty
-    ini = _write_ini(tmp_path / "c.ini", {"alpha": 0.3, "sigma": 4.0, "x": 10.0, "p": -2.0,
-                                          "gas_x": -10.0 / 0.3, "gas_p": 2.0, "n_times": 2,
-                                          "n_x": 5, "n_p": 5, "fidelity_times": "0.0"})
-    assert cli.main(["collide", str(ini), "--out-dir", str(tmp_path)]) == 0
+    # widths apart, the relative momentum 16.65 times its uncertainty; its
+    # delta = 10 lies under 3 typical collision times, the reported ratio
+    ini = write_ini(tmp_path / "c.ini", {"alpha": 0.3, "sigma": 4.0, "x": 10.0, "p": -2.0,
+                                         "gas_x": -10.0 / 0.3, "gas_p": 2.0, "n_times": 2,
+                                         "n_x": 5, "n_p": 5, "fidelity_times": "0.0"})
+    with pytest.warns(trajectories.ValidityWarning, match="typical collision time 9.92"):
+        assert cli.main(["collide", str(ini), "--out-dir", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
     diagnostics = summary["diagnostics"]
     assert diagnostics["overlap_ratio"] == pytest.approx(5.20, abs=0.01)
@@ -291,14 +306,15 @@ def test_collide_summary_reports_collision_ratios_and_time(tmp_path):
         diagnostics["typical_collision_time"] / 10.0, rel=1e-15)
 
 
+@RATE_ABOVE_GATE
 def test_collide_reports_the_rate_at_its_lab_momentum(tmp_path):
     # lab labels x = 0, p = 2 against a gas packet at rest at x_g = 5: the COM
     # momentum is -(alpha p - p_g)/(1 + alpha) = -0.46, but the thermal gas
     # sees the lab momentum, so the initial-label rate * delta is 0.225 (the
     # COM momentum's rate gave 0.150)
-    ini = _write_ini(tmp_path / "c.ini", {"alpha": 0.3, "sigma": 1.0, "x": 0.0, "p": 2.0,
-                                          "gas_x": 5.0, "gas_p": 0.0, "n_times": 2,
-                                          "n_x": 5, "n_p": 5, "fidelity_times": "0.0"})
+    ini = write_ini(tmp_path / "c.ini", {"alpha": 0.3, "sigma": 1.0, "x": 0.0, "p": 2.0,
+                                         "gas_x": 5.0, "gas_p": 0.0, "n_times": 2,
+                                         "n_x": 5, "n_p": 5, "fidelity_times": "0.0"})
     cfg = cli.ScenarioConfig.load("collide", str(ini), out_dir=tmp_path)
     assert cli.run_scenario(cfg) == 0
     by_law = json.loads((tmp_path / "summary.json").read_text())["diagnostics"][
@@ -357,34 +373,55 @@ assert not any(name.split(".")[0] == "scipy" for name in sys.modules if sys.modu
     assert result.returncode == 0, result.stderr
 
 
-@pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
+@STRAINED_DELTA
 def test_unconverged_partner_draw_exits_2_and_names_the_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(trajectories, "_MAX_ROUNDS", 1)
-    ini = _write_ini(tmp_path / "c.ini", SMOKE["trajectories"])
+    ini = write_ini(tmp_path / "c.ini", SMOKE["trajectories"])
     assert cli.main(["trajectories", str(ini), "--out-dir", str(tmp_path)]) == 2
     assert "PartnerNotConverged" in capsys.readouterr().err
     assert not (tmp_path / "summary.json").exists()
 
 
-@pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
+@STRAINED_DELTA
 def test_cold_gas_partner_draws_at_underflowing_kinks(tmp_path):
     # at T = 1e-4 every path has z_v = 42, where phi and the flux mass below
     # the kink underflow to 0: the envelope is almost all normal part
-    ini = _write_ini(tmp_path / "c.ini", {"temperature": 1e-4, "p0": 3.0, "n_traj": 2000,
-                                          "horizon": 20.0})
+    ini = write_ini(tmp_path / "c.ini", {"temperature": 1e-4, "p0": 3.0, "n_traj": 2000,
+                                         "horizon": 20.0})
     assert cli.main(["trajectories", str(ini), "--out-dir", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["tolerance_failures"] == []
 
 
+@STRAINED_DELTA
 def test_delta_scan_rare_fast_path_passes(tmp_path):
     # at seed 14 one of the 2e4 thermal paths reached rate * delta = 0.106 at
     # delta = 1, which stopped the scan while the step check read the
     # realised largest |p|; it reads the thermal law now
-    ini = _write_ini(tmp_path / "scan.ini", {})
+    ini = write_ini(tmp_path / "scan.ini", {})
     assert cli.main(["delta-scan", str(ini), "--seed", "14", "--out-dir", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["tolerance_failures"] == []
+
+
+@pytest.mark.parametrize("kind,cfg", [
+    *(("fig1", {**SMOKE["fig1"], "n_x": 5, "n_p": 5, "t_max_collision_units": t})
+      for t in (1e6, 1e12, 1e150, 1e200)),
+    ("collide", {**SMOKE["collide"], "fidelity_times": "0.5 1e200"}),
+], ids=["fig1-1e6", "fig1-1e12", "fig1-1e150", "fig1-1e200", "collide-1e200"])
+def test_late_table_time_exits_2_and_names_the_error(kind, cfg, tmp_path):
+    # the momentum rule's window outgrows its node budget, or |s_t|^2
+    # overflows; in a process capped at 4 GiB, should the budget go unchecked
+    ini = write_ini(tmp_path / f"{kind}.ini", cfg)
+    cap = "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 32, 1 << 32)); "
+    result = subprocess.run(
+        [sys.executable, "-c", cap + "import sys; from qbm1d.cli import main; sys.exit(main())",
+         kind, str(ini), "--out-dir", str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2, result.stderr
+    assert "error: TimeTooLate" in result.stderr
+    assert not (tmp_path / "summary.json").exists()
 
 
 @pytest.mark.parametrize("cfg", [{}, {"alpha": 0.02, "sigma": 8.0, "x": 30.0, "p": -1.0},
@@ -394,7 +431,7 @@ def test_oracle_verify_at_default_grids(cfg, tmp_path):
     # the far-apart closed form used to be NaN on every row, and the gate
     # read the NaN as an error of 0; at alpha = 1 the R factor spreads past
     # a box that held only its initial width (finest-grid error 8.9e-2)
-    ini = _write_ini(tmp_path / "oracle.ini", cfg)
+    ini = write_ini(tmp_path / "oracle.ini", cfg)
     for name in ("first", "second"):
         assert cli.main(["oracle-verify", str(ini), "--out-dir", str(tmp_path / name)]) == 0
     for name in ("oracle_error.csv", "summary.json"):
@@ -413,7 +450,7 @@ def test_oracle_verify_fails_on_a_non_finite_error(tmp_path, capsys, monkeypatch
         return np.where(np.asarray(t) > 0, np.nan, compare(pair, init, t, params, validate))
 
     monkeypatch.setattr(cli.grid_oracle, "compare_to_analytic", broken)
-    ini = _write_ini(tmp_path / "oracle.ini", SMOKE["oracle-verify"])
+    ini = write_ini(tmp_path / "oracle.ini", SMOKE["oracle-verify"])
     assert cli.main(["oracle-verify", str(ini), "--out-dir", str(tmp_path)]) == 3
     summary = json.loads((tmp_path / "summary.json").read_text(),
                          parse_constant=lambda c: pytest.fail(f"{c} is not JSON"))
@@ -474,7 +511,7 @@ def test_oracle_verify_fails_on_a_non_finite_error(tmp_path, capsys, monkeypatch
         "removed-boltzmann-k-key", "removed-x0-key", "nan-p0", "nan-x-lo",
         "infinite-state-x", "infinite-delta"])
 def test_input_that_would_escape_validation_rejected(kind, cfg, seed, field, tmp_path, capsys):
-    ini = _write_ini(tmp_path / "bad.ini", cfg)
+    ini = write_ini(tmp_path / "bad.ini", cfg)
     with pytest.raises(ConfigError) as exc:
         cli.ScenarioConfig.load(kind, str(ini), seed=seed)
     assert exc.value.field == field
@@ -497,7 +534,7 @@ def test_every_schema_error_names_its_field(kind, tmp_path):
     # a value no key accepts, a missing required key and an unknown key
     def field_of(cfg):
         with pytest.raises(ConfigError) as exc:
-            cli.ScenarioConfig.load(kind, str(_write_ini(tmp_path / "cfg.ini", cfg)))
+            cli.ScenarioConfig.load(kind, str(write_ini(tmp_path / "cfg.ini", cfg)))
         return exc.value.field
 
     for f in _keys(kind):
@@ -510,7 +547,7 @@ def test_every_schema_error_names_its_field(kind, tmp_path):
 
 def test_mixed_case_key_is_read(tmp_path):
     # INI keys used to be lower-cased; Alpha is now read as written, an unknown key
-    ini = _write_ini(tmp_path / "oracle.ini", {**SMOKE["oracle-verify"], "Alpha": 0.5})
+    ini = write_ini(tmp_path / "oracle.ini", {**SMOKE["oracle-verify"], "Alpha": 0.5})
     with pytest.raises(ConfigError) as exc:
         cli.ScenarioConfig.load("oracle-verify", str(ini))
     assert exc.value.field == "scenario.Alpha"
@@ -521,7 +558,7 @@ def test_mixed_case_key_is_read(tmp_path):
 def test_summary_config_holds_every_resolved_key(kind, tmp_path, monkeypatch):
     # perfbench's accuracy checks rebuild the physics from this block
     monkeypatch.setattr(cli.SCENARIOS[kind], "run", lambda cfg: ({"outputs": []}, []))
-    ini = _write_ini(tmp_path / "cfg.ini", SMOKE[kind])
+    ini = write_ini(tmp_path / "cfg.ini", SMOKE[kind])
     assert cli.main([kind, str(ini), "--seed", "3", "--out-dir", str(tmp_path)]) == 0
     config = json.loads((tmp_path / "summary.json").read_text())["config"]
     assert set(config) == {f.name for f in _keys(kind)} | {"kind"}

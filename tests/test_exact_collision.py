@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate, special
 
 from qbm1d import exact_collision as ec, grid_oracle
-from qbm1d.errors import ZeroRelativeMomentum
+from qbm1d.errors import TimeTooLate, ZeroRelativeMomentum
 from qbm1d.packets import CollisionPair, EvolvedPacket
 
 
@@ -509,6 +509,20 @@ class TestMomentumMarginal:
                 dens = ec.momentum_marginal(pair, init, t, ps)
                 assert np.all(np.isfinite(dens)) and np.all(dens >= 0)
 
+    def test_late_window_within_its_node_budget_or_raises(self, monkeypatch):
+        # below a momentum ratio of about 8 the wall caps the spacing, so the
+        # window of one p' grows as t: 2.4e5 nodes at 1e3 collision times,
+        # within the budget; a window above the budget is refused before it
+        # allocates (the CLI tests take 1e6 collision times, 2.4e8 nodes)
+        pair = CollisionPair.matched(1.0, 0.3, 1.0)
+        init = ec.com_condition(pair, 3.0, -1.0)
+        t = 1e3 * ec.collision_time(pair, init.p)
+        dens, nodes = ec.momentum_marginal(pair, init, t, 1.0, return_nodes=True)
+        assert np.isfinite(dens) and 2e5 < nodes < ec._MAX_WIDTH
+        monkeypatch.setattr(ec, "_MAX_WIDTH", nodes - 1)
+        with pytest.raises(TimeTooLate, match="budget"):
+            ec.momentum_marginal(pair, init, t, 1.0)
+
     def test_scalar_and_array_shapes(self, pair, init):
         val = ec.momentum_marginal(pair, init, 5.0, -2.0)
         assert isinstance(val, float)
@@ -555,6 +569,17 @@ class TestOutgoingFidelity:
         ratios = ec.collision_ratios(pair, ec.com_condition(pair, x, p))
         assert ratios["label_map_error"] == pytest.approx(
             special.erfc(ratios["momentum_ratio"]) / 2, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("route", [ec.two_particle_norm, ec.brownian_momentum_mean,
+                                   ec.outgoing_fidelity, ec.position_marginal])
+def test_time_that_overflows_the_closed_form_raises(pair, init, route):
+    # |s_t|^2 = |sigma^2 + i hbar t / m|^2 overflows a double once hbar t / m
+    # passes about 1.3e154
+    args = (0.0,) if route is ec.position_marginal else ()
+    assert np.isfinite(route(pair, init, 1e150, *args))
+    with pytest.raises(TimeTooLate, match="overflows"):
+        route(pair, init, 1e200, *args)
 
 
 class TestClosedFormsAgainstGrid:

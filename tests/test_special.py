@@ -70,6 +70,8 @@ class TestWofz:
         assert rel.max() <= _SCIPY_WOFZ_RTOL
         assert np.median(rel) < 5e-16
 
+    # collide's labels read a thermal-law rate*delta above 0.1, which it lists
+    @pytest.mark.filterwarnings("ignore:thermal-law rate:qbm1d.trajectories.ValidityWarning")
     def test_matches_scipy_at_the_arguments_fig1_and_collide_reach(self, tmp_path, monkeypatch):
         args = []
         monkeypatch.setattr(ec, "wofz", lambda z: args.append(np.ravel(z)) or _special.wofz(z))

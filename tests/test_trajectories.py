@@ -12,6 +12,12 @@ from qbm1d.errors import PartnerNotConverged, StepTooLarge
 from qbm1d.packets import CollisionPair, classical_collision_map
 from qbm1d.thermal import ThermalGasSpec
 
+# Tests marked with this step at delta = 0.5 or 1, under 3 typical collision
+# times, to keep their paths few; TestRegime and TestStepCheck assert the
+# warning itself.
+STRAINED_DELTA = pytest.mark.filterwarnings(
+    "ignore:coarse step delta:qbm1d.trajectories.ValidityWarning")
+
 
 @pytest.fixture(scope="module")
 def pair():
@@ -324,7 +330,7 @@ def _run_against_positions_loop(x0, p0, gas, pair, horizon, delta, seed, monkeyp
 
 
 class TestRun:
-    @pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
+    @STRAINED_DELTA
     def test_reproducible_for_fixed_seed(self, gas, pair):
         rng = np.random.default_rng(1)
         p0 = rng.normal(0.0, 1.0, 500)
@@ -337,7 +343,7 @@ class TestRun:
             dataclasses.astuple(s) for s in second]
         assert first[-1].mean_p2 != first[0].mean_p2  # collisions happened
 
-    @pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
+    @STRAINED_DELTA
     @pytest.mark.parametrize("alpha,n,p0", [(0.02, 20000, 0.0), (5.0, 2000, 0.0),
                                             (0.02, 2000, 3.0), (1.0, 1, 0.5)])
     def test_rows_match_per_row_stats(self, alpha, n, p0, monkeypatch):
@@ -359,7 +365,7 @@ class TestRun:
         assert [repr(s) for s in series] == [repr(s) for s in want]
         assert series[-1].mean_p2 != series[0].mean_p2 or n == 1
 
-    @pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
+    @STRAINED_DELTA
     def test_leaves_initial_labels_untouched(self, gas, pair):
         # run steps copies of the labels; step_ensemble writes the hits into
         # its momentum array and leaves x alone
@@ -393,7 +399,7 @@ class TestRun:
         assert p.tobytes() == want_p.tobytes()
         np.testing.assert_allclose(x, want_x, rtol=1e-13, atol=1e-13 * np.abs(x0).max())
 
-    @pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
+    @STRAINED_DELTA
     @pytest.mark.parametrize("alpha", [0.02, 1.0, 5.0])
     @pytest.mark.parametrize("p0", [0.0, 3.0])
     @pytest.mark.parametrize("n", [1, 2, 500])
@@ -408,7 +414,7 @@ class TestRun:
         if n == 500:
             assert series[-1].mean_p2 != series[0].mean_p2  # collisions happened
 
-    @pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
+    @STRAINED_DELTA
     @pytest.mark.parametrize("alpha", [1.0, 5.0])
     def test_matches_positions_loop_past_fifty_friction_times(self, alpha, monkeypatch):
         # a drifting ensemble long after it came to rest: the intercepts grow
@@ -425,7 +431,7 @@ class TestRun:
         # at rest, far short of the free flight 3 t/m
         assert abs(series[-1].mean_p) < 0.2 and series[-1].mean_x < 0.1 * 3.0 * horizon
 
-    @pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
+    @STRAINED_DELTA
     def test_two_pass_standard_errors(self, gas, pair, monkeypatch):
         # a mean far above the spread: a variance taken as s2/n - mean^2 from
         # raw sums puts se_mean_x 1 % off here.  At t = 0 the floors of
@@ -443,7 +449,7 @@ class TestRun:
             assert getattr(series[0], "se_mean_" + name) == pytest.approx(
                 np.std(values, ddof=1) / np.sqrt(x.size), rel=1e-9), name
 
-    @pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
+    @STRAINED_DELTA
     def test_identical_labels_have_zero_standard_errors(self, gas, pair):
         # compare_to_trajectories skips SEs of 0, but would divide by rounding
         # noise; 1000 copies of 0.1 or of 0.7 do not sum to 1000 times them
@@ -453,7 +459,7 @@ class TestRun:
         assert (first.mean_x, first.mean_p) == (0.1, 0.7)
         assert series[-1].se_mean_p > 0.0   # collisions happened
 
-    @pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
+    @STRAINED_DELTA
     def test_collision_free_ensemble_spreads_like_a_free_packet(self, pair):
         gas = ThermalGasSpec(temperature=1.0, number_density=1e-9, gas_mass=pair.gas_mass,
                              packet_width=pair.gas_width)
@@ -487,6 +493,7 @@ def _twin_msd(n, gas, pair, delta, horizon, seed, rounds):
     return msd
 
 
+@STRAINED_DELTA
 class TestExcessPositionMSD:
     def test_contact_twins_coincide(self, gas, pair):
         _, msd = tr.excess_position_msd(2000, gas, pair, 0.5, 40.0, seed=4,
@@ -513,7 +520,7 @@ class TestExcessPositionMSD:
 
 
 class TestStepLaw:
-    @pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
+    @STRAINED_DELTA
     @pytest.mark.parametrize("alpha", [0.02, 1.0, 5.0])
     def test_run_matches_per_step_draw(self, alpha):
         # 2e4 drifting thermal labels, about 5 collisions a path in 100 steps:
@@ -533,6 +540,7 @@ class TestStepLaw:
                 assert abs(z) <= 4, (alpha, step, name, z)
 
 
+    @STRAINED_DELTA
     @pytest.mark.parametrize("alpha", [0.02, 1.0, 5.0])
     def test_each_step_collides_at_its_rate(self, alpha, monkeypatch):
         # the recorded collisions of 2e4 thermal paths against the per-step
@@ -583,7 +591,7 @@ class TestGaps:
             tr._gaps(tr._step_probability(np.linspace(-1.0, 1.0, 5), gas, pair, 0.5), 41, rng), 41)
         assert rng.bit_generator.state == state
 
-    @pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
+    @STRAINED_DELTA
     def test_tiny_rate_gaps_are_capped(self, pair, monkeypatch):
         # at n_g = 1e-300, q ~ 5e-302 and rng.geometric returns 2^63 - 1, so
         # k + gap would wrap negative and fake collisions: the rows must be
@@ -610,7 +618,7 @@ class TestGaps:
         with pytest.raises(PartnerNotConverged):
             tr.step_ensemble(np.zeros(3), p, gas, pair, 0.5, np.random.default_rng(0))
 
-    @pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
+    @STRAINED_DELTA
     def test_nan_momentum_raises_named_error(self, gas, pair):
         # a NaN rate takes q = 1, so the path collides and its partner draw
         # raises, not rng.geometric's ValueError
@@ -620,6 +628,7 @@ class TestGaps:
         with pytest.raises(PartnerNotConverged):
             tr.run(np.zeros(3), p, gas, pair, 1.0, 0.5, seed=0)
 
+    @STRAINED_DELTA
     def test_rounds_count_collisions_not_steps(self, gas, pair, monkeypatch):
         # work as a count: 10^6 collision-free steps take one gap draw per
         # pool of paths and no round; with collisions, one pool takes as many
@@ -640,7 +649,7 @@ class TestGaps:
         assert len(rounds.rounds) - 1 == per_path.max() and per_path.sum() > 10**4
 
 
-    @pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
+    @STRAINED_DELTA
     def test_rate_evaluations_take_at_most_a_block(self, gas, pair, monkeypatch):
         # the paths not yet in the pool have their rates evaluated a block at
         # a time, each round's hits once; no evaluation exceeds _BLOCK paths
@@ -733,7 +742,7 @@ def _no_step(*args):
     raise AssertionError("a step was taken")
 
 
-@pytest.mark.filterwarnings("ignore::qbm1d.trajectories.ValidityWarning")
+@STRAINED_DELTA
 class TestStepCheck:
     @pytest.mark.parametrize("alpha", [0.02, 1.0, 5.0])
     def test_thermal_law_rate_checked_before_any_step(self, alpha, monkeypatch):
