@@ -1,4 +1,4 @@
-"""The reference scenario configs, one row of ``reference_configs.psv`` each.
+"""The reference scenario configs: one ``Row`` of ``ROWS`` each.
 
 ``test_cli`` runs every row twice in one process and takes each scenario's
 smoke config from the row named after it.  As a script,
@@ -16,7 +16,7 @@ OPENBLAS_NUM_THREADS=OMP_NUM_THREADS=MKL_NUM_THREADS=1, on both sides of a diff.
 import subprocess
 import sys
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from qbm1d import cli
 
@@ -24,23 +24,45 @@ from qbm1d import cli
 class Row(NamedTuple):
     name: str
     kind: str
-    config: dict
-    seed: str
+    config: dict          # the [scenario] keys; empty: every default
+    seed: Optional[int] = None  # the --seed option; None: the config's
 
     def argv(self, ini, out):
         """``qbm1d`` arguments that run this row from ``ini`` into ``out``."""
-        return [self.kind, str(ini), *(["--seed", self.seed] if self.seed else []),
+        return [self.kind, str(ini),
+                *(["--seed", str(self.seed)] if self.seed is not None else []),
                 "--out-dir", str(out)]
 
 
-def _row(line):
-    name, kind, config, seed = line.split("|")
-    pairs = (item.partition("=")[::2] for item in config.split(";") if item.strip())
-    return Row(name, kind, {k.strip(): v.strip() for k, v in pairs}, seed)
-
-
-ROWS = [_row(line) for line in Path(__file__).with_name("reference_configs.psv")
-        .read_text().splitlines() if line and not line.startswith("#")]
+# A row named after a scenario is that scenario's tier-1 smoke config.
+ROWS = [
+    Row("fig1", "fig1", {"sigma": 1.0, "x": 3.0, "p": -1.0, "n_times": 2, "n_x": 9, "n_p": 9,
+                         "momentum_grid_n": 128, "x_lo": -10.0, "x_hi": 10.0}, 3),
+    Row("fig1-defaults", "fig1", {}),
+    Row("far", "fig1", {"alpha": 0.3, "sigma": 1.0, "x": 60.0, "p": -2.0, "n_times": 4,
+                        "t_max_collision_units": 132.5}),
+    Row("collide", "collide", {"alpha": 0.7, "sigma": 1.0, "x": 3.0, "p": -1.0,
+                               "gas_x": -4.285714285714286, "gas_p": 1.0, "n_times": 2,
+                               "n_x": 9, "n_p": 9, "momentum_grid_n": 128, "x_lo": -10.0,
+                               "x_hi": 10.0, "fidelity_times": "0.5 4.0"}),
+    Row("oracle-verify", "oracle-verify", {"sigma": 1.0, "x": 3.0, "p": -1.0,
+                                           "grid_sizes": "64 96",
+                                           "times_collision_units": "0 1"}, 3),
+    Row("oracle-defaults", "oracle-verify", {}),
+    Row("oracle-alpha1", "oracle-verify", {"alpha": 1.0, "sigma": 1.0, "x": 5.0, "p": -0.5}),
+    Row("channel-verify", "channel-verify", {"grid_n": 192, "grid_length": 24.0}, 3),
+    Row("channel-defaults", "channel-verify", {}),
+    Row("channel-equal", "channel-verify", {"alpha": 1.0}),
+    Row("channel-heavy", "channel-verify", {"alpha": 3.0}),
+    Row("channel-near-equal", "channel-verify", {"alpha": 0.999}),
+    Row("trajectories", "trajectories", {"n_traj": 200, "horizon": 20.0}),
+    Row("alpha5", "trajectories", {"alpha": 5.0, "n_traj": 2000, "horizon": 20.0}),
+    Row("drift", "trajectories", {"p0": 3.0, "n_traj": 2000}),
+    Row("moments", "moments", {"horizon": 20.0}),
+    Row("delta-scan", "delta-scan", {"n_traj": 2000, "horizon": 20.0}, 3),
+    Row("delta-scan-defaults", "delta-scan", {}),
+    Row("scan14", "delta-scan", {}, 14),
+]
 
 
 def write_ini(path, cfg):
