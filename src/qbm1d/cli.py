@@ -44,9 +44,9 @@ from typing import ClassVar
 import numpy as np
 
 from . import channel, exact_collision as ec, grid_oracle, moments, trajectories
-from .errors import ConfigError, QBM1DError, StepTooLarge
+from .errors import ConfigError, GridTooCoarse, GridTooSmall, QBM1DError, StepTooLarge
 from .packets import CollisionPair, classical_collision_map
-from .thermal import ThermalGasSpec
+from .thermal import ThermalGasSpec, adjusted_temperature
 
 __all__ = ["ScenarioConfig", "run_scenario", "emit_csv", "main"]
 
@@ -176,10 +176,15 @@ class _Gas(ScenarioConfig):
 
     @property
     def gas(self) -> ThermalGasSpec:
+        """The gas; NonPositiveAdjustedTemperature (exit 2, before any draw or table)
+        where its packet mixture does not exist: T_sigma <= 0, at matched widths
+        sigma < sigma_c = hbar / sqrt(2 m k_B T)."""
         pair = self.pair
-        return ThermalGasSpec(temperature=self.temperature, number_density=self.number_density,
-                              gas_mass=pair.gas_mass, packet_width=pair.gas_width,
-                              hbar=self.hbar, k_B=self.boltzmann_k)
+        gas = ThermalGasSpec(temperature=self.temperature, number_density=self.number_density,
+                             gas_mass=pair.gas_mass, packet_width=pair.gas_width,
+                             hbar=self.hbar, k_B=self.boltzmann_k)
+        adjusted_temperature(gas)
+        return gas
 
     def _regime(self, delta, p) -> dict:
         """``trajectories.regime`` at delta and labels p, gated, with a rate *
@@ -339,7 +344,9 @@ class CollideConfig(_Gas, _Marginals):
 
 @dataclass(frozen=True, kw_only=True)
 class OracleVerifyConfig(_ComFrame):
-    """The spectral grid oracle against the closed-form collision."""
+    """The spectral grid oracle against the closed-form collision.  The summary's
+    ``numerics.finest_grid_resolved`` says whether ``grid_oracle._validate`` accepts
+    the finest grid; no table or verdict reads it."""
 
     kind: ClassVar[str] = "oracle-verify"
     grid_sizes: tuple[int, ...] = _key(
@@ -364,6 +371,12 @@ class OracleVerifyConfig(_ComFrame):
         files = [emit_csv(self.out_dir / "oracle_error.csv", ["grid_n", "t", "l2_error"], rows)]
         # np.max, unlike max, keeps a NaN
         worst_finest = float(np.max([e for n, _, e in rows if n == finest], initial=0.0))
+        try:
+            grid_oracle._validate(pair, init, base)
+        except (GridTooCoarse, GridTooSmall):
+            resolved = False
+        else:
+            resolved = True
         failures = [f"L2 error {e} at grid_n = {n}, t = {t!r} is not finite"
                     for n, t, e in rows if not np.isfinite(e)]
         if worst_finest > self.tolerance:
@@ -373,7 +386,8 @@ class OracleVerifyConfig(_ComFrame):
                 "grid": {"r_length": float(base.r_length),
                          "R_halfwidth": float(base.R_halfwidth)},
                 "worst_error_at_finest": worst_finest if np.isfinite(worst_finest) else None,
-                "requested_tolerance": self.tolerance}, failures
+                "requested_tolerance": self.tolerance,
+                "numerics": {"finest_grid_resolved": resolved}}, failures
 
 
 @dataclass(frozen=True, kw_only=True)

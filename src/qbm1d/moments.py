@@ -30,6 +30,18 @@ P_0 and P_eq stay apart, so a cold start, P_0 << P_eq, cancels no digits.
 Below f t = 1, phi/t and chi/t^2 come from their Taylor series, which keep
 the digits that 1 - E and chi would cancel and also cover f = 0.  Every
 time is evaluated directly: no step has to resolve the friction time 1/f.
+
+A quantum state's covariance obeys the Robertson-Schroedinger bound
+det = Var x Var p - C^2 >= hbar^2/4, C = ⟨{x,p}⟩/2 - ⟨x⟩⟨p⟩.  Along the ODE
+
+    d det/dt = 2 f (Var x m k_B T - det) + D_art Var p.
+
+With D_art = 0 a coherent start, det = hbar^2/4 and Var x = sigma^2/2, stays
+a quantum state at every t if and only if sigma >= sigma_c = hbar/sqrt(2 m
+k_B T): below sigma_c, d det/dt < 0 at t = 0.  At matched widths sigma <
+sigma_c is the gas's T_sigma <= 0, which the gas scenarios refuse.  On the
+bound Var x >= hbar^2/(4 Var p), so d det/dt >= 0 there for every state once
+D_art >= D_min = f hbar^2/(8 m k_B T): then every state stays quantum.
 """
 
 from __future__ import annotations

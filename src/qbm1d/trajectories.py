@@ -200,7 +200,8 @@ def sample_collision_partner(p, gas: ThermalGasSpec, pair: CollisionPair, rng):
     phi(z), a signed Rayleigh of mass sqrt(2/pi) mixed with a standard normal
     of mass |b|.  Each round draws u, v and normals n0, n1 for the pending
     draws; the candidate is sign(n0) hypot(n0, n1) when u (sqrt(2/pi) + |b|)
-    < sqrt(2/pi), else n1, kept when v (|z| + |b|) <= |z - b|.  The acceptance
+    < sqrt(2/pi), else n1, kept when v (|z| + |b|) <= |z - b|; a rejected
+    draw's candidate is overwritten in a later round.  The acceptance
     E|z - b| / (sqrt(2/pi) + |b|) is at least 0.648; a non-finite momentum,
     which no round could accept, raises PartnerNotConverged before any draw.
     """
@@ -210,14 +211,12 @@ def sample_collision_partner(p, gas: ThermalGasSpec, pair: CollisionPair, rng):
     if not np.all(finite := np.isfinite(b)):
         raise PartnerNotConverged(f"{np.sum(~finite)} partner draws against non-finite momenta")
     z, pending = np.empty(b.size), np.arange(b.size)
-    bk, a = b, np.abs(b)                    # of the pending draws
     for _ in range(_MAX_ROUNDS):
+        bk = b[pending]
         (u, v), n = rng.random((2, pending.size)), rng.standard_normal((2, pending.size))
-        cand = np.where(u * (_RAYLEIGH_MASS + a) < _RAYLEIGH_MASS,
-                        np.copysign(np.hypot(n[0], n[1]), n[0]), n[1])
-        keep = v * (np.abs(cand) + a) <= np.abs(cand - bk)
-        z[pending[keep]] = cand[keep]
-        pending, bk, a = pending[~keep], bk[~keep], a[~keep]
+        z[pending] = cand = np.where(u * (_RAYLEIGH_MASS + np.abs(bk)) < _RAYLEIGH_MASS,
+                                     np.copysign(np.hypot(n[0], n[1]), n[0]), n[1])
+        pending = pending[v * (np.abs(cand) + np.abs(bk)) > np.abs(cand - bk)]
         if not pending.size:
             return gas.gas_mass * su * z.reshape(p.shape)
     raise PartnerNotConverged(f"{pending.size} partner draws not accepted in "
@@ -279,41 +278,40 @@ def _gaps(q, cap: int, rng):
 
 
 def _collisions(p, gas, pair, delta, n_steps, rng, gas_flight_window):
-    """The collision kernel (module docstring): rounds (hit, k, eta, p_g, p_in) of
+    """The collision kernel (module docstring): rounds (hit, k, eta, p_g, p_in, p_out) of
     distinct paths ``hit`` in their steps k = 1, ..., n_steps, flights eta ~ U(-w delta,
-    w delta), w = gas_flight_window (0 at w = 0, drawing nothing), partners and
-    incoming momenta; p[hit] holds the outgoing momenta, which the next gaps take."""
+    w delta), w = gas_flight_window (0 at w = 0, drawing nothing), partners, and incoming
+    and outgoing momenta.  Its one write to the callers' arrays is p[hit] = p_out."""
     if gas_flight_window < 0:
         raise ValueError("gas_flight_window must be >= 0")
     flight = gas_flight_window * delta
-    k, hit, start = np.zeros(p.size, dtype=int), np.zeros(0, dtype=int), 0
+    hit, k, start = np.zeros(0, dtype=int), np.zeros(0, dtype=int), 0    # pool: paths, steps
     fresh, at = np.zeros(0), 0      # step probabilities of paths at, at + 1, ...
     while hit.size or start < p.size:
         end = min(start + _BLOCK - hit.size, p.size)
         if end > start:
             if end > at + fresh.size:
                 fresh, at = _step_probability(p[start:start + _BLOCK], gas, pair, delta), start
-            new = np.arange(start, end)
-            k[new] = _gaps(fresh[start - at:end - at], n_steps + 1, rng)
-            hit = np.concatenate([hit, new[k[new] <= n_steps]])
+            gap = _gaps(fresh[start - at:end - at], n_steps + 1, rng)
+            enter = np.flatnonzero(gap <= n_steps)
+            hit, k = np.concatenate([hit, start + enter]), np.concatenate([k, gap[enter]])
             start = end
         if hit.size:
             p_g = sample_collision_partner(p_in := p[hit], gas, pair, rng)
             eta = rng.uniform(-flight, flight, hit.size) if flight else np.zeros(hit.size)
-            p[hit] = classical_collision_map(pair, 0.0, p_g, 0.0, p_in)[3]
-            yield hit, k[hit], eta, p_g, p_in
-            k[hit] += _gaps(_step_probability(p[hit], gas, pair, delta), n_steps + 1, rng)
-            hit = hit[k[hit] <= n_steps]
+            p[hit] = p_out = classical_collision_map(pair, 0.0, p_g, 0.0, p_in)[3]
+            yield hit, k, eta, p_g, p_in, p_out
+            k = k + _gaps(_step_probability(p_out, gas, pair, delta), n_steps + 1, rng)
+            hit, k = hit[k <= n_steps], k[k <= n_steps]
 
 
-def _collide(a, p, hit, t, eta, p_g, p_in, pair: CollisionPair):
-    """Move the intercepts a of the paths ``hit``, collided at the instants t,
-    in place: each flies to contact at its incoming momentum p_in, takes the
-    label map against the gas label displaced by its flight eta and departs
-    at the kernel's outgoing momentum p[hit]."""
-    x = a[hit] + p_in / pair.brownian_mass * t               # contact position
+def _collide(a_in, t, eta, p_g, p_in, p_out, pair: CollisionPair):
+    """The outgoing intercepts of the paths with intercepts a_in that collided at the
+    instants t: each flies to contact at its incoming momentum p_in, takes the label map against
+    the gas label displaced by its flight eta and departs at the kernel's p_out."""
+    x = a_in + p_in / pair.brownian_mass * t                 # contact position
     x_g = x - (p_g / pair.gas_mass) * eta                    # unresolved flight
-    a[hit] = classical_collision_map(pair, x_g, p_g, x, p_in)[2] - p[hit] / pair.brownian_mass * t
+    return classical_collision_map(pair, x_g, p_g, x, p_in)[2] - p_out / pair.brownian_mass * t
 
 
 def step_ensemble(x, p, gas: ThermalGasSpec, pair: CollisionPair, delta: float,
@@ -324,8 +322,10 @@ def step_ensemble(x, p, gas: ThermalGasSpec, pair: CollisionPair, delta: float,
     float ``p`` in place, which is returned; ``x`` is not modified."""
     a = np.array(x, dtype=float)
     p = np.asarray(p, dtype=float)
-    for hit, _, eta, p_g, p_in in _collisions(p, gas, pair, delta, 1, rng, gas_flight_window):
-        _collide(a, p, hit, rng.uniform(0.0, delta, hit.size), eta, p_g, p_in, pair)
+    for hit, _, eta, p_g, p_in, p_out in _collisions(p, gas, pair, delta, 1, rng,
+                                                     gas_flight_window):
+        t = rng.uniform(0.0, delta, hit.size)
+        a[hit] = _collide(a[hit], t, eta, p_g, p_in, p_out, pair)
     return a + p / pair.brownian_mass * delta, p
 
 
@@ -347,11 +347,11 @@ def run(x0, p0, gas: ThermalGasSpec, pair: CollisionPair, horizon: float,
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     sums = _LabelSums(a, p)
     bins = np.zeros((_I.size, n_steps + 1))          # [m, k]: the changes in step k
-    for hit, k, eta, p_g, p_in in _collisions(p, gas, pair, delta, n_steps, rng,
-                                              gas_flight_window):
+    for hit, k, eta, p_g, p_in, p_out in _collisions(p, gas, pair, delta, n_steps, rng,
+                                                     gas_flight_window):
         a_in, t = a[hit], (k - 1) * delta + rng.uniform(0.0, delta, hit.size)
-        _collide(a, p, hit, t, eta, p_g, p_in, pair)
-        for row, (before, after) in zip(bins, sums.terms((a_in, p_in), (a[hit], p[hit]))):
+        a[hit] = a_out = _collide(a_in, t, eta, p_g, p_in, p_out, pair)
+        for row, (before, after) in zip(bins, sums.terms((a_in, p_in), (a_out, p_out))):
             row += np.bincount(k, np.subtract(after, before, out=after), n_steps + 1)
     return sums.stats(np.arange(n_steps + 1) * delta,
                       sums.initial[:, None] + np.cumsum(bins, axis=1), pair)
@@ -375,7 +375,7 @@ def excess_position_msd(n: int, gas: ThermalGasSpec, pair: CollisionPair,
     share = 2 * pair.alpha / (1 + pair.alpha)
     n_steps = int(round(horizon / delta))
     offset, bins = np.zeros(n), np.zeros(n_steps + 1)
-    for hit, k, eta, p_g, _ in _collisions(p, gas, pair, delta, n_steps, rng, gas_flight_window):
+    for hit, k, eta, p_g, *_ in _collisions(p, gas, pair, delta, n_steps, rng, gas_flight_window):
         old = offset[hit]
         offset[hit] = new = old - share * (p_g / pair.gas_mass) * eta
         bins += np.bincount(k, new * new - old * old, n_steps + 1)

@@ -11,12 +11,26 @@ given the path of a ``qbm1d`` console script, each row in its own process of
 it.  It stops at the first row that does not exit 0.  Two such runs write the
 same bytes only at the same BLAS thread count (``qbm1d.cli``): pin it, e.g.
 OPENBLAS_NUM_THREADS=OMP_NUM_THREADS=MKL_NUM_THREADS=1, on both sides of a diff.
+At 1 and 2 threads only the ``channel-*`` rows differ.
+
+    python tests/reference_configs.py --digests
+
+rewrites ``reference_digests.json``: the sha256 of every output file of the
+Monte Carlo rows ``PINNED``, which ``test_cli`` compares, and numpy's version.
+NEP 19 promises no random stream across numpy releases, so the test skips at
+another version; run it at one BLAS thread, and only where a change is meant
+to move the Monte Carlo bytes.
 """
 
+import hashlib
+import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from typing import NamedTuple, Optional
+
+import numpy as np
 
 from qbm1d import cli
 
@@ -70,6 +84,23 @@ def write_ini(path, cfg):
     return path
 
 
+PINNED = ("trajectories", "alpha5", "drift", "delta-scan", "delta-scan-defaults", "scan14")
+DIGESTS = Path(__file__).with_name("reference_digests.json")
+
+
+def digests(out, names=PINNED):
+    """{row: {file: sha256}} of the output files of the rows ``names`` under out."""
+    return {name: {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                   for f in sorted((Path(out) / name).iterdir())} for name in names}
+
+
+def write_digests():
+    with tempfile.TemporaryDirectory() as tmp:
+        main(tmp)
+        table = {"numpy": np.__version__, "rows": digests(tmp)}
+    DIGESTS.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
+
+
 def main(out, console=None):
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
@@ -82,4 +113,7 @@ def main(out, console=None):
 
 
 if __name__ == "__main__":
-    main(*sys.argv[1:])
+    if sys.argv[1:] == ["--digests"]:
+        write_digests()
+    else:
+        main(*sys.argv[1:])

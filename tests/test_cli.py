@@ -12,7 +12,7 @@ import pytest
 from qbm1d import cli, trajectories
 from qbm1d import exact_collision as ec
 from qbm1d.errors import ConfigError
-from reference_configs import ROWS, write_ini
+from reference_configs import DIGESTS, PINNED, ROWS, digests, write_ini
 
 # every row of reference_configs.ROWS, and one small config per scenario, the
 # row named after it: seconds in total, every tolerance at its default
@@ -57,6 +57,21 @@ def test_scenario_runs_and_reruns_identically(row, tmp_path):
     assert files == sorted(p.name for p in runs[1].iterdir())
     for name in files:
         assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+
+
+@STRAINED_DELTA
+@pytest.mark.parametrize("row", [row for row in ROWS if row.name in PINNED], ids=PINNED)
+def test_monte_carlo_row_writes_its_pinned_bytes(row, tmp_path):
+    # reference_digests.json pins every output byte of the Monte Carlo rows;
+    # ``python tests/reference_configs.py --digests`` rewrites it
+    pinned = json.loads(DIGESTS.read_text())
+    assert sorted(pinned["rows"]) == sorted(PINNED)
+    if pinned["numpy"] != np.__version__:
+        pytest.skip(f"digests pinned at numpy {pinned['numpy']}, running numpy "
+                    f"{np.__version__}: NEP 19 promises no random stream across releases")
+    ini = write_ini(tmp_path / f"{row.name}.ini", row.config)
+    assert cli.main(row.argv(ini, tmp_path / row.name)) == 0
+    assert digests(tmp_path, [row.name]) == {row.name: pinned["rows"][row.name]}
 
 
 @pytest.mark.parametrize("kind,listed", [("trajectories", 1), ("moments", 1),
@@ -377,12 +392,44 @@ def test_unconverged_partner_draw_exits_2_and_names_the_error(tmp_path, capsys, 
 @STRAINED_DELTA
 def test_cold_gas_partner_draws_at_underflowing_kinks(tmp_path):
     # at T = 1e-4 every path has z_v = 42, where phi and the flux mass below
-    # the kink underflow to 0: the envelope is almost all normal part
-    ini = write_ini(tmp_path / "c.ini", {"temperature": 1e-4, "p0": 3.0, "n_traj": 2000,
-                                         "horizon": 20.0})
+    # the kink underflow to 0: the envelope is almost all normal part.  z_v
+    # does not depend on sigma; sigma = 100 is above sigma_c = 70.7 at this T
+    ini = write_ini(tmp_path / "c.ini", {"temperature": 1e-4, "sigma": 100.0, "p0": 3.0,
+                                         "n_traj": 2000, "horizon": 20.0})
     assert cli.main(["trajectories", str(ini), "--out-dir", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["tolerance_failures"] == []
+
+
+@pytest.mark.parametrize("kind,cfg", [
+    ("moments", {"alpha": 1.0, "sigma": 0.3536, "include_artifact": False, "delta": 0.05,
+                 "horizon": 5.0}),
+    ("collide", {**SMOKE["collide"], "sigma": 0.5}),
+    ("trajectories", {**SMOKE["trajectories"], "sigma": 0.5}),
+    ("delta-scan", {**SMOKE["delta-scan"], "sigma": 0.5}),
+    ("moments", {"sigma": 1 / np.sqrt(2), "horizon": 5.0}),
+], ids=["moments-half-sigma_c", "collide", "trajectories", "delta-scan", "moments-at-sigma_c"])
+def test_gas_without_a_packet_mixture_exits_2_before_any_draw_or_table(kind, cfg, tmp_path,
+                                                                        capsys, monkeypatch):
+    # T_sigma = T - hbar^2/(2 m k_B sigma^2) <= 0 at matched widths below
+    # sigma_c = 1/sqrt(2): no gas of packets exists.  At sigma = 0.3536 the
+    # artifact-free moment ODE wrote det Sigma = 0.986 hbar^2/4 at t = 0.2
+    def no_step(*args):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(trajectories, "_collisions", no_step)
+    ini = write_ini(tmp_path / f"{kind}.ini", cfg)
+    assert cli.main([kind, str(ini), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "error: NonPositiveAdjustedTemperature" in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+@STRAINED_DELTA
+@RATE_ABOVE_GATE
+@pytest.mark.parametrize("kind", ["moments", "collide", "trajectories", "delta-scan"])
+def test_gas_just_above_sigma_c_runs(kind, tmp_path):
+    ini = write_ini(tmp_path / f"{kind}.ini", {**SMOKE[kind], "sigma": (1 + 1e-9) / np.sqrt(2)})
+    assert cli.main([kind, str(ini), "--out-dir", str(tmp_path)]) == 0
 
 
 @STRAINED_DELTA
@@ -433,6 +480,18 @@ def test_oracle_verify_at_default_grids(cfg, tmp_path):
     assert table.shape == (21, 3) and np.all(np.isfinite(table))
     summary = json.loads((tmp_path / "first" / "summary.json").read_text())
     assert summary["worst_error_at_finest"] <= 1e-12
+
+
+@pytest.mark.parametrize("name,resolved", [("oracle-verify", False), ("oracle-alpha1", False),
+                                           ("oracle-defaults", True)])
+def test_oracle_verify_reports_whether_its_finest_grid_is_resolved(name, resolved, tmp_path):
+    # _validate's Nyquist guard rejects dr = 0.73 >= 0.29 in oracle-verify's
+    # 96-point grid and dR = 0.22 >= 0.16 in oracle-alpha1's 1,024-point one;
+    # the verdict does not read the flag
+    row, = (row for row in ROWS if row.name == name)
+    assert cli.main(row.argv(write_ini(tmp_path / "o.ini", row.config), tmp_path)) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["numerics"]["finest_grid_resolved"] is resolved
 
 
 def test_oracle_verify_fails_on_a_non_finite_error(tmp_path, capsys, monkeypatch):

@@ -236,3 +236,44 @@ def test_artifact_rate_closed_form():
     printed = gas.number_density / (3 * np.sqrt(np.pi)) * (2 * gas.kT / gas.gas_mass) ** 1.5
     assert mo.artifact_diffusion_rate(gas, gas.gas_mass, 1.0) == pytest.approx(
         3 / (2 * np.sqrt(2)) * printed, rel=1e-14)
+
+
+def _uncertainty_ratio(alpha, sigma, include_artifact, artifact_rate=None):
+    """det Sigma / (hbar^2/4) along ``closed_form`` from a coherent packet of
+    width sigma at rest, at t = 0 and 2000 times log-spaced up to 100/f,
+    in the gas of the scenarios' defaults at delta = 0.5."""
+    pair = CollisionPair.matched(1.0, alpha, sigma)
+    gas = ThermalGasSpec(temperature=1.0, number_density=0.02, gas_mass=pair.gas_mass,
+                         packet_width=pair.gas_width)
+    params = mo.FrictionParams.from_gas(gas, 1.0, 0.5, include_artifact=include_artifact)
+    if artifact_rate is not None:
+        params = replace(params, artifact_rate=artifact_rate)
+    fx2, fxp, fp2 = pair.brownian_packet(0.0, 0.0).evolve(0.0).covariance()
+    ts = np.append(0.0, np.geomspace(1e-6, 100.0, 2000) / params.f)
+    v = _vectors(mo.closed_form(mo.MomentState(0.0, 0.0, fx2, fxp, fp2), params, ts))
+    var_x, var_p, cov = v[:, 2] - v[:, 0]**2, v[:, 4] - v[:, 1]**2, v[:, 3] / 2 - v[:, 0] * v[:, 1]
+    return (var_x * var_p - cov**2) / (pair.hbar**2 / 4)
+
+
+SIGMA_C = 1 / math.sqrt(2)    # hbar / sqrt(2 m k_B T) at hbar = m = k_B T = 1
+
+
+@pytest.mark.parametrize("alpha", [0.02, 0.3, 1.0])
+@pytest.mark.parametrize("width", [1, 2, 8])
+@pytest.mark.parametrize("include_artifact", [True, False])
+def test_coherent_start_at_or_above_sigma_c_stays_quantum(alpha, width, include_artifact):
+    assert _uncertainty_ratio(alpha, width * SIGMA_C, include_artifact).min() >= 1 - 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.02, 0.3, 1.0])
+def test_coherent_start_below_sigma_c_breaks_the_bound_without_artifact(alpha):
+    # the "only if": d det/dt = 2 f (sigma^2/2 m k_B T - hbar^2/4) < 0 at t = 0
+    assert _uncertainty_ratio(alpha, 0.9 * SIGMA_C, False).min() < 1 - 1e-4
+
+
+@pytest.mark.parametrize("alpha", [0.02, 0.3, 1.0])
+@pytest.mark.parametrize("width", [0.1, 0.5])
+def test_artifact_at_d_min_keeps_a_narrow_start_quantum(alpha, width):
+    # D_art = D_min = f hbar^2/(8 m k_B T) keeps d det/dt >= 0 on the bound
+    d_min = mo.friction_constant(ThermalGasSpec(1.0, 0.02, alpha, 1.0), 1.0) / 8
+    assert _uncertainty_ratio(alpha, width * SIGMA_C, False, d_min).min() >= 1 - 1e-12

@@ -253,8 +253,9 @@ class _Rounds:
     """Records the collision kernel's rounds (hit, k, eta, p_g and the
     incoming momenta p_in they were drawn from) and the instants that
     ``_collide`` receives, as tau = t - (k - 1) delta in the step.  Asserts
-    that each round leaves p[hit] bit-equal to the label map's outgoing
-    momentum of p_in against p_g."""
+    that each round's p_out, and p[hit] after it, are bit-equal to the label
+    map's outgoing momentum of p_in against p_g, and that ``_collide``
+    writes none of its arguments."""
 
     def __init__(self, monkeypatch, delta):
         self.delta = delta
@@ -263,15 +264,18 @@ class _Rounds:
         kernel, collide = tr._collisions, tr._collide
 
         def collisions(p, gas, pair, *args):
-            for hit, k, eta, p_g, p_in in kernel(p, gas, pair, *args):
-                p_out = classical_collision_map(pair, 0.0, p_g, 0.0, p_in)[3]
-                assert p[hit].tobytes() == p_out.tobytes()
+            for hit, k, eta, p_g, p_in, p_out in kernel(p, gas, pair, *args):
+                want = classical_collision_map(pair, 0.0, p_g, 0.0, p_in)[3].tobytes()
+                assert p_out.tobytes() == p[hit].tobytes() == want
                 self.rounds.append((hit.copy(), k.copy(), eta.copy(), p_g.copy(), p_in.copy()))
-                yield hit, k, eta, p_g, p_in
+                yield hit, k, eta, p_g, p_in, p_out
 
-        def recording_collide(a, p, hit, t, *args):
+        def recording_collide(a_in, t, *args):
             self.taus.append(np.array(t, dtype=float) - (self.rounds[-1][1] - 1) * self.delta)
-            collide(a, p, hit, t, *args)
+            given = [np.array(v).tobytes() for v in (a_in, t, *args[:-1])]
+            a_out = collide(a_in, t, *args)
+            assert [np.array(v).tobytes() for v in (a_in, t, *args[:-1])] == given
+            return a_out
 
         monkeypatch.setattr(tr, "_collisions", collisions)
         monkeypatch.setattr(tr, "_collide", recording_collide)
