@@ -15,10 +15,13 @@ computation starts; unknown keys are rejected and errors name the field
 path.  Exit codes: 0 success, 2 configuration/validation failure,
 3 numerical tolerance failure.
 
-Every run writes a ``summary.json`` whose ``config`` block holds every key
-with its resolved value, plus ``kind``; identical config, seed and BLAS thread
-count give byte-identical outputs.  ``numerics.validity_warnings`` lists the
-text of every ``ValidityWarning`` the scenario raised, which still go to stderr.
+A scenario's ``run()`` writes no file: it returns its summary, its tables,
+{file name: (header, rows)}, and its tolerance failures.  ``run_scenario``
+alone writes them: each table with ``emit_csv``, then ``summary.json``, whose
+``outputs`` names the tables and whose ``config`` holds every key's resolved
+value and ``kind``; a run that exits 2 writes no table.  Identical config, seed
+and BLAS thread count give byte-identical outputs.  ``numerics.validity_warnings``
+lists every ``ValidityWarning`` the scenario raised, which still go to stderr.
 ``trajectories`` and ``moments`` write their rows at the same times
 t = k delta, k = 0, ..., round(horizon / delta).  ``trajectories``, ``moments``
 and ``collide`` write ``trajectories.regime``'s coarse-graining report in their
@@ -93,7 +96,7 @@ def _times_ok(ts):
 
 def _keys(scenario):
     """The config keys of a scenario class or instance, in field order."""
-    return [f for f in fields(scenario) if f.metadata]
+    return fields(scenario)
 
 
 def _require(cond, key, message):
@@ -107,7 +110,6 @@ class ScenarioConfig:
     subclass sets ``kind``, adds its keys and may redeclare a key's default."""
 
     kind: ClassVar[str]
-    out_dir: Path = Path(".")
     hbar: float = _positive(1.0)
     seed: int = _nonnegative(0)
     mass: float = _positive(1.0)
@@ -125,7 +127,7 @@ class ScenarioConfig:
         """Rules that tie keys together; each raises a ConfigError naming a key."""
 
     def run(self):
-        """Write the artifacts; return (summary payload, tolerance failures)."""
+        """Return (summary payload, {file name: (header, rows)}, tolerance failures)."""
         raise NotImplementedError
 
     @property
@@ -133,7 +135,7 @@ class ScenarioConfig:
         return CollisionPair.matched(self.mass, self.alpha * self.mass, self.sigma, hbar=self.hbar)
 
     @classmethod
-    def load(cls, kind: str, path, seed=None, out_dir=None) -> ScenarioConfig:
+    def load(cls, kind: str, path, seed=None) -> ScenarioConfig:
         """Read the ``[scenario]`` section of the INI file at ``path`` as
         scenario ``kind``, cast and validate it; ``seed`` overrides its seed."""
         if kind not in SCENARIOS:
@@ -163,7 +165,7 @@ class ScenarioConfig:
             raise ConfigError(f"scenario.{sorted(raw)[0]}", "unknown key")
         if seed is not None:
             values["seed"] = int(seed)
-        return scenario(**values, out_dir=Path(out_dir) if out_dir else Path("."))
+        return scenario(**values)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -236,21 +238,22 @@ class _Marginals(ScenarioConfig):
     n_p: int = _count(241)
     momentum_grid_n: int = _count(1024)  # ignored; the momentum marginal needs no grid
 
-    def _write_marginals(self, t_c, position, momentum):
-        """The table times, the position and momentum marginal CSVs, and the
+    def _marginal_tables(self, t_c, position, momentum):
+        """The table times, the position and momentum marginal tables, and the
         ``numerics`` block; ``position(t, xs)`` gives the densities and
         ``momentum(t, ps)`` the densities and the momentum rule's node count."""
         times = np.linspace(0.0, self.t_max_collision_units * t_c, self.n_times)
         xs = np.linspace(self.x_lo, self.x_hi, self.n_x)
         ps = np.linspace(self.p_lo, self.p_hi, self.n_p)
         momenta, nodes = zip(*[momentum(t, ps) for t in times])
-        files = [emit_csv(self.out_dir / f"{name}_marginal.csv", ["t", column, "density"],
-                          np.column_stack([np.repeat(times, grid.size), np.tile(grid, times.size),
-                                           np.concatenate(densities)]).tolist())
-                 for name, column, grid, densities in (
-                     ("position", "x_prime", xs, [position(t, xs) for t in times]),
-                     ("momentum", "p_prime", ps, momenta))]
-        return times, files, {"momentum_rule_nodes": list(nodes)}
+        tables = {f"{name}_marginal.csv": (
+                      ["t", column, "density"],
+                      np.column_stack([np.repeat(times, grid.size), np.tile(grid, times.size),
+                                       np.concatenate(densities)]).tolist())
+                  for name, column, grid, densities in (
+                      ("position", "x_prime", xs, [position(t, xs) for t in times]),
+                      ("momentum", "p_prime", ps, momenta))}
+        return times, tables, {"momentum_rule_nodes": list(nodes)}
 
 
 def _cell(v):
@@ -286,13 +289,13 @@ class Fig1Config(_ComFrame, _Marginals):
         pair = self.pair
         init = ec.com_condition(pair, self.x, self.p)
         t_c = ec.collision_time(pair, init.p)
-        times, files, numerics = self._write_marginals(
+        times, tables, numerics = self._marginal_tables(
             t_c, lambda t, xs: ec.position_marginal(pair, init, t, xs),
             lambda t, ps: ec.momentum_marginal(pair, init, t, ps, return_nodes=True))
-        mean_rows = [(float(t), ec.brownian_momentum_mean(pair, init, t)) for t in times]
-        files.append(emit_csv(self.out_dir / "momentum_mean.csv", ["t", "mean_p"], mean_rows))
-        return {"collision_time": t_c, "outputs": [f.name for f in files], "numerics": numerics,
-                "diagnostics": ec.collision_ratios(pair, init)}, []
+        tables["momentum_mean.csv"] = (
+            ["t", "mean_p"], [(float(t), ec.brownian_momentum_mean(pair, init, t)) for t in times])
+        return {"collision_time": t_c, "numerics": numerics,
+                "diagnostics": ec.collision_ratios(pair, init)}, tables, []
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -328,18 +331,18 @@ class CollideConfig(_Gas, _Marginals):
         init = lab.com_init
         regime = self._regime(self.delta, self.p)
         t_c = ec.collision_time(pair, init.p)
-        _, files, numerics = self._write_marginals(
+        _, tables, numerics = self._marginal_tables(
             t_c, lab.position_marginal, partial(lab.momentum_marginal, return_nodes=True))
         fid_times = self.fidelity_times or [float(v) for v in np.linspace(0.0, 5 * t_c, 11)]
-        fid_rows = [(float(t), ec.outgoing_fidelity(pair, init, t)) for t in fid_times]
-        files.append(emit_csv(self.out_dir / "fidelity.csv", ["t", "outgoing_fidelity"], fid_rows))
+        tables["fidelity.csv"] = (["t", "outgoing_fidelity"], [
+            (float(t), ec.outgoing_fidelity(pair, init, t)) for t in fid_times])
         x_g, p_g = init.gas_label(pair)
-        return {"collision_time": t_c, "outputs": [f.name for f in files], "numerics": numerics,
+        return {"collision_time": t_c, "numerics": numerics,
                 "com_condition": {"x_g": x_g, "p_g": p_g, "x": init.x, "p": init.p,
                                   "reflection": lab.reflection, "com_offset": lab.com_offset,
                                   "boost_velocity": lab.boost_velocity},
                 "diagnostics": {**ec.collision_ratios(pair, init), "collision_time": t_c,
-                                **regime}}, []
+                                **regime}}, tables, []
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -368,7 +371,6 @@ class OracleVerifyConfig(_ComFrame):
             errs = grid_oracle.compare_to_analytic(pair, init, times, replace(base, n_R=n, n_r=n),
                                                    validate=False)
             rows.extend((n, float(t), float(e)) for t, e in zip(times, errs))
-        files = [emit_csv(self.out_dir / "oracle_error.csv", ["grid_n", "t", "l2_error"], rows)]
         # np.max, unlike max, keeps a NaN
         worst_finest = float(np.max([e for n, _, e in rows if n == finest], initial=0.0))
         try:
@@ -382,12 +384,13 @@ class OracleVerifyConfig(_ComFrame):
         if worst_finest > self.tolerance:
             failures.append(f"finest-grid L2 error {worst_finest:.3e} exceeds tolerance "
                             f"{self.tolerance:.1e}")
-        return {"collision_time": t_c, "outputs": [f.name for f in files],
+        tables = {"oracle_error.csv": (["grid_n", "t", "l2_error"], rows)}
+        return {"collision_time": t_c,
                 "grid": {"r_length": float(base.r_length),
                          "R_halfwidth": float(base.R_halfwidth)},
                 "worst_error_at_finest": worst_finest if np.isfinite(worst_finest) else None,
                 "requested_tolerance": self.tolerance,
-                "numerics": {"finest_grid_resolved": resolved}}, failures
+                "numerics": {"finest_grid_resolved": resolved}}, tables, failures
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -431,14 +434,13 @@ class ChannelVerifyConfig(ScenarioConfig):
             ("kraus_ktk_residual", ktk_residual, 1e-8, ktk_residual <= 1e-8),
             ("effect_min_eigenvalue", lo, -1e-8, lo >= -1e-8),
         ]
-        files = [emit_csv(self.out_dir / "channel_checks.csv",
-                          ["check", "value", "threshold", "passed"],
-                          [(name, float(v), float(thr), ok) for name, v, thr, ok in rows])]
+        tables = {"channel_checks.csv": (
+            ["check", "value", "threshold", "passed"],
+            [(name, float(v), float(thr), ok) for name, v, thr, ok in rows])}
         failures = [f"{name} = {v:.6g} fails threshold {thr:.3g}"
                     for name, v, thr, ok in rows if not ok]
-        return {"outputs": [f.name for f in files],
-                "checks": {name: {"value": float(v), "threshold": float(thr), "passed": bool(ok)}
-                           for name, v, thr, ok in rows}}, failures
+        return {"checks": {name: {"value": float(v), "threshold": float(thr), "passed": bool(ok)}
+                           for name, v, thr, ok in rows}}, tables, failures
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -455,11 +457,11 @@ class TrajectoriesConfig(_Ensemble):
             np.broadcast_to(0.0, self.n_traj), np.broadcast_to(self.p0, self.n_traj), gas, pair,
             self.horizon, self.delta, seed=self.seed + 1, gas_flight_window=self.gas_flight_window)
         columns = _MOMENTS + ["se_" + c for c in _MOMENTS[1:]]
-        files = [emit_csv(self.out_dir / "moments.csv", columns,
-                          [[getattr(s, c) for c in columns] for s in series])]
+        tables = {"moments.csv": (columns, [[getattr(s, c) for c in columns] for s in series])}
+        ratio = moments.min_uncertainty_ratio(series, self.hbar)
         return {"friction_constant": moments.friction_constant(gas, pair.brownian_mass),
-                "outputs": [f.name for f in files],
-                "diagnostics": trajectories.regime(gas, pair, self.delta, self.p0)}, []
+                "numerics": {"min_uncertainty_ratio": ratio},
+                "diagnostics": trajectories.regime(gas, pair, self.delta, self.p0)}, tables, []
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -478,12 +480,16 @@ class MomentsConfig(_Ensemble):
         initial = moments.MomentState(mean_x=0.0, mean_p=p0, mean_x2=fx2, mean_xp=fxp,
                                       mean_p2=p0**2 + fp2)
         series = moments.integrate(initial, params, self.horizon, self.delta)
-        files = [emit_csv(self.out_dir / "moments_ode.csv", _MOMENTS,
-                          [[getattr(s, c) for c in _MOMENTS] for s in series])]
+        tables = {"moments_ode.csv": (_MOMENTS,
+                                      [[getattr(s, c) for c in _MOMENTS] for s in series])}
+        ratio = moments.min_uncertainty_ratio(series, self.hbar)
+        # the artifact rate above which every state stays quantum (``moments``)
+        d_min = params.f * self.hbar**2 / (8 * params.mass * params.kT)
         return {"friction_constant": params.f, "artifact_rate": params.artifact_rate,
+                "artifact_to_positivity_floor": params.artifact_rate / d_min,
+                "numerics": {"min_uncertainty_ratio": ratio},
                 "slow_particle_ratio": params.slow_particle_ratio(p0),
-                "outputs": [f.name for f in files],
-                "diagnostics": self._regime(self.delta, p0)}, []
+                "diagnostics": self._regime(self.delta, p0)}, tables, []
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -529,18 +535,17 @@ class DeltaScanConfig(_Gas):
         slope = (float(np.polyfit(np.log(deltas), np.log(rates), 1)[0])
                  if min(rates) > 0 else float("nan"))
         mean_ratio = float(np.mean(ratios))
-        files = [emit_csv(self.out_dir / "delta_scan.csv",
-                          ["delta", "excess_rate", "printed_rate", "closed_form_rate", "ratio"],
-                          [(float(d), *row)
-                           for d, *row in zip(deltas, rates, printed, closed, ratios)])]
+        tables = {"delta_scan.csv": (
+            ["delta", "excess_rate", "printed_rate", "closed_form_rate", "ratio"],
+            [(float(d), *row) for d, *row in zip(deltas, rates, printed, closed, ratios)])}
         failures = []
         if not abs(slope - 2.0) <= self.slope_tol:
             failures.append(f"log-log slope {slope:.3f} outside 2 +- {self.slope_tol}")
         if not (1 / self.ratio_factor <= mean_ratio <= self.ratio_factor):
             failures.append(f"mean ratio {mean_ratio:.3f} outside factor {self.ratio_factor}")
         return {"log_log_slope": slope if np.isfinite(slope) else None,
-                "mean_ratio_to_closed_form": mean_ratio if np.isfinite(mean_ratio) else None,
-                "outputs": [f.name for f in files]}, failures
+                "mean_ratio_to_closed_form": (mean_ratio if np.isfinite(mean_ratio)
+                                              else None)}, tables, failures
 
 
 SCENARIOS = {c.kind: c for c in (Fig1Config, CollideConfig, OracleVerifyConfig,
@@ -548,13 +553,14 @@ SCENARIOS = {c.kind: c for c in (Fig1Config, CollideConfig, OracleVerifyConfig,
                                  MomentsConfig, DeltaScanConfig)}
 
 
-def run_scenario(cfg: ScenarioConfig) -> int:
-    """Run one validated scenario; writes artifacts, returns the exit code."""
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+def run_scenario(cfg: ScenarioConfig, out_dir=".") -> int:
+    """Run one validated scenario; write its tables and ``summary.json`` into
+    ``out_dir``, none of them after a ``QBM1DError``; return the exit code."""
+    (out_dir := Path(out_dir)).mkdir(parents=True, exist_ok=True)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", trajectories.ValidityWarning)
         try:
-            summary, failures = cfg.run()
+            summary, tables, failures = cfg.run()
         except QBM1DError as exc:
             error = exc
         else:
@@ -564,15 +570,16 @@ def run_scenario(cfg: ScenarioConfig) -> int:
     if error is not None:
         print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
         return 2
+    for name, (header, rows) in tables.items():
+        emit_csv(out_dir / name, header, rows)
+    summary["outputs"] = list(tables)
     summary.setdefault("numerics", {})["validity_warnings"] = [
         str(w.message) for w in caught if issubclass(w.category, trajectories.ValidityWarning)]
     summary["tolerance_failures"] = failures
     config = {"kind": cfg.kind, **{f.name: getattr(cfg, f.name) for f in _keys(cfg)}}
-    path = cfg.out_dir / "summary.json"
-    with open(path, "w") as fh:
-        json.dump({"scenario": cfg.kind, "config": config, **summary}, fh,
-                  indent=2, sort_keys=True)
-        fh.write("\n")
+    path = out_dir / "summary.json"
+    path.write_text(json.dumps({"scenario": cfg.kind, "config": config, **summary},
+                               indent=2, sort_keys=True) + "\n")
     print(f"wrote {path}")
     for f in failures:
         print(f"tolerance failure: {f}", file=sys.stderr)
@@ -588,18 +595,18 @@ def _parser():
         sp = sub.add_parser(kind)
         sp.add_argument("config", help="path to the INI scenario config")
         sp.add_argument("--seed", type=int, help="override the config seed")
-        sp.add_argument("--out-dir", help="directory for CSV/JSON artifacts (default: cwd)")
+        sp.add_argument("--out-dir", default=".", help="artifact directory (default: cwd)")
     return parser
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = ScenarioConfig.load(args.kind, args.config, seed=args.seed, out_dir=args.out_dir)
+        cfg = ScenarioConfig.load(args.kind, args.config, seed=args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return run_scenario(cfg)
+    return run_scenario(cfg, args.out_dir)
 
 
 if __name__ == "__main__":

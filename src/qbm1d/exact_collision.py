@@ -263,7 +263,8 @@ def position_marginal(pair: CollisionPair, init: COMInitialCondition, t: float, 
             - kappa * (xb - beta / (2 * kappa)) ** 2)
     terms = _halfline_upper(pair.alpha * kappa, beta, -xb,
                             2 * np.real(log_c) - kappa * xb**2 + beta * xb, full)
-    out = np.real(terms @ _SIGNS)
+    # where every term underflows their signed sum can round to -5e-324
+    out = np.maximum(np.real(terms @ _SIGNS), 0.0)
     return float(out) if out.ndim == 0 else out
 
 

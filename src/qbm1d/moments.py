@@ -62,6 +62,7 @@ __all__ = [
     "artifact_diffusion_rate",
     "integrate",
     "closed_form",
+    "min_uncertainty_ratio",
     "compare_to_trajectories",
 ]
 
@@ -182,6 +183,16 @@ def integrate(initial: MomentState, params: FrictionParams, horizon: float,
     """States at t = 0, dt, ..., round(horizon/dt) dt: ``closed_form`` at those
     times, one state per row, exact for every dt > 0."""
     return closed_form(initial, params, np.arange(int(round(horizon / dt)) + 1) * dt)
+
+
+def min_uncertainty_ratio(series, hbar: float) -> float:
+    """The least det Sigma / (hbar^2/4) over the states of ``series``, each a
+    ``MomentState`` or a ``trajectories.EnsembleStats``: the Robertson-
+    Schroedinger bound (module docstring) holds where it is >= 1."""
+    x, p, x2, xp, p2 = (np.array([getattr(s, name) for s in series])
+                        for name in ("mean_x", "mean_p", "mean_x2", "mean_xp", "mean_p2"))
+    det = (x2 - x * x) * (p2 - p * p) - (xp / 2 - x * p) ** 2
+    return float(np.min(det) / (hbar**2 / 4))
 
 
 @dataclass(frozen=True)

@@ -272,13 +272,54 @@ def test_moments_gates_and_reports_its_regime(tmp_path):
     # the moment ODE runs at the trajectories defaults, delta = 0.5 against
     # t_typ = 22.4: it lists the one warning, exits 0 and reports the regime
     ini = write_ini(tmp_path / "m.ini", {})
-    cfg = cli.ScenarioConfig.load("moments", str(ini), out_dir=tmp_path)
+    cfg = cli.ScenarioConfig.load("moments", str(ini))
     with pytest.warns(trajectories.ValidityWarning, match="typical collision time 22.4"):
-        assert cli.run_scenario(cfg) == 0
+        assert cli.run_scenario(cfg, tmp_path) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert len(summary["numerics"]["validity_warnings"]) == 1
     assert summary["diagnostics"] == trajectories.regime(cfg.gas, cfg.pair, 0.5, 0.0)
     assert summary["tolerance_failures"] == []
+
+
+def _columns(path):
+    """The table at ``path``, as written by ``cli.emit_csv``: {column: values}."""
+    header = path.read_text().split("\n", 1)[0].split(",")
+    return dict(zip(header, np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T))
+
+
+@STRAINED_DELTA
+@pytest.mark.parametrize("name", ["moments", "trajectories", "alpha5", "drift"])
+def test_summary_reports_the_least_uncertainty_product_of_its_rows(name, tmp_path):
+    # det Sigma/(hbar^2/4), hbar = 1, over the rows of the table the run wrote;
+    # each run starts in a coherent state, det Sigma = hbar^2/4
+    row, = (row for row in ROWS if row.name == name)
+    assert cli.main(row.argv(write_ini(tmp_path / "r.ini", row.config), tmp_path)) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    c = _columns(tmp_path / summary["outputs"][0])
+    det = ((c["mean_x2"] - c["mean_x"] ** 2) * (c["mean_p2"] - c["mean_p"] ** 2)
+           - (c["mean_xp"] / 2 - c["mean_x"] * c["mean_p"]) ** 2)
+    ratio = summary["numerics"]["min_uncertainty_ratio"]
+    assert ratio == det.min() / 0.25
+    assert ratio >= 1 - 1e-12
+
+
+@STRAINED_DELTA
+@RATE_ABOVE_GATE
+@pytest.mark.parametrize("alpha,want", [(0.02, 1.2816), (0.3, 0.7958), (1.0, 0.3536)])
+def test_moments_reports_the_artifact_rate_over_the_positivity_floor(alpha, want, tmp_path):
+    # D_art/D_min, D_min = f hbar^2/(8 m k_B T), at delta = 0.5, n_g = 0.02 and
+    # m = k_B T = hbar = 1; sigma does not enter it.  Without the artifact a
+    # coherent start just above sigma_c stays quantum
+    reported = []
+    for sigma, artifact in ((8.0, True), (1.01 / np.sqrt(2), True), (1.01 / np.sqrt(2), False)):
+        ini = write_ini(tmp_path / "m.ini",
+                        {"alpha": alpha, "sigma": sigma, "include_artifact": artifact})
+        assert cli.main(["moments", str(ini), "--out-dir", str(tmp_path)]) == 0
+        reported.append(json.loads((tmp_path / "summary.json").read_text()))
+    ratios = [summary["artifact_to_positivity_floor"] for summary in reported]
+    assert ratios[0] == ratios[1] == pytest.approx(want, abs=1e-3)
+    assert ratios[2] == 0.0
+    assert reported[2]["numerics"]["min_uncertainty_ratio"] >= 1 - 1e-12
 
 
 def test_collide_outside_the_regime_lists_a_validity_warning(tmp_path):
@@ -322,8 +363,8 @@ def test_collide_reports_the_rate_at_its_lab_momentum(tmp_path):
     ini = write_ini(tmp_path / "c.ini", {"alpha": 0.3, "sigma": 1.0, "x": 0.0, "p": 2.0,
                                          "gas_x": 5.0, "gas_p": 0.0, "n_times": 2,
                                          "n_x": 5, "n_p": 5, "fidelity_times": "0.0"})
-    cfg = cli.ScenarioConfig.load("collide", str(ini), out_dir=tmp_path)
-    assert cli.run_scenario(cfg) == 0
+    cfg = cli.ScenarioConfig.load("collide", str(ini))
+    assert cli.run_scenario(cfg, tmp_path) == 0
     by_law = json.loads((tmp_path / "summary.json").read_text())["diagnostics"][
         "step_collision_probability_by_law"]
     want = float(trajectories.collision_rate(2.0, cfg.gas, cfg.pair)) * cfg.delta
@@ -450,7 +491,8 @@ def test_delta_scan_rare_fast_path_passes(tmp_path):
 ], ids=["fig1-1e6", "fig1-1e12", "fig1-1e150", "fig1-1e200", "collide-1e200"])
 def test_late_table_time_exits_2_and_names_the_error(kind, cfg, tmp_path):
     # the momentum rule's window outgrows its node budget, or |s_t|^2
-    # overflows; in a process capped at 4 GiB, should the budget go unchecked
+    # overflows; in a process capped at 4 GiB, should the budget go unchecked.
+    # collide fails after its marginals, and writes none of its tables
     ini = write_ini(tmp_path / f"{kind}.ini", cfg)
     cap = "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 32, 1 << 32)); "
     result = subprocess.run(
@@ -461,6 +503,7 @@ def test_late_table_time_exits_2_and_names_the_error(kind, cfg, tmp_path):
     assert result.returncode == 2, result.stderr
     assert "error: TimeTooLate" in result.stderr
     assert not (tmp_path / "summary.json").exists()
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("cfg", [{}, {"alpha": 0.02, "sigma": 8.0, "x": 30.0, "p": -1.0},
@@ -608,7 +651,7 @@ def test_mixed_case_key_is_read(tmp_path):
 @pytest.mark.parametrize("kind", sorted(SMOKE))
 def test_summary_config_holds_every_resolved_key(kind, tmp_path, monkeypatch):
     # perfbench's accuracy checks rebuild the physics from this block
-    monkeypatch.setattr(cli.SCENARIOS[kind], "run", lambda cfg: ({"outputs": []}, []))
+    monkeypatch.setattr(cli.SCENARIOS[kind], "run", lambda cfg: ({}, {}, []))
     ini = write_ini(tmp_path / "cfg.ini", SMOKE[kind])
     assert cli.main([kind, str(ini), "--seed", "3", "--out-dir", str(tmp_path)]) == 0
     config = json.loads((tmp_path / "summary.json").read_text())["config"]

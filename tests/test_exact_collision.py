@@ -376,6 +376,15 @@ class TestPositionMarginal:
         assert np.all(dens >= -1e-12)
         assert np.trapezoid(dens, xs) == pytest.approx(1.0, abs=1e-6)
 
+    def test_nonnegative_where_every_term_underflows(self):
+        # 60 free-packet stds about x, the four terms of |psi|^2 underflow near
+        # x' = -15, where their signed sum rounded to -5e-324 at six points
+        pair = CollisionPair.matched(1.0, 11.7, 2.41)
+        init = ec.com_condition(pair, 36.4, -3.73)
+        reach = 60 * pair.brownian_width / np.sqrt(2)
+        xs = np.linspace(init.x - reach, init.x + reach, 200001)
+        assert ec.position_marginal(pair, init, 0.0, xs).min() >= 0.0
+
     @pytest.mark.parametrize("t,xp", [(0.0, 8.0), (3.0, 4.0), (5.0, 0.5), (9.0, -12.0)])
     def test_erf_closed_form_cross_check(self, pair, init, t, xp):
         quad_val = _quad_position_marginal(pair, init, t, xp)
